@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 
-from repro import ExperimentConfig, RemotePeeringStudy
+from repro import ExperimentConfig, GeneratorConfig, RemotePeeringStudy
 from repro.validation.metrics import evaluate_report
 
 
 def build_config(scale: str, seed: int) -> ExperimentConfig:
-    """Pick one of the bundled configuration scales."""
+    """Pick one of the bundled configuration scales, seeded with ``seed``."""
     if scale == "tiny":
         return ExperimentConfig.tiny(seed=seed)
     if scale == "small":
         return ExperimentConfig.small(seed=seed)
-    return ExperimentConfig()
+    return ExperimentConfig(generator=GeneratorConfig(seed=seed))
 
 
 def main() -> None:

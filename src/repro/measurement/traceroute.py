@@ -10,9 +10,10 @@ Two kinds of traceroute corpora are needed:
   Section 6.4: from probes inside a remote member of a large IXP towards
   prefixes of other members of the same IXP.
 
-Both are produced by the :class:`TracerouteCampaign`, which precomputes an
-AS-level shortest-path tree per probe AS (a single BFS) and expands only the
-paths it needs, keeping large fan-outs affordable.
+Both are produced by the :class:`TracerouteCampaign`, which routes each probe
+AS towards all of its destinations with one destination-bounded BFS (it stops
+once every destination has a parent) and expands only the paths it needs,
+keeping large fan-outs affordable.
 """
 
 from __future__ import annotations

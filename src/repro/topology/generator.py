@@ -457,14 +457,18 @@ class WorldGenerator:
             if not system.is_reseller_carrier and asn not in already_member
         ]
 
+        # Many candidates share a home facility: one distance per facility.
+        facility_km: dict[str, float] = {}
         distances: dict[int, float] = {}
         home_facilities: dict[int, str] = {}
         for asn in candidate_asns:
-            home_facility = sorted(self._world.ases[asn].facility_ids)[0]
+            home_facility = min(self._world.ases[asn].facility_ids)
             home_facilities[asn] = home_facility
-            distances[asn] = geodesic_distance_km(
-                self._world.facility_location(home_facility), primary_location
-            )
+            if home_facility not in facility_km:
+                facility_km[home_facility] = geodesic_distance_km(
+                    self._world.facility_location(home_facility), primary_location
+                )
+            distances[asn] = facility_km[home_facility]
 
         local_plans = self._plan_local_members(ixp, candidate_asns, distances, n_local)
         chosen_local = {plan.asn for plan in local_plans}

@@ -1,5 +1,8 @@
 """Unit tests for the configuration dataclasses."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -122,3 +125,17 @@ class TestExperimentConfig:
     def test_seed_propagates_to_generator(self):
         config = ExperimentConfig.small(seed=99)
         assert config.generator.seed == 99
+
+
+class TestQuickstartConfig:
+    @pytest.fixture(scope="class")
+    def quickstart(self):
+        path = Path(__file__).resolve().parents[1] / "examples" / "quickstart.py"
+        spec = importlib.util.spec_from_file_location("quickstart_example", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "default"])
+    def test_seed_reaches_the_generator_at_every_scale(self, quickstart, scale):
+        assert quickstart.build_config(scale, 5).generator.seed == 5

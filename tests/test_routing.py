@@ -1,8 +1,11 @@
 """Unit tests for the AS graph, route selection and forwarding expansion."""
 
 import random
+from collections import defaultdict, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import RoutingError
 from repro.routing.bgp import ASGraph, RealizationKind, RouteSelector
@@ -50,6 +53,17 @@ class TestASGraph:
     def test_edge_count_positive(self, graph):
         assert graph.edge_count > 0
 
+    def test_ixp_co_members_share_one_realization_per_ixp(self, graph, tiny_world):
+        ixp = tiny_world.largest_ixps(1)[0]
+        members = sorted({m.asn for m in tiny_world.active_memberships(ixp.ixp_id)})
+        crossings = {
+            id(r)
+            for a, b in zip(members, members[1:])
+            for r in graph.realizations(a, b)
+            if r.kind is RealizationKind.IXP and r.ixp_id == ixp.ixp_id
+        }
+        assert len(crossings) == 1
+
 
 class TestRouteSelector:
     def test_path_endpoints(self, selector, tiny_world):
@@ -71,6 +85,8 @@ class TestRouteSelector:
     def test_unknown_source_rejected(self, selector):
         with pytest.raises(RoutingError):
             selector.select_path(1, 2)
+        with pytest.raises(RoutingError):
+            selector.paths_from(1, [2])
 
     def test_paths_from_many_destinations(self, selector, tiny_world):
         asns = sorted(tiny_world.ases)
@@ -86,6 +102,132 @@ class TestRouteSelector:
         members = [m.asn for m in tiny_world.active_memberships(ixp.ixp_id)]
         path = selector.select_path(members[0], members[1])
         assert len(path) == 2
+
+
+# ---------------------------------------------------------------------- #
+# Reference route selection: adjacency sets, sorted neighbour lists, a full
+# BFS walk and an early return at a single ``stop_at`` target.  The graph's
+# bitmask adjacency and the destination-bounded BFS must reproduce it.
+# ---------------------------------------------------------------------- #
+def _reference_adjacency(world):
+    neighbours = defaultdict(set)
+
+    def add_edge(a, b):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+
+    for asn in world.ases:
+        neighbours.setdefault(asn, set())
+        for provider in world.relationships.providers_of(asn):
+            add_edge(asn, provider)
+    for link in world.private_links:
+        add_edge(link.asn_a, link.asn_b)
+    for ixp_id in world.ixps:
+        asns = sorted({m.asn for m in world.active_memberships(ixp_id)})
+        for i, a in enumerate(asns):
+            for b in asns[i + 1:]:
+                add_edge(a, b)
+    return neighbours
+
+
+def _reference_bfs_tree(adjacency, source_asn, stop_at):
+    parents = {}
+    visited = {source_asn}
+    queue = deque([source_asn])
+    while queue:
+        current = queue.popleft()
+        for neighbour in sorted(adjacency.get(current, set())):
+            if neighbour in visited:
+                continue
+            visited.add(neighbour)
+            parents[neighbour] = current
+            if stop_at is not None and neighbour == stop_at:
+                return parents
+            queue.append(neighbour)
+    return parents
+
+
+def _reference_walk_back(parents, source_asn, destination_asn):
+    path = [destination_asn]
+    while path[-1] != source_asn:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
+
+
+def _reference_select_path(world, adjacency, source_asn, destination_asn):
+    if source_asn not in world.ases or destination_asn not in world.ases:
+        return None
+    if source_asn == destination_asn:
+        return [source_asn]
+    parents = _reference_bfs_tree(adjacency, source_asn, stop_at=destination_asn)
+    if destination_asn not in parents:
+        return None
+    return _reference_walk_back(parents, source_asn, destination_asn)
+
+
+def _reference_paths_from(adjacency, source_asn, destinations):
+    parents = _reference_bfs_tree(adjacency, source_asn, stop_at=None)
+    result = {}
+    for destination in destinations:
+        if destination == source_asn:
+            result[destination] = [source_asn]
+        elif destination in parents:
+            result[destination] = _reference_walk_back(parents, source_asn, destination)
+    return result
+
+
+def _select_or_none(selector, source_asn, destination_asn):
+    try:
+        return selector.select_path(source_asn, destination_asn)
+    except RoutingError:
+        return None
+
+
+#: Stands for "the source AS itself" in a drawn destination list.
+_SOURCE = -1
+
+
+class TestReferenceEquivalence:
+    @pytest.fixture(scope="class")
+    def adjacency(self, tiny_world):
+        return _reference_adjacency(tiny_world)
+
+    def test_neighbours_are_sorted_reference_sets(self, graph, adjacency, tiny_world):
+        for asn in sorted(adjacency):
+            neighbours = graph.neighbours(asn)
+            assert neighbours == sorted(neighbours)
+            assert set(neighbours) == adjacency[asn]
+        assert graph.neighbours(1) == []
+
+    def test_has_edge_and_edge_count_match_reference(self, graph, adjacency):
+        asns = sorted(adjacency) + [1]
+        for a in asns:
+            for b in asns:
+                assert graph.has_edge(a, b) == (b in adjacency.get(a, set())), (a, b)
+        assert graph.edge_count == sum(len(v) for v in adjacency.values()) // 2
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_paths_match_reference_for_every_source(self, selector, adjacency, tiny_world, data):
+        asns = sorted(tiny_world.ases)
+        drawn = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from(asns),
+                st.just(_SOURCE),
+                st.integers(min_value=1, max_value=asns[0] - 1),
+            ),
+            max_size=10,
+        ))
+        for source in asns:
+            destinations = [source if d == _SOURCE else d for d in drawn]
+            # Every list carries the source and at least one duplicate.
+            destinations += [source, destinations[0] if destinations else source]
+            assert selector.paths_from(source, destinations) == _reference_paths_from(
+                adjacency, source, destinations)
+            for destination in destinations:
+                assert _select_or_none(selector, source, destination) == (
+                    _reference_select_path(tiny_world, adjacency, source, destination))
 
 
 class TestForwarding:
