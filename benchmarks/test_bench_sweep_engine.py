@@ -39,10 +39,10 @@ def _run_independent(study, configs):
     ]
 
 
-def _run_sweep(study, configs, max_workers=None):
+def _run_sweep(study, configs):
     """All scenarios through one shared engine, as ``study.sweep`` would."""
     engine = PipelineEngine(study.inputs, delay_model=study.delay_model,
-                            geo_index=study.geo_index, max_workers=max_workers)
+                            geo_index=study.geo_index)
     return SweepRunner(engine).run(configs, study.studied_ixp_ids)
 
 
@@ -92,22 +92,3 @@ def test_sweep_reuse_speedup_vs_independent_runs(study):
         f"pipeline runs ({sweep_elapsed:.3f}s vs {independent_elapsed:.3f}s)"
     )
 
-
-def test_sweep_on_parallel_engine_matches_serial_sweep(study):
-    """A sweep on a ``max_workers=2`` engine is bit-identical to the serial one.
-
-    Pure equivalence, no timing floor: the per-IXP nodes fill the shared
-    memos and the step-result cache from pool threads here, so this is the
-    corpus-scale companion to the tier-1 ``max_workers`` equivalence tests
-    and the CI smoke job's configuration.
-    """
-    configs = _sweep_configs(study.config.inference)
-    serial = _run_sweep(study, configs)
-    threaded = _run_sweep(study, configs, max_workers=2)
-    for serial_outcome, threaded_outcome in zip(serial, threaded):
-        assert threaded_outcome.report == serial_outcome.report
-        assert threaded_outcome.baseline_report == serial_outcome.baseline_report
-        assert (
-            threaded_outcome.rtt_summary.observations
-            == serial_outcome.rtt_summary.observations
-        )

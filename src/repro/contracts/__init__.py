@@ -1,6 +1,6 @@
 """Static contract checker for the reproduction pipeline.
 
-Five rule families police the contracts the runtime machinery relies on
+Four rule families police the contracts the runtime machinery relies on
 but cannot itself see:
 
 1. **Step-declaration completeness** (:mod:`repro.contracts.stepdecl`) —
@@ -15,32 +15,19 @@ but cannot itself see:
 3. **Read-only outcomes** (:mod:`repro.contracts.readonly`) — replayed
    :class:`~repro.core.engine.PipelineOutcome` values are shared by the
    cache and must not be mutated by experiment/analysis/validation code.
-4. **Lock discipline** (:mod:`repro.contracts.concurrency`) — every write
-   reaching shared state from a ``PER_IXP`` node's call graph (the nodes
-   run on a thread pool) must be lock-guarded or declared thread-confined.
-
-   The lock-discipline *pattern* the tree follows, and the rule enforces:
-   hot read paths are lock-free (a memo hit is one GIL-atomic dict read);
-   fills **compute outside the lock, store under it** (duplicated work is
-   idempotent, the lock only keeps the store race-free); lazy one-shot
-   builds use **double-checked locking** (check, lock, re-check, build);
-   and incremental eviction helpers are **declared lock-guarded**
-   (:data:`~repro.contracts.concurrency.GUARDED_METHODS`) — their callers
-   take the lock once, and the rule checks every call site honours that.
 5. **Determinism** (:mod:`repro.contracts.determinism`) — the modules the
    engine executes must not depend on wall-clock time, hidden RNG state,
    set iteration order, ``id()`` keys or thread completion order; a cache
    hit is only a proof of reusability if recomputation would be
    bit-identical.
 
+The numbers are stable names the docs refer to; there is no rule 4.
+
 Run it three ways: ``python -m repro.contracts`` (the CLI, wired into CI),
 ``tests/test_contracts.py`` (tier-1, over the live tree and over seeded-bug
-fixtures) and the dynamic cross-checks (:mod:`repro.contracts.dynamic`
+fixtures) and the dynamic cross-check (:mod:`repro.contracts.dynamic`
 records the accesses an actual pipeline run performs and asserts they are a
-subset of the declarations; :mod:`repro.contracts.dynconc` runs the real
-engine on a real thread pool with lock-asserting wrappers around the shared
-memos and asserts zero unguarded concurrent writes and a bit-identical
-outcome against the serial schedule).
+subset of the declarations).
 """
 
 from __future__ import annotations
@@ -55,7 +42,6 @@ from repro.contracts.model import (
     apply_waivers,
     parse_waivers,
 )
-from repro.contracts.concurrency import check_concurrency_discipline
 from repro.contracts.determinism import check_determinism
 from repro.contracts.mutation import check_mutation_discipline
 from repro.contracts.readonly import check_readonly_outcomes
@@ -69,7 +55,6 @@ __all__ = [
     "Violation",
     "Waiver",
     "apply_waivers",
-    "check_concurrency_discipline",
     "check_determinism",
     "check_mutation_discipline",
     "check_readonly_outcomes",
@@ -81,12 +66,11 @@ __all__ = [
 
 
 def collect_violations(tree: SourceTree) -> list[Violation]:
-    """All five rule families over one tree, in a stable order."""
+    """All four rule families over one tree, in a stable order."""
     violations: list[Violation] = []
     violations.extend(check_step_declarations(tree))
     violations.extend(check_mutation_discipline(tree))
     violations.extend(check_readonly_outcomes(tree))
-    violations.extend(check_concurrency_discipline(tree))
     violations.extend(check_determinism(tree))
     return violations
 

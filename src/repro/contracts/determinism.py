@@ -1,14 +1,12 @@
 """Rule family 5: determinism lint over the engine-adjacent modules.
 
 The step-graph engine's whole value proposition is that a cache hit is a
-proof of reusability and a parallel schedule is bit-identical to the serial
-one.  Both proofs assume the computations themselves are deterministic:
-results must not depend on wall-clock time, process-lifetime randomness,
-hash-order of sets, object identity, or thread completion order.  This rule
-flags the syntactic shapes that break that assumption inside the modules the
-engine executes (``repro.core``, ``repro.geo``, ``repro.netindex``, and the
-resilience layer ``repro.resilience`` minus its deliberately-exempt fault
-injection harness — see ``_EXEMPT_MODULES``):
+proof of reusability.  That proof assumes the computations themselves are
+deterministic: results must not depend on wall-clock time, process-lifetime
+randomness, hash-order of sets, object identity, or thread completion order.
+This rule flags the syntactic shapes that break that assumption inside the
+modules the engine executes (``repro.core``, ``repro.geo`` and
+``repro.netindex``):
 
 * ``nondeterministic-call`` — calls into ``time``/``random``/``os.urandom``/
   ``uuid``/``secrets``, and any call reached through ``numpy.random`` (under
@@ -35,8 +33,7 @@ injection harness — see ``_EXEMPT_MODULES``):
   *sets* used for cycle detection are fine and not flagged).
 * ``completion-ordered-merge`` — any use of
   :func:`concurrent.futures.as_completed`: merging parallel results in
-  completion order is scheduling-dependent by construction.  The engine's
-  scheduler uses order-preserving ``pool.map`` instead.
+  completion order is scheduling-dependent by construction.
 """
 
 from __future__ import annotations
@@ -47,16 +44,7 @@ from repro.contracts.model import Violation
 from repro.contracts.tree import ModuleInfo, SourceTree, walk_scope
 
 #: The module prefixes (under the analyzed package) the rule covers.
-DETERMINISM_SCOPES: tuple[str, ...] = ("core", "geo", "netindex", "resilience")
-
-#: Modules inside the scopes that the rule deliberately skips, the same
-#: escape hatch the mutation rule grants ``contracts.dynconc``: the fault
-#: injection harness *is* the fault — its job is to call ``os._exit`` and
-#: ``time.sleep`` on a deterministically planned schedule — so flagging
-#: those calls would force a waiver for behaviour that is the module's
-#: whole contract.  Everything else under ``repro.resilience`` (the retry
-#: policy, the event journal) stays fully covered.
-_EXEMPT_MODULES: tuple[str, ...] = ("resilience.faultplan",)
+DETERMINISM_SCOPES: tuple[str, ...] = ("core", "geo", "netindex")
 
 #: module alias -> the attribute names that are nondeterministic to call.
 #: ``None`` means every attribute of the module (``time.time``,
@@ -266,14 +254,11 @@ def check_determinism(tree: SourceTree) -> list[Violation]:
     """Run rule family 5 over a source tree."""
     violations: list[Violation] = []
     prefixes = tuple(f"{tree.package}.{scope}" for scope in DETERMINISM_SCOPES)
-    exempt = tuple(f"{tree.package}.{suffix}" for suffix in _EXEMPT_MODULES)
     for name in sorted(tree.modules):
         if not (
             name in prefixes
             or any(name.startswith(prefix + ".") for prefix in prefixes)
         ):
-            continue
-        if name in exempt:
             continue
         violations.extend(_ModuleScan(tree, tree.modules[name]).scan())
     violations.sort(key=lambda v: (v.path, v.line, v.kind, v.detail))

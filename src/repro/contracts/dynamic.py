@@ -295,7 +295,7 @@ def run_dynamic_cross_check(
     inputs_proxy = _InputsProxy(inputs, dataset_proxy, geo_proxy, recorder)
     config_proxy = _ConfigProxy(config, recorder)
 
-    engine = PipelineEngine(inputs_proxy, geo_index=geo_proxy, max_workers=None)
+    engine = PipelineEngine(inputs_proxy, geo_index=geo_proxy)
     for node, method_name in STEP_IMPLEMENTATIONS.items():
         original = getattr(engine, method_name)
         setattr(
@@ -305,7 +305,7 @@ def run_dynamic_cross_check(
         )
     outcome = engine.run(config, list(ixp_ids))
 
-    reference = PipelineEngine(inputs, max_workers=None).run(config, list(ixp_ids))
+    reference = PipelineEngine(inputs).run(config, list(ixp_ids))
     return DynamicCrossCheck(
         observed=recorder.observed,
         violations=_compare(recorder.observed),

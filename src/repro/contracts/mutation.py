@@ -3,9 +3,8 @@
 Every mutable backing collection of a :class:`repro.versioning.Versioned`
 container (the observed dataset's dicts, the campaign results' lists, the
 report's results map...) must only be mutated from the container's **own
-module** — where the journal-emitting mutators live — or from one of the
-exempt mechanism layers (``_EXEMPT_MODULES``: :mod:`repro.versioning` and
-the observation-only instrumentation in :mod:`repro.contracts.dynconc`).
+module** — where the journal-emitting mutators live — or from the exempt
+versioning machinery itself (``_EXEMPT_MODULES``: :mod:`repro.versioning`).
 A direct mutation anywhere else
 (``dataset.interface_asn[ip] = ...``, ``result.vantage_points.update(...)``,
 ``del report.results[key]``) silently bypasses both the change journal and
@@ -39,11 +38,8 @@ from repro.contracts.model import Violation
 from repro.contracts.tree import ClassInfo, ModuleInfo, SourceTree, walk_scope
 
 #: Modules exempt from the rule, relative to the analyzed package: the
-#: versioning machinery itself, and the dynamic concurrency harness
-#: (:mod:`repro.contracts.dynconc`), which installs observation-only
-#: lock-checking wrappers in place of the backing dicts — a representation
-#: swap that preserves content exactly, never a journal-bypassing edit.
-_EXEMPT_MODULES: tuple[str, ...] = ("versioning", "contracts.dynconc")
+#: versioning machinery itself.
+_EXEMPT_MODULES: tuple[str, ...] = ("versioning",)
 
 #: Method calls that mutate a dict / list / set receiver in place.
 MUTATING_METHODS: frozenset[str] = frozenset(

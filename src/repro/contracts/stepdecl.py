@@ -104,10 +104,6 @@ class StepDecl:
     data_domains: tuple[str, ...]
     data_inputs: tuple[str, ...]
     line: int
-    #: ``"per-ixp"`` or ``"global"`` — the StepScope member name, lowered.
-    scope: str = "global"
-    #: Class names the node declares thread-confined (concurrency rule 4).
-    thread_confined: tuple[str, ...] = ()
 
 
 def _literal_tuple(node: ast.expr, constants: dict[str, str]) -> tuple[str, ...]:
@@ -177,22 +173,8 @@ def parse_step_graph(tree: SourceTree) -> dict[str, StepDecl]:
             raise ContractCheckError(
                 f"StepSpec at line {call.lineno} has no literal name"
             )
-        scope_node = keywords.get("scope")
-        scope = "global"
-        if isinstance(scope_node, ast.Attribute):
-            scope = scope_node.attr.lower().replace("_", "-")
-        elif isinstance(scope_node, ast.Constant) and isinstance(
-            scope_node.value, str
-        ):
-            scope = scope_node.value
         declarations[name_node.value] = StepDecl(
             name=name_node.value,
-            scope=scope,
-            thread_confined=(
-                _literal_tuple(keywords["thread_confined"], constants)
-                if "thread_confined" in keywords
-                else ()
-            ),
             config_fields=(
                 _literal_tuple(keywords["config_fields"], constants)
                 if "config_fields" in keywords

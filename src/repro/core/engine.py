@@ -14,10 +14,10 @@ names, as data (:data:`STEP_GRAPH`):
 * its **inputs** (the upstream nodes whose results it consumes);
 * its **outputs** (what the node contributes to the final
   :class:`PipelineOutcome`);
-* its **scope** — ``PER_IXP`` nodes are independent across IXPs (Steps 1-3
-  and the RTT baseline) and can be scheduled concurrently; ``GLOBAL`` nodes
-  see the whole studied set (the traceroute observables and Steps 4/5, whose
-  multi-IXP routers and private adjacencies span IXPs).
+* its **scope** — ``PER_IXP`` nodes are keyed and cached once per IXP,
+  independently of the other IXPs (Steps 1-3 and the RTT baseline);
+  ``GLOBAL`` nodes see the whole studied set (the traceroute observables and
+  Steps 4/5, whose multi-IXP routers and private adjacencies span IXPs).
 
 Every node also names, as data, the **dataset domains and inputs-bundle
 members it reads** (``data_domains`` / ``data_inputs``) — the versioning
@@ -71,6 +71,11 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
 :class:`StepResultCache` optionally enforces an LRU entry/byte budget so
 unbounded scenario sweeps cannot grow the cache without limit;
 :meth:`PipelineEngine.cache_eviction_stats` exposes the accounting.
+
+Execution is serial: :meth:`PipelineEngine.run` computes each studied IXP's
+per-IXP chain in ``ixp_ids`` order, then the global nodes.  The per-IXP layer
+is a small share of a realistic run (the global traceroute node dominates),
+so the engine starts no threads or processes of its own.
 """
 
 from __future__ import annotations
@@ -78,16 +83,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import sys
-import time
-import warnings
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, fields, is_dataclass
 from threading import Lock
 from typing import Any, Callable, NamedTuple, Sequence, cast
@@ -114,23 +110,9 @@ from repro.core.types import (
     InferenceStep,
     PeeringClassification,
 )
-from repro.exceptions import (
-    ExecutorDegradedWarning,
-    InferenceError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.exceptions import InferenceError
 from repro.geo.delay_model import DelayModel
 from repro.geo.distindex import GeoDistanceIndex
-from repro.resilience import (
-    FaultPlan,
-    ResilienceEvent,
-    ResilienceEventKind,
-    ResilienceLog,
-    RetryPolicy,
-    perform_fault,
-    task_digest,
-)
 from repro.traixroute.detector import CorpusDetectionIndex, IXPCrossing, PrivateAdjacency
 
 #: One recorded ``ensure``/``classify`` call — heterogeneous by design (the
@@ -161,7 +143,7 @@ class PipelineOutcome:
 
 
 class StepScope(enum.Enum):
-    """How a step node is keyed and scheduled."""
+    """How a step node is keyed: once per studied IXP, or once per studied set."""
 
     PER_IXP = "per-ixp"
     GLOBAL = "global"
@@ -207,16 +189,6 @@ class StepSpec:
         enters the node's cache key — ``"ping_result"``, ``"corpus"`` and/or
         ``"prefix2as"``.  The alias resolver is world-backed and immutable,
         so no node declares it.
-    thread_confined:
-        Class names whose instances, inside this node's call graph, are
-        **confined to the computing thread** — fresh objects built per
-        compute (the recording report, the per-IXP campaign summary) that
-        the node mutates freely without locks.  This is a *contract* checked
-        by the concurrency rule (:mod:`repro.contracts.concurrency`): writes
-        to instances of any *other* shared class must be lock-guarded, and a
-        declared class the node never mutates is itself a finding (the
-        declaration must not drift from the code).  Only meaningful on
-        ``PER_IXP`` nodes — ``GLOBAL`` nodes run serially.
     """
 
     name: str
@@ -227,7 +199,6 @@ class StepSpec:
     studied_set_sensitive: bool = True
     data_domains: tuple[str, ...] = ()
     data_inputs: tuple[str, ...] = ()
-    thread_confined: tuple[str, ...] = ()
 
 
 #: The declared step graph, in the paper's execution order (Section 5.2).
@@ -239,7 +210,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         requires=(),
         provides=("report_delta",),
         data_domains=(DOMAIN_INTERFACES, DOMAIN_CAPACITIES),
-        thread_confined=("InferenceReport",),
     ),
     StepSpec(
         name="step2",
@@ -261,7 +231,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
             DOMAIN_AS_FACILITIES,
             DOMAIN_FACILITY_LOCATIONS,
         ),
-        thread_confined=("InferenceReport",),
     ),
     StepSpec(
         name="traceroute",
@@ -310,7 +279,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         requires=("step2",),
         provides=("baseline_report",),
         data_domains=(DOMAIN_INTERFACES,),
-        thread_confined=("InferenceReport",),
     ),
 )
 
@@ -371,8 +339,10 @@ class StepResultCache:
     holds, and evictions are tallied per step label in :attr:`stats` (an
     evicted entry is charged to the label that inserted it).  Byte
     accounting uses a rough deep-size estimate computed once per insert.
+    Each budget must be ``None`` (unbounded) or a positive ``int``; anything
+    else raises :class:`InferenceError` at construction.
 
-    Thread-safe for the engine's per-IXP thread pool: lookups and inserts are
+    Safe to share between concurrent caller threads: lookups and inserts are
     serialised by a lock; concurrent misses on the same key compute
     duplicates (idempotent by construction) and keep the first stored value.
     """
@@ -383,8 +353,15 @@ class StepResultCache:
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ) -> None:
+        for name, budget in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+            if budget is not None and (
+                    isinstance(budget, bool) or not isinstance(budget, int)
+                    or budget < 1):
+                raise InferenceError(
+                    f"{name} must be a positive int or None, got {budget!r}")
         # key -> (value, label, byte estimate); ordered oldest-used first.
         self._entries: OrderedDict[str, tuple[object, str, int]] = OrderedDict()
+        # Serialises lookups and inserts from concurrent caller threads.
         self._lock = Lock()
         self.stats: dict[str, CacheStats] = {}
         self.max_entries = max_entries
@@ -412,21 +389,6 @@ class StepResultCache:
             self.total_bytes += size
             self._evict_over_budget()
             return value
-
-    def peek(self, key: str) -> tuple[bool, object]:
-        """``(present, value)`` for ``key`` without computing on a miss.
-
-        Refreshes the entry's LRU recency but records neither a hit nor a
-        miss — the process scheduler peeks every per-IXP node to decide
-        which IXPs still need worker trips, and those probes would otherwise
-        distort the per-step accounting.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return (False, None)
-            self._entries.move_to_end(key)
-            return (True, entry[0])
 
     def _evict_over_budget(self) -> None:
         """Drop least-recently-used entries until the budget holds (locked).
@@ -546,7 +508,8 @@ class _KeyResolver:
     inputs-bundle members) and the keys of its parents — so a key matches
     exactly when nothing that may legally influence the node's result
     differs.  Version tokens are sampled once per run (the engine contract
-    forbids mutating the inputs mid-run).
+    forbids mutating the inputs mid-run); each :meth:`PipelineEngine.run`
+    call builds its own resolver.
     """
 
     def __init__(
@@ -560,10 +523,6 @@ class _KeyResolver:
         self._inputs = inputs
         self._memo: dict[tuple[str, str | None], str] = {}
         self._data_tokens: dict[str, tuple[object, object]] = {}
-        # One resolver is shared by every thread of a run's per-IXP pool;
-        # only the memo stores need serialising (a duplicated digest is
-        # idempotent, the lock just keeps the dict fills race-free).
-        self._lock = Lock()
 
     def _data_token(self, spec: StepSpec) -> tuple[object, object]:
         """The version stamps of everything the node declared it reads."""
@@ -580,8 +539,7 @@ class _KeyResolver:
                     for name in spec.data_inputs
                 ),
             )
-            with self._lock:
-                self._data_tokens[spec.name] = token
+            self._data_tokens[spec.name] = token
         return token
 
     def key(self, name: str, ixp_id: str | None = None) -> str:
@@ -606,9 +564,7 @@ class _KeyResolver:
         fingerprint = config_fingerprint(self._config, spec.config_fields)
         payload = repr((name, scope_token, fingerprint, self._data_token(spec), parents))
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        # key() recurses into parents outside the lock; only the store needs it.
-        with self._lock:
-            self._memo[memo_key] = digest
+        self._memo[memo_key] = digest
         return digest
 
 
@@ -634,48 +590,13 @@ class PipelineEngine:
     :class:`~repro.core.pipeline.RemotePeeringPipeline` are thin layers on
     top of :meth:`run`.
 
-    ``max_workers`` plus ``executor`` schedule the per-IXP nodes (Steps 1-3
-    and the baseline).  ``executor="thread"`` (the default) runs them on a
-    persistent :class:`ThreadPoolExecutor`; Steps 1-3 are independent across
-    IXPs and every shared structure they touch (the dataset views, the geo
-    index and delay-model memos, the cache) tolerates concurrent lazy fills,
-    so results are identical to the serial schedule.  ``executor="process"``
-    ships each pending IXP's chain to a persistent
-    :class:`ProcessPoolExecutor` whose workers hold a pickled snapshot of
-    the inputs (true CPU parallelism past the GIL); the replayable report
-    deltas the chain returns are plain picklable tuples, and the parent
-    stores them under the very cache keys the serial schedule would have
-    used, merging in deterministic monolithic order — so outcomes stay
-    bit-identical.  ``executor="serial"`` ignores ``max_workers``.
-
-    Pools are created lazily, reused across runs (:meth:`executor_stats`
-    counts reuses) and released by :meth:`shutdown` (the engine is also a
-    context manager).  A journalled inputs
-    revision recreates the process pool on the next run — the workers'
-    snapshots would otherwise answer for stale data; direct raw mutation of
-    the inputs is (exactly as for the caches) not detected.
-
-    **Failure semantics** (:mod:`repro.resilience`).  Every per-IXP task
-    is governed by ``retry_policy``: a failed attempt is retried after a
-    capped exponential backoff whose jitter derives deterministically from
-    the task digest — no wall clock, no RNG; the sleep goes through the
-    injectable ``sleep``, like the phase ``clock``.  A
-    ``BrokenProcessPool`` retires the broken pool, rebuilds it and
-    resubmits only the unfinished tasks, each charged one attempt so a
-    task that keeps killing workers exhausts the policy
-    (:class:`WorkerCrashError`) instead of looping.  ``task_timeout_s``
-    bounds every result wait; a timeout retires the hung pool and demotes
-    the *current run* one rung down the cascade ``process -> thread ->
-    serial`` (``ExecutorDegradedWarning`` — the next run starts back at
-    the configured executor), or raises :class:`TaskTimeoutError` once the
-    task's attempts are spent.  Every decision is journalled as a typed
-    :class:`~repro.resilience.ResilienceEvent` surfaced by
-    :meth:`executor_stats` / :meth:`resilience_events`; nothing is silent.
-    Retried and demoted chains store through the same fingerprint keys and
-    their deltas are still absorbed in submission order, so the assembled
-    outcome stays bit-identical to the fault-free serial schedule.
-    ``fault_plan`` injects deterministic faults (crashes, exceptions,
-    pickling failures, hangs) for replayable chaos runs.
+    :meth:`run` is serial: it computes each studied IXP's per-IXP chain
+    (Steps 1-3 and the baseline) in ``ixp_ids`` order, then the global
+    nodes, then replays the deltas into the outcome.  A failing step raises
+    on its first attempt; a pure computation that raised once would raise
+    again.  The engine starts no threads; the shared cache and the lazily
+    created corpus-detection index are lock-guarded for callers that share
+    one engine across threads.
     """
 
     def __init__(
@@ -687,13 +608,6 @@ class PipelineEngine:
         cache: StepResultCache | None = None,
         cache_max_entries: int | None = None,
         cache_max_bytes: int | None = None,
-        max_workers: int | None = None,
-        executor: str = "thread",
-        clock: Callable[[], float] = time.perf_counter,
-        retry_policy: RetryPolicy | None = None,
-        task_timeout_s: float | None = None,
-        fault_plan: FaultPlan | None = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.inputs = inputs
         self.delay_model = delay_model or DelayModel()
@@ -709,61 +623,10 @@ class PipelineEngine:
             raise InferenceError(
                 "cache budgets must be set on the shared cache itself")
         self.cache = cache
-        if executor not in ("serial", "thread", "process"):
-            raise InferenceError(
-                f"unknown executor {executor!r}; "
-                "expected 'serial', 'thread' or 'process'")
-        self.executor = executor
-        # Eager validation: a bad worker count must fail here, loudly, not
-        # as a late pool failure deep inside the first parallel run.
-        if max_workers is not None and (
-                isinstance(max_workers, bool)
-                or not isinstance(max_workers, int)
-                or max_workers < 1):
-            raise InferenceError(
-                f"max_workers must be a positive int or None, "
-                f"got {max_workers!r}")
-        self.max_workers = max_workers
-        if task_timeout_s is not None and not task_timeout_s > 0:
-            raise InferenceError(
-                f"task_timeout_s must be positive, got {task_timeout_s!r}")
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy())
-        self.task_timeout_s = task_timeout_s
-        self.fault_plan = fault_plan
-        # The backoff sleeper is injected like the phase clock: the engine
-        # never calls time.sleep itself (contracts rule 5), and tests can
-        # record the deterministic schedule instead of waiting it out.
-        self._sleep = sleep
-        self._resilience = ResilienceLog()
-        # Persistent per-engine pools (the former pool-per-run churn is a
-        # counted non-event now): created lazily by the first parallel run,
-        # reused by every later one, released by shutdown().  All pool
-        # state is guarded by _pool_lock.
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._process_inputs_token: object | None = None
-        # Pools abandoned by crash recovery or timeout demotion: already
-        # shut down (workers terminated) at retirement, parked here so
-        # shutdown() stays idempotent even after breakage.
-        self._retired_pools: list[ProcessPoolExecutor] = []
-        self._pools_created = 0
-        self._pool_reuses = 0
-        self._pool_lock = Lock()
-        # Cumulative wall-clock per run phase (seconds), accumulated under
-        # _pool_lock so concurrent runs on a shared engine stay consistent.
-        # "per_ixp_map" is the schedulable fan-out the executor seam
-        # parallelises; "run" is the whole of run() including the serial
-        # global nodes and outcome assembly.  The clock is injected (not
-        # called as time.perf_counter inline) so the accounting is pure
-        # telemetry: no step result depends on it, and determinism-sensitive
-        # harnesses can pass a stub.
-        self._clock = clock
-        self._phase_seconds: dict[str, float] = {"per_ixp_map": 0.0, "run": 0.0}
-        self._runs_timed = 0
         # Per-path corpus detection, maintained incrementally across
         # journalled prefix revisions (created on the first traceroute node);
-        # the lock makes the lazy creation build-once under concurrent runs.
+        # the lock makes the lazy creation build-once when concurrent caller
+        # threads run the engine.
         self._corpus_detection: CorpusDetectionIndex | None = None
         self._detection_lock = Lock()
 
@@ -772,494 +635,80 @@ class PipelineEngine:
         return self.cache.eviction_stats()
 
     # ------------------------------------------------------------------ #
-    # Executor lifecycle
-    # ------------------------------------------------------------------ #
-    def _inputs_snapshot_token(self) -> object:
-        """Version stamp of the whole inputs bundle, for pool staleness.
-
-        Built from the members' ``version_token()`` stamps, so every
-        journalled revision (and any direct growth/shrink the size hints
-        catch) changes it; same-size direct mutation is not detected,
-        exactly as for the step cache.
-        """
-        inputs = self.inputs
-        return (
-            inputs.dataset.version_token(),
-            inputs.ping_result.version_token(),
-            inputs.corpus.version_token(),
-            inputs.prefix2as.version_token(),
-        )
-
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            pool = self._thread_pool
-            if pool is None:
-                pool = ThreadPoolExecutor(max_workers=self.max_workers)
-                self._thread_pool = pool
-                self._pools_created += 1
-            else:
-                self._pool_reuses += 1
-            return pool
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        token = self._inputs_snapshot_token()
-        with self._pool_lock:
-            pool = self._process_pool
-            if pool is not None and self._process_inputs_token != token:
-                # The workers hold a pickled snapshot of the inputs; after a
-                # journalled revision they would answer for stale data.
-                pool.shutdown(wait=True)
-                pool = None
-                self._process_pool = None
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_process_worker_init,
-                    initargs=(self.inputs, self.delay_model, self.fault_plan),
-                )
-                self._process_pool = pool
-                self._process_inputs_token = token
-                self._pools_created += 1
-            else:
-                self._pool_reuses += 1
-            return pool
-
-    def executor_stats(self) -> dict[str, object]:
-        """Executor-seam accounting: pools, phase timings, resilience events."""
-        resilience: dict[str, object] = {
-            "counts": self._resilience.counts(),
-            "events": self._resilience.snapshot(),
-        }
-        with self._pool_lock:
-            return {
-                "executor": self.executor,
-                "max_workers": self.max_workers,
-                "task_timeout_s": self.task_timeout_s,
-                "pools_created": self._pools_created,
-                "pool_reuses": self._pool_reuses,
-                "pools_retired": len(self._retired_pools),
-                "thread_pool_live": self._thread_pool is not None,
-                "process_pool_live": self._process_pool is not None,
-                "runs_timed": self._runs_timed,
-                "phase_seconds": dict(self._phase_seconds),
-                "resilience": resilience,
-            }
-
-    def resilience_events(self) -> tuple[ResilienceEvent, ...]:
-        """The typed journal of fault-handling decisions, oldest first."""
-        return self._resilience.snapshot()
-
-    def shutdown(self) -> None:
-        """Release the engine's executor pools (idempotent, breakage-safe).
-
-        Live pools are drained with ``wait=True`` outside the pool lock (a
-        broken pool's join returns immediately); pools already retired by
-        crash recovery or timeout demotion were shut down — workers
-        terminated — at retirement and are only dropped here.  Calling
-        :meth:`shutdown` again, or after a failed run, is a no-op.
-        """
-        with self._pool_lock:
-            thread_pool = self._thread_pool
-            process_pool = self._process_pool
-            self._thread_pool = None
-            self._process_pool = None
-            self._process_inputs_token = None
-            self._retired_pools = []
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
-
-    def __enter__(self) -> PipelineEngine:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------ #
     def run(self, config: InferenceConfig, ixp_ids: Sequence[str]) -> PipelineOutcome:
-        """Run every enabled step for the given IXPs under one configuration."""
+        """Run every enabled step for the given IXPs under one configuration.
+
+        Raises :class:`InferenceError` for an empty ``ixp_ids`` and for any
+        id the inputs' dataset does not know.
+        """
         if not ixp_ids:
             raise InferenceError("at least one IXP id is required")
         ixp_ids = tuple(ixp_ids)
+        known = set(self.inputs.dataset.ixp_ids())
+        unknown = [ixp_id for ixp_id in ixp_ids if ixp_id not in known]
+        if unknown:
+            raise InferenceError(f"unknown IXP ids: {', '.join(unknown)}")
         resolver = _KeyResolver(config, ixp_ids, self.inputs)
         cache = self.cache
 
-        # Phase accounting happens in the finally so a run that raises
-        # mid-map still books its elapsed time and, more importantly, never
-        # skips the bookkeeping that keeps shutdown() releasing pools.
-        run_started = self._clock()
-        map_elapsed = 0.0
-        try:
-            map_started = self._clock()
-            per_ixp = self._map_per_ixp(config, ixp_ids, resolver)
-            map_elapsed = self._clock() - map_started
+        per_ixp = [self._per_ixp_chain(config, ixp_id, resolver) for ixp_id in ixp_ids]
 
-            crossings, adjacencies = cast(
-                "tuple[list[IXPCrossing], list[PrivateAdjacency]]",
-                cache.get_or_compute(
-                    "traceroute", resolver.key("traceroute"),
-                    self._compute_traceroute))
+        crossings, adjacencies = cast(
+            "tuple[list[IXPCrossing], list[PrivateAdjacency]]",
+            cache.get_or_compute(
+                "traceroute", resolver.key("traceroute"),
+                self._compute_traceroute))
 
-            step1_deltas = [results.step1_delta for results in per_ixp]
-            step3_deltas = [results.step3_delta for results in per_ixp]
-            feasible: _FeasibleMap = {}
-            for results in per_ixp:
-                feasible.update(results.feasible)
+        step1_deltas = [results.step1_delta for results in per_ixp]
+        step3_deltas = [results.step3_delta for results in per_ixp]
+        feasible: _FeasibleMap = {}
+        for results in per_ixp:
+            feasible.update(results.feasible)
 
-            step4_delta, routers = cast(
-                "tuple[_Delta, list[MultiIXPRouter]]",
-                cache.get_or_compute(
-                    "step4", resolver.key("step4"),
-                    lambda: self._compute_step4(config, ixp_ids, step1_deltas,
-                                                step3_deltas, crossings)))
-            step5_delta = cast("_Delta", cache.get_or_compute(
-                "step5", resolver.key("step5"),
-                lambda: self._compute_step5(config, ixp_ids, step1_deltas,
-                                            step3_deltas, step4_delta,
-                                            adjacencies, routers, feasible)))
+        step4_delta, routers = cast(
+            "tuple[_Delta, list[MultiIXPRouter]]",
+            cache.get_or_compute(
+                "step4", resolver.key("step4"),
+                lambda: self._compute_step4(config, ixp_ids, step1_deltas,
+                                            step3_deltas, crossings)))
+        step5_delta = cast("_Delta", cache.get_or_compute(
+            "step5", resolver.key("step5"),
+            lambda: self._compute_step5(config, ixp_ids, step1_deltas,
+                                        step3_deltas, step4_delta,
+                                        adjacencies, routers, feasible)))
 
-            # Assembly: replay the deltas in the monolithic step order, so
-            # the final report is bit-identical to the seed single-pass
-            # pipeline.
-            report = InferenceReport()
-            for delta in step1_deltas:
-                _replay(report, delta)
-            for delta in step3_deltas:
-                _replay(report, delta)
-            _replay(report, step4_delta)
-            _replay(report, step5_delta)
+        # Assembly: replay the deltas in the monolithic step order, so the
+        # final report is bit-identical to the seed single-pass pipeline.
+        report = InferenceReport()
+        for delta in step1_deltas:
+            _replay(report, delta)
+        for delta in step3_deltas:
+            _replay(report, delta)
+        _replay(report, step4_delta)
+        _replay(report, step5_delta)
 
-            baseline = InferenceReport()
-            for results in per_ixp:
-                _replay(baseline, results.baseline_delta)
+        baseline = InferenceReport()
+        for results in per_ixp:
+            _replay(baseline, results.baseline_delta)
 
-            rtt_summary = RTTCampaignSummary()
-            for results in per_ixp:
-                rtt_summary.merge_from(results.summary)
+        rtt_summary = RTTCampaignSummary()
+        for results in per_ixp:
+            rtt_summary.merge_from(results.summary)
 
-            return PipelineOutcome(
-                ixp_ids=list(ixp_ids),
-                report=report,
-                baseline_report=baseline,
-                rtt_summary=rtt_summary,
-                feasible=feasible,
-                crossings=list(crossings),
-                private_adjacencies=list(adjacencies),
-                multi_ixp_routers=list(routers),
-            )
-        finally:
-            with self._pool_lock:
-                self._phase_seconds["per_ixp_map"] += map_elapsed
-                self._phase_seconds["run"] += self._clock() - run_started
-                self._runs_timed += 1
+        return PipelineOutcome(
+            ixp_ids=list(ixp_ids),
+            report=report,
+            baseline_report=baseline,
+            rtt_summary=rtt_summary,
+            feasible=feasible,
+            crossings=list(crossings),
+            private_adjacencies=list(adjacencies),
+            multi_ixp_routers=list(routers),
+        )
 
     # ------------------------------------------------------------------ #
-    # Per-IXP chains (Steps 1-3 + baseline): resilient scheduling
+    # Per-IXP chains (Steps 1-3 + baseline)
     # ------------------------------------------------------------------ #
-    def _map_per_ixp(
-        self,
-        config: InferenceConfig,
-        ixp_ids: tuple[str, ...],
-        resolver: _KeyResolver,
-    ) -> list[_PerIXPResults]:
-        """Schedule every IXP's chain under the run's resilience regime.
-
-        The run starts in the configured executor mode and works in
-        *rounds*: each round submits every still-unfinished task, collects
-        in submission order, and either finishes, queues retries (per
-        :attr:`retry_policy`), recovers a crashed pool, or demotes the
-        mode one rung down the cascade ``process -> thread -> serial``
-        after a task timeout.  The serial round always completes (or
-        exhausts the policy); results are returned in ``ixp_ids`` order so
-        the downstream merge stays the deterministic monolithic one.
-        """
-        parallel = (self.executor != "serial"
-                    and self.max_workers is not None and self.max_workers > 1
-                    and len(ixp_ids) > 1)
-        mode = self.executor if parallel else "serial"
-        results: dict[str, _PerIXPResults] = {}
-        pending = list(ixp_ids)
-        if mode == "process":
-            pending = []
-            for ixp_id in ixp_ids:
-                cached = self._cached_per_ixp(ixp_id, resolver)
-                if cached is not None:
-                    results[ixp_id] = cached
-                else:
-                    pending.append(ixp_id)
-        attempts = {ixp_id: 0 for ixp_id in pending}
-        while pending:
-            if mode == "process":
-                mode, pending = self._process_round(
-                    config, pending, attempts, results, resolver)
-            elif mode == "thread":
-                mode, pending = self._thread_round(
-                    config, pending, attempts, results, resolver)
-            else:
-                self._serial_round(config, pending, attempts, results, resolver)
-                pending = []
-        return [results[ixp_id] for ixp_id in ixp_ids]
-
-    def _run_chain_task(
-        self,
-        config: InferenceConfig,
-        ixp_id: str,
-        attempt: int,
-        resolver: _KeyResolver,
-    ) -> _PerIXPResults:
-        """One in-process attempt at one IXP's chain, fault plan first."""
-        plan = self.fault_plan
-        if plan is not None:
-            perform_fault(
-                plan, task_digest(config, ixp_id), attempt, in_worker=False)
-        return self._per_ixp_chain(config, ixp_id, resolver)
-
-    def _retry_backoff(
-        self,
-        config: InferenceConfig,
-        ixp_id: str,
-        attempt: int,
-        error: Exception,
-    ) -> None:
-        """Journal the retry and sleep its deterministic backoff, or re-raise."""
-        if not self.retry_policy.should_retry(attempt):
-            raise error
-        self._resilience.record(ResilienceEvent(
-            kind=ResilienceEventKind.RETRY, context=ixp_id,
-            detail=type(error).__name__, attempt=attempt))
-        self._sleep(
-            self.retry_policy.delay_s(task_digest(config, ixp_id), attempt))
-
-    def _note_timeout(self, ixp_id: str, attempt: int) -> None:
-        """Journal a task timeout; raise once the task's attempts are spent."""
-        self._resilience.record(ResilienceEvent(
-            kind=ResilienceEventKind.TASK_TIMEOUT, context=ixp_id,
-            detail=f"timeout_s={self.task_timeout_s}", attempt=attempt))
-        if not self.retry_policy.should_retry(attempt):
-            raise TaskTimeoutError(
-                f"per-IXP task {ixp_id!r} timed out on attempt {attempt} "
-                f"(task_timeout_s={self.task_timeout_s}) with no retries left")
-
-    def _demote(self, mode: str, reason: str) -> str:
-        """One rung down the cascade, journalled and warned — never silent."""
-        demoted = {"process": "thread", "thread": "serial"}[mode]
-        self._resilience.record(ResilienceEvent(
-            kind=ResilienceEventKind.EXECUTOR_DEMOTION, context="scheduler",
-            detail=f"{mode}->{demoted}: {reason}"))
-        warnings.warn(
-            ExecutorDegradedWarning(
-                f"per-IXP executor demoted {mode} -> {demoted} ({reason})"),
-            stacklevel=2)
-        return demoted
-
-    def _retire_process_pool(self) -> None:
-        """Abandon the live process pool (broken, or hosting a hung task).
-
-        The pool is shut down without waiting, its worker processes are
-        terminated (a hung worker would otherwise sleep on past the run),
-        and the executor object is parked in ``_retired_pools`` so a later
-        :meth:`shutdown` stays idempotent even after breakage.  The next
-        :meth:`_ensure_process_pool` builds a fresh pool.
-        """
-        with self._pool_lock:
-            pool = self._process_pool
-            self._process_pool = None
-            self._process_inputs_token = None
-            if pool is not None:
-                self._retired_pools.append(pool)
-                pool.shutdown(wait=False, cancel_futures=True)
-                workers = getattr(pool, "_processes", None) or {}
-                for process in list(workers.values()):
-                    process.terminate()
-
-    def _crash_recovery(
-        self, unfinished: list[str], attempts: dict[str, int]
-    ) -> tuple[str, list[str]]:
-        """Rebuild after ``BrokenProcessPool``; resubmit unfinished tasks only.
-
-        Every unfinished task is charged one attempt — its in-flight work
-        died with the pool — so a task that keeps crashing its worker
-        exhausts the policy (:class:`WorkerCrashError`) instead of
-        rebuilding forever.  Finished tasks were already absorbed in
-        submission order and are not resubmitted.
-        """
-        for ixp_id in unfinished:
-            attempts[ixp_id] += 1
-            if not self.retry_policy.should_retry(attempts[ixp_id]):
-                self._retire_process_pool()
-                raise WorkerCrashError(
-                    f"worker pool crashed and task {ixp_id!r} exhausted its "
-                    f"{self.retry_policy.max_attempts} attempt(s)")
-        self._resilience.record(ResilienceEvent(
-            kind=ResilienceEventKind.WORKER_CRASH, context="pool",
-            detail=",".join(unfinished)))
-        self._retire_process_pool()
-        self._resilience.record(ResilienceEvent(
-            kind=ResilienceEventKind.POOL_REBUILD, context="pool",
-            detail=f"resubmitting {len(unfinished)} task(s)"))
-        return "process", list(unfinished)
-
-    def _process_round(
-        self,
-        config: InferenceConfig,
-        pending: list[str],
-        attempts: dict[str, int],
-        results: dict[str, _PerIXPResults],
-        resolver: _KeyResolver,
-    ) -> tuple[str, list[str]]:
-        """One submit-and-collect pass over the process pool.
-
-        Shipped chains are absorbed into the parent cache as they are
-        collected — in submission order, never completion order — so the
-        stores happen exactly where the fault-free schedule would have
-        made them.  Returns ``(next mode, still-unfinished tasks)``.
-        """
-        try:
-            pool = self._ensure_process_pool()
-            futures: dict[str, Future[_PerIXPResults]] = {}
-            for ixp_id in pending:
-                futures[ixp_id] = pool.submit(
-                    _process_chain_task,
-                    (config, ixp_id, attempts[ixp_id] + 1))
-        except BrokenExecutor:
-            return self._crash_recovery(list(pending), attempts)
-        retry_queue: list[str] = []
-        for index, ixp_id in enumerate(pending):
-            attempt = attempts[ixp_id] + 1
-            try:
-                shipped = futures[ixp_id].result(timeout=self.task_timeout_s)
-            except FuturesTimeoutError:
-                attempts[ixp_id] = attempt
-                self._note_timeout(ixp_id, attempt)
-                self._retire_process_pool()
-                mode = self._demote("process", f"task {ixp_id!r} timed out")
-                return mode, retry_queue + pending[index:]
-            except BrokenExecutor:
-                return self._crash_recovery(
-                    retry_queue + pending[index:], attempts)
-            except Exception as error:
-                attempts[ixp_id] = attempt
-                self._retry_backoff(config, ixp_id, attempt, error)
-                retry_queue.append(ixp_id)
-            else:
-                attempts[ixp_id] = attempt
-                results[ixp_id] = self._absorb_per_ixp(
-                    ixp_id, resolver, shipped)
-        return "process", retry_queue
-
-    def _thread_round(
-        self,
-        config: InferenceConfig,
-        pending: list[str],
-        attempts: dict[str, int],
-        results: dict[str, _PerIXPResults],
-        resolver: _KeyResolver,
-    ) -> tuple[str, list[str]]:
-        """One submit-and-collect pass over the thread pool.
-
-        Mirrors :meth:`_process_round` minus the crash class (threads
-        cannot die under the scheduler); a timed-out thread keeps running
-        harmlessly — every store it will eventually make is an idempotent
-        ``get_or_compute`` — while the serial round recomputes its task.
-        """
-        pool = self._ensure_thread_pool()
-        futures: dict[str, Future[_PerIXPResults]] = {}
-        for ixp_id in pending:
-            futures[ixp_id] = pool.submit(
-                self._run_chain_task, config, ixp_id,
-                attempts[ixp_id] + 1, resolver)
-        retry_queue: list[str] = []
-        for index, ixp_id in enumerate(pending):
-            attempt = attempts[ixp_id] + 1
-            try:
-                chain = futures[ixp_id].result(timeout=self.task_timeout_s)
-            except FuturesTimeoutError:
-                attempts[ixp_id] = attempt
-                self._note_timeout(ixp_id, attempt)
-                mode = self._demote("thread", f"task {ixp_id!r} timed out")
-                return mode, retry_queue + pending[index:]
-            except Exception as error:
-                attempts[ixp_id] = attempt
-                self._retry_backoff(config, ixp_id, attempt, error)
-                retry_queue.append(ixp_id)
-            else:
-                attempts[ixp_id] = attempt
-                results[ixp_id] = chain
-        return "thread", retry_queue
-
-    def _serial_round(
-        self,
-        config: InferenceConfig,
-        pending: list[str],
-        attempts: dict[str, int],
-        results: dict[str, _PerIXPResults],
-        resolver: _KeyResolver,
-    ) -> None:
-        """Inline execution — the cascade's always-completing last resort.
-
-        No timeout applies (there is nothing left to demote to); failures
-        still retry under the policy until it exhausts.
-        """
-        for ixp_id in pending:
-            while True:
-                attempt = attempts[ixp_id] + 1
-                try:
-                    chain = self._run_chain_task(
-                        config, ixp_id, attempt, resolver)
-                except Exception as error:
-                    attempts[ixp_id] = attempt
-                    self._retry_backoff(config, ixp_id, attempt, error)
-                    continue
-                attempts[ixp_id] = attempt
-                results[ixp_id] = chain
-                break
-
-    def _cached_per_ixp(
-        self, ixp_id: str, resolver: _KeyResolver
-    ) -> _PerIXPResults | None:
-        """The chain's results if every node is already cached, else ``None``.
-
-        Uses :meth:`StepResultCache.peek` so probing which IXPs still need a
-        worker trip does not distort the cache's hit/miss accounting.
-        """
-        cache = self.cache
-        hit1, step1 = cache.peek(resolver.key("step1", ixp_id))
-        hit2, summary = cache.peek(resolver.key("step2", ixp_id))
-        hit3, step3_pair = cache.peek(resolver.key("step3", ixp_id))
-        hit_b, baseline = cache.peek(resolver.key("baseline", ixp_id))
-        if not (hit1 and hit2 and hit3 and hit_b):
-            return None
-        step3_delta, feasible = cast("tuple[_Delta, _FeasibleMap]", step3_pair)
-        return _PerIXPResults(step1_delta=cast("_Delta", step1),
-                              summary=cast(RTTCampaignSummary, summary),
-                              step3_delta=step3_delta, feasible=feasible,
-                              baseline_delta=cast("_Delta", baseline))
-
-    def _absorb_per_ixp(
-        self, ixp_id: str, resolver: _KeyResolver, shipped: _PerIXPResults
-    ) -> _PerIXPResults:
-        """Store a worker-computed chain under the parent's cache keys.
-
-        Goes through :meth:`StepResultCache.get_or_compute` so the store
-        obeys the cache's budgets and accounting; a concurrent run that
-        filled a node first wins, exactly as for thread workers.
-        """
-        cache = self.cache
-        step1 = cast("_Delta", cache.get_or_compute(
-            "step1", resolver.key("step1", ixp_id), lambda: shipped.step1_delta))
-        summary = cast(RTTCampaignSummary, cache.get_or_compute(
-            "step2", resolver.key("step2", ixp_id), lambda: shipped.summary))
-        step3_delta, feasible = cast("tuple[_Delta, _FeasibleMap]", cache.get_or_compute(
-            "step3", resolver.key("step3", ixp_id),
-            lambda: (shipped.step3_delta, shipped.feasible)))
-        baseline = cast("_Delta", cache.get_or_compute(
-            "baseline", resolver.key("baseline", ixp_id),
-            lambda: shipped.baseline_delta))
-        return _PerIXPResults(step1_delta=step1, summary=summary,
-                              step3_delta=step3_delta, feasible=feasible,
-                              baseline_delta=baseline)
-
     def _per_ixp_chain(
         self, config: InferenceConfig, ixp_id: str, resolver: _KeyResolver
     ) -> _PerIXPResults:
@@ -1373,59 +822,6 @@ class PipelineEngine:
             step5 = PrivateConnectivityStep(self.inputs, config, geo_index=self.geo_index)
             step5.run(list(ixp_ids), report, adjacencies, routers, feasible)
         return tuple(report.log or ())
-
-
-# --------------------------------------------------------------------- #
-# Process-executor worker side
-# --------------------------------------------------------------------- #
-# One serial engine per worker process, built from the pickled inputs by
-# the pool initializer and reused for every task the worker serves.  The
-# fault plan rides in through the same initializer: the injection harness
-# wraps the worker entry point, keyed by task digest, so chaos runs are
-# replayable (see repro.resilience.faultplan).
-_WORKER_ENGINE: PipelineEngine | None = None
-_WORKER_FAULT_PLAN: FaultPlan | None = None
-
-
-def _process_worker_init(
-    inputs: InferenceInputs,
-    delay_model: DelayModel,
-    fault_plan: FaultPlan | None = None,
-) -> None:
-    """Pool initializer: build the worker's serial engine, warm its geometry.
-
-    Runs once per worker process.  The bulk geometry prebuild over the
-    vantage-point footprint replaces what would otherwise be thousands of
-    lazy scalar memo fills on the worker's first chain.
-    """
-    global _WORKER_ENGINE, _WORKER_FAULT_PLAN
-    engine = PipelineEngine(inputs, delay_model=delay_model, executor="serial")
-    geo_index = engine.geo_index
-    if geo_index is not None:
-        geo_index.prebuild(inputs.vantage_point_locations())
-    _WORKER_ENGINE = engine
-    _WORKER_FAULT_PLAN = fault_plan
-
-
-def _process_chain_task(
-    task: tuple[InferenceConfig, str, int],
-) -> _PerIXPResults:
-    """Run one attempt of one IXP's chain inside a worker process."""
-    engine = _WORKER_ENGINE
-    if engine is None:
-        raise InferenceError("process worker used before its initializer ran")
-    config, ixp_id, attempt = task
-    plan = _WORKER_FAULT_PLAN
-    if plan is not None:
-        payload = perform_fault(
-            plan, task_digest(config, ixp_id), attempt, in_worker=True)
-        if payload is not None:
-            # The injected pickling fault: ship the poisoned payload so the
-            # failure fires in the worker's result pickling, exactly where
-            # a genuinely unpicklable result would.
-            return cast(_PerIXPResults, payload)
-    resolver = _KeyResolver(config, (ixp_id,), engine.inputs)
-    return engine._per_ixp_chain(config, ixp_id, resolver)
 
 
 class SweepRunner:

@@ -62,8 +62,8 @@ class InferenceInputs:
         The geometry hot path (Steps 3/4) measures every feasibility ring
         from a vantage point's location, so these are exactly the origin
         points worth bulk-prebuilding into the geo index
-        (:meth:`~repro.geo.distindex.GeoDistanceIndex.prebuild`) — process
-        workers do this once per pool so their first run is warm.
+        (:meth:`~repro.geo.distindex.GeoDistanceIndex.prebuild`) before a
+        cold run that will touch most (point, facility) pairs anyway.
         """
         locations: list[GeoPoint] = []
         seen: set[GeoPoint] = set()

@@ -186,8 +186,8 @@ class ObservedDataset(Versioned):
         default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
     _ixp_members: dict[str, set[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # Serialises the lazy builds/fills of the derived state above when the
-    # per-IXP engine nodes read concurrently (journalled mutators stay
+    # Serialises the lazy builds/fills of the derived state above when
+    # concurrent caller threads read the dataset (journalled mutators stay
     # single-threaded by contract and are policed by the mutation rule).
     _view_lock: Lock = field(
         default_factory=Lock, init=False, repr=False, compare=False)
@@ -204,19 +204,6 @@ class ObservedDataset(Versioned):
         self.bump_generation()
         self._lan_state = None
         self._ixp_members = {}
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        # The lock is process-local and the LAN LPM state is derived: a
-        # worker process rebuilds both lazily from the public dicts.  The
-        # other derived indexes carry their own pickling contracts.
-        state["_view_lock"] = None
-        state["_lan_state"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._view_lock = Lock()
 
     def domain_token(self, domain: str) -> tuple[int, int]:
         """``(domain generation, size hint)`` version token for one domain.
@@ -472,7 +459,7 @@ class ObservedDataset(Versioned):
         token = self.domain_token(DOMAIN_IXP_PREFIXES)
         state = self._lan_state
         if state is None or state[0] != token:
-            # Double-checked build: concurrent per-IXP readers must neither
+            # Double-checked build: concurrent caller threads must neither
             # build the LPM twice nor publish a stale (token, view) pair.
             with self._view_lock:
                 state = self._lan_state

@@ -48,31 +48,5 @@ class InferenceError(ReproError):
     """Raised when the inference pipeline receives inconsistent inputs."""
 
 
-class WorkerCrashError(InferenceError):
-    """Raised when a pool worker died and the retry policy was exhausted."""
-
-
-class TaskTimeoutError(InferenceError):
-    """Raised when a per-IXP task timed out and retries were exhausted."""
-
-
-class InjectedFaultError(ReproError):
-    """Raised when a planned fault of the injection harness fires.
-
-    Only the fault-injection harness (:mod:`repro.resilience.faultplan`)
-    raises this; seeing it outside a chaos run means a stale
-    ``FaultPlan`` was left on an engine.
-    """
-
-
 class ValidationError(ReproError):
     """Raised when a validation dataset or metric computation is invalid."""
-
-
-class ExecutorDegradedWarning(RuntimeWarning):
-    """Warned when the engine demotes its executor down the cascade.
-
-    A per-task timeout demotes the running schedule one rung down
-    ``process -> thread -> serial``; the demotion is also journalled as a
-    typed ``ResilienceEvent``, so it is loud in both channels.
-    """

@@ -128,17 +128,7 @@ class DelayModel:
         # same RTT values over and over; the model's parameters are fixed at
         # construction, making the inversion a pure function of the RTT.
         self._min_distance_memo: dict[float, float] = {}
-        self._lock = Lock()
-
-    def __getstate__(self) -> dict[str, object]:
-        # The lock is process-local; the memo's entries are pure functions
-        # of the (immutable) parameters, so they travel to workers as-is.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
+        # Serialises memo stores from concurrent caller threads.
         self._lock = Lock()
 
     # ------------------------------------------------------------------ #

@@ -126,8 +126,9 @@ class GeoDistanceIndex:
     def __init__(self, dataset: "ObservedDataset") -> None:
         self._dataset = dataset
         # Serialises journal replay, wholesale invalidation and every memo
-        # store; reentrant because _sync falls back to invalidate() while
-        # holding it.  Memo *reads* stay lock-free (GIL-atomic dict lookups).
+        # store from concurrent caller threads; reentrant because _sync
+        # falls back to invalidate() while holding it.  Memo *reads* stay
+        # lock-free (GIL-atomic dict lookups).
         self._sync_lock = RLock()
         self._synced_generation = getattr(dataset, "generation", 0)
         #: Journalled changes absorbed by selective eviction (accounting).
@@ -167,20 +168,6 @@ class GeoDistanceIndex:
             self._synced_generation = getattr(self._dataset, "generation", 0)
             self.wholesale_invalidations += 1
 
-    def __getstate__(self) -> dict[str, object]:
-        # The RLock is process-local; the dataset and the memo contents
-        # travel to worker processes as-is (every memo value is a pure,
-        # bit-identical function of the dataset, so a warm index stays
-        # valid on the other side of the pickle boundary).
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_sync_lock"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._sync_lock = RLock()
-
     # ------------------------------------------------------------------ #
     # Journal synchronisation
     # ------------------------------------------------------------------ #
@@ -196,8 +183,8 @@ class GeoDistanceIndex:
         dataset = self._dataset
         if dataset.generation == self._synced_generation:
             return
-        # Per-IXP engine nodes run on a thread pool; only one thread may
-        # replay (the fast path above stays lock-free).
+        # Concurrent caller threads may share this index; only one thread
+        # may replay (the fast path above stays lock-free).
         with self._sync_lock:
             generation = dataset.generation
             if generation == self._synced_generation:

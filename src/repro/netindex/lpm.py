@@ -91,30 +91,7 @@ class LPMIndex(Generic[V]):
             if table[0]:
                 self._tables[version] = table
         self._memo: dict[str, tuple[V, int] | None] = {}
-        self._lock = Lock()
-
-    def __getstate__(
-        self,
-    ) -> tuple[
-        dict[int, tuple[list[int], list[int], list[V], list[int]]],
-        dict[tuple[int, int], V],
-        dict[str, tuple[V, int] | None],
-        int,
-    ]:
-        # The lock is process-local; the tables (and the memo, whose entries
-        # are pure functions of them) travel to the worker as-is.
-        return (self._tables, self._hosts, self._memo, self._size)
-
-    def __setstate__(
-        self,
-        state: tuple[
-            dict[int, tuple[list[int], list[int], list[V], list[int]]],
-            dict[tuple[int, int], V],
-            dict[str, tuple[V, int] | None],
-            int,
-        ],
-    ) -> None:
-        self._tables, self._hosts, self._memo, self._size = state
+        # Serialises memo stores from concurrent caller threads.
         self._lock = Lock()
 
     @staticmethod
@@ -257,27 +234,7 @@ class LPMDeltaView(Generic[V]):
         # canonical prefix -> (version, network_int, prefixlen, value)
         self._overlay: dict[str, tuple[int, int, int, V]] = dict(overlay or {})
         self._memo: dict[str, tuple[V, int] | None] = {}
-        self._lock = Lock()
-
-    def __getstate__(
-        self,
-    ) -> tuple[
-        LPMIndex[V],
-        dict[str, tuple[int, int, int, V]],
-        dict[str, tuple[V, int] | None],
-    ]:
-        # The lock is process-local; base, overlay and memo travel as-is.
-        return (self.base, self._overlay, self._memo)
-
-    def __setstate__(
-        self,
-        state: tuple[
-            LPMIndex[V],
-            dict[str, tuple[int, int, int, V]],
-            dict[str, tuple[V, int] | None],
-        ],
-    ) -> None:
-        self.base, self._overlay, self._memo = state
+        # Serialises memo stores from concurrent caller threads.
         self._lock = Lock()
 
     @property

@@ -94,7 +94,8 @@ class CrossingDetector:
         # dataset or prefix2as map changes underneath.
         self._ixp_memo: dict[str, str | None] = {}
         self._asn_memo: dict[str, int | None] = {}
-        # Serialises memo stores only; memo hits stay lock-free dict reads.
+        # Serialises memo stores from concurrent caller threads; memo hits
+        # stay lock-free dict reads.
         self._lock = Lock()
 
     # ------------------------------------------------------------------ #
@@ -248,7 +249,8 @@ class CorpusDetectionIndex:
         self._synced_prefix2as = prefix2as.generation
         self._synced_paths = 0
         # Serialises revision syncs (and the mutations the sync helpers make
-        # to the detector's memos) when engines race on a shared index.
+        # to the detector's memos) when concurrent caller threads share the
+        # index.
         self._sync_lock = Lock()
         #: Full corpus re-scans performed (the first build counts as one).
         self.full_scans = 0

@@ -65,10 +65,10 @@ P = TypeVar("P")
 #: consumers created afterwards sync from the current generation anyway.
 DEFAULT_JOURNAL_BOUND = 4096
 
-#: Serialises lazy journal creation.  :class:`Versioned` deliberately has no
-#: per-instance ``__init__`` (see its docstring), so a module-level lock is
-#: the only home for the guard; creation happens at most once per container,
-#: so the sharing is harmless.
+#: Serialises lazy journal creation by concurrent caller threads.
+#: :class:`Versioned` deliberately has no per-instance ``__init__`` (see its
+#: docstring), so a module-level lock is the only home for the guard;
+#: creation happens at most once per container, so the sharing is harmless.
 _JOURNAL_CREATION_LOCK = Lock()
 
 
@@ -191,8 +191,9 @@ class Versioned:
         consumer can never mistake an unrecorded past for an empty one.
 
         Creation is double-checked behind a module-level lock: concurrent
-        readers (per-IXP engine nodes syncing against ``dataset.journal``)
-        must agree on one journal object, not race two into place.
+        caller threads (say, two engine runs syncing against
+        ``dataset.journal``) must agree on one journal object, not race two
+        into place.
         """
         journal = self._journal
         if journal is None:
@@ -267,9 +268,10 @@ class GenerationGuardedIndex(Generic[P]):
     The ``(token, payload)`` pair is stored and swapped as one atomic
     reference, so a reader never observes a fresh token with a stale payload.
     Builds are additionally serialised behind a lock with a double-checked
-    token validation (relevant when per-IXP engine nodes run on a thread
-    pool): two threads racing a lazy build cannot construct the payload twice
-    or publish a stale one, and the current-token fast path stays lock-free.
+    token validation (relevant when concurrent caller threads read one
+    study): two threads racing a lazy build cannot construct the payload
+    twice or publish a stale one, and the current-token fast path stays
+    lock-free.
     """
 
     __slots__ = ("_state", "_lock")
@@ -294,16 +296,6 @@ class GenerationGuardedIndex(Generic[P]):
         """Drop the payload; the next :meth:`get` rebuilds it."""
         with self._lock:
             self._state = None
-
-    def __getstate__(self) -> bool:
-        # Locks cannot cross process boundaries and a derived payload is
-        # rebuildable by definition: ship nothing.  The sentinel must be
-        # truthy — pickle skips __setstate__ for falsy states.
-        return True
-
-    def __setstate__(self, state: bool) -> None:
-        self._state = None
-        self._lock = Lock()
 
     @property
     def is_built(self) -> bool:

@@ -2,18 +2,16 @@
 
 Three layers:
 
-* the **live tree** must be contract-clean across all five rule families
-  (that is the whole point of the subsystem — PR 6 fixed every real
-  violation rules 1-3 surfaced, PR 7 every one rules 4-5 surfaced);
+* the **live tree** must be contract-clean across all four rule families
+  (that is the whole point of the subsystem — every real violation the
+  rules surfaced was fixed at the source);
 * **seeded-bug fixtures** — patched copies of the tree with one contract
   violation each — must be caught with the right rule, file and line, and a
   clean drop-in module must produce zero false positives;
-* the **dynamic cross-checks** must run the full pipeline on the standard
+* the **dynamic cross-check** must run the full pipeline on the standard
   tiny synthetic world with a bit-identical outcome: the declaration
   recorder (``repro.contracts.dynamic``) catches the same seeded
-  undeclared config read the static rule catches, and the lock-checking
-  harness (``repro.contracts.dynconc``) proves the parallel schedule
-  performs zero unguarded writes to the shared memos.
+  undeclared config read the static rule catches.
 """
 
 from __future__ import annotations
@@ -26,11 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ExperimentConfig
 from repro.contracts import (
     ContractCheckError,
     SourceTree,
-    check_concurrency_discipline,
     check_determinism,
     check_mutation_discipline,
     check_readonly_outcomes,
@@ -40,14 +36,7 @@ from repro.contracts import (
     run_all,
 )
 from repro.contracts.dynamic import run_dynamic_cross_check
-from repro.contracts.dynconc import (
-    LockCheckedDict,
-    _WriteLog,
-    run_dynamic_concurrency_check,
-    write_counts,
-)
 from repro.core.step5_private_links import PrivateConnectivityStep
-from repro.study import RemotePeeringStudy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -301,122 +290,6 @@ class TestReadonlyOutcomes:
 
     def test_live_tree_has_no_readonly_findings(self):
         assert check_readonly_outcomes(SourceTree(SRC_ROOT)) == []
-
-
-# --------------------------------------------------------------------- #
-# Rule 4: concurrency lock discipline (seeded fixtures)
-# --------------------------------------------------------------------- #
-class TestConcurrencyDiscipline:
-    def test_unguarded_shared_write_is_caught_with_file_and_line(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
-            "        report = _RecordingReport()",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
-            "        self.inputs.dataset.interface_asn[ixp_id] = 0"
-            "  # seeded-unguarded-write\n"
-            "        report = _RecordingReport()",
-        )
-        violations = check_concurrency_discipline(SourceTree(root))
-        matching = [v for v in violations if v.kind == "unguarded-shared-write"]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.detail == "ObservedDataset:rebind-item"
-        assert violation.context == "step1"
-        assert violation.path.endswith("core/engine.py")
-        assert violation.line == _line_of(
-            root, "core/engine.py", "seeded-unguarded-write"
-        )
-        assert violation.key == (
-            "concurrency:unguarded-shared-write:step1:ObservedDataset:rebind-item"
-        )
-
-    def test_write_under_lock_region_is_not_flagged(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
-            "        report = _RecordingReport()",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
-            "        with self._detection_lock:\n"
-            "            self.inputs.dataset.interface_asn[ixp_id] = 0\n"
-            "        report = _RecordingReport()",
-        )
-        violations = check_concurrency_discipline(SourceTree(root))
-        assert [v for v in violations if v.kind == "unguarded-shared-write"] == []
-
-    def test_unused_confinement_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            'thread_confined=("InferenceReport",),',
-            'thread_confined=("InferenceReport", "RTTCampaignSummary"),',
-        )
-        violations = check_concurrency_discipline(SourceTree(root))
-        matching = [v for v in violations if v.kind == "unused-confinement"]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.context == "step1"
-        assert violation.detail == "RTTCampaignSummary"
-        assert violation.path.endswith("core/engine.py")
-        # The finding anchors on the StepSpec(...) declaration itself, the
-        # line just above the seeded node's name= keyword.
-        assert violation.line == _line_of(root, "core/engine.py", 'name="step1"') - 1
-
-    def test_unknown_guarded_method_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "    def _evict_over_budget(self)",
-            "    def _evict_under_budget(self)",
-        )
-        _patch(
-            root,
-            "core/engine.py",
-            "self._evict_over_budget()",
-            "self._evict_under_budget()",
-        )
-        violations = check_concurrency_discipline(SourceTree(root))
-        matching = [v for v in violations if v.kind == "unknown-guarded-method"]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.context == "StepResultCache"
-        assert violation.detail == "_evict_over_budget"
-        assert violation.path.endswith("core/engine.py")
-        assert violation.line == _line_of(
-            root, "core/engine.py", "class StepResultCache"
-        )
-
-    def test_unguarded_call_to_guarded_method_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "        self.max_entries = max_entries",
-            "        self.max_entries = max_entries\n"
-            "        self._evict_over_budget()  # seeded-unguarded-guarded-call",
-        )
-        violations = check_concurrency_discipline(SourceTree(root))
-        matching = [v for v in violations if v.kind == "unguarded-guarded-call"]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.context == "StepResultCache.__init__"
-        assert violation.detail == "StepResultCache._evict_over_budget"
-        assert violation.line == _line_of(
-            root, "core/engine.py", "seeded-unguarded-guarded-call"
-        )
-
-    def test_live_tree_has_no_concurrency_findings(self):
-        assert check_concurrency_discipline(SourceTree(SRC_ROOT)) == []
 
 
 # --------------------------------------------------------------------- #
@@ -767,68 +640,6 @@ class TestDynamicCrossCheck:
         ]
         assert [v.detail for v in dynamic] == ["strong_remote_rtt_ms"]
         # The recording proxies observe without perturbing the computation.
-        assert check.bit_identical
-
-
-# --------------------------------------------------------------------- #
-# The dynamic concurrency cross-check
-# --------------------------------------------------------------------- #
-class TestDynamicConcurrency:
-    def test_lock_checked_dict_records_guard_state_per_mutation(self):
-        from threading import RLock
-
-        log = _WriteLog()
-        lock = RLock()
-        probe: LockCheckedDict = LockCheckedDict("probe", lock, log, {"x": 0})
-        probe["a"] = 1  # unguarded
-        with lock:
-            probe["b"] = 2  # guarded
-            probe.pop("x")
-        del probe["a"]  # unguarded
-        assert [(e.operation, e.guarded) for e in log.events] == [
-            ("setitem", False),
-            ("setitem", True),
-            ("pop", True),
-            ("delitem", False),
-        ]
-        assert dict(probe) == {"b": 2}
-
-    def test_parallel_run_is_lock_clean_and_bit_identical(self):
-        # A fresh study, not the shared session fixture: the harness swaps
-        # the study's memo dicts for instrumented wrappers in place.
-        study = RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
-        check = run_dynamic_concurrency_check(
-            study.inputs,
-            study.config.inference,
-            study.studied_ixp_ids,
-            max_workers=4,
-        )
-        assert check.ok, [(e.label, e.operation) for e in check.unguarded]
-        # The probe must have teeth: a run that records nothing would let
-        # this test rot into a vacuous pass.
-        counts = write_counts(check)
-        assert check.events, "no instrumented writes recorded"
-        assert any(label.startswith("geo.") for label in counts), counts
-        assert "delay_model._min_distance_memo" in counts, counts
-        assert check.bit_identical
-
-    def test_process_executor_run_is_lock_clean_and_bit_identical(self):
-        # The per-IXP chains run in worker processes here, so the recorded
-        # events cover the parent's share: the global nodes, the lazy
-        # dataset views and the scheduler's absorb path.  (No delay-model
-        # writes are expected — Step 3 runs inside the workers.)
-        study = RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
-        check = run_dynamic_concurrency_check(
-            study.inputs,
-            study.config.inference,
-            study.studied_ixp_ids,
-            max_workers=2,
-            executor="process",
-        )
-        assert check.ok, [(e.label, e.operation) for e in check.unguarded]
-        counts = write_counts(check)
-        assert check.events, "no instrumented writes recorded"
-        assert any(label.startswith("geo.") for label in counts), counts
         assert check.bit_identical
 
 

@@ -136,17 +136,6 @@ class TestEngineEquivalence:
         _assert_equivalent(small_outcome, reference)
         assert small_outcome.report.inferred()
 
-    @pytest.mark.parametrize("max_workers", [2, 4])
-    def test_parallel_schedule_is_equivalent(self, tiny_study, max_workers):
-        serial = tiny_study.outcome
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=max_workers)
-        parallel = engine.run(tiny_study.config.inference, tiny_study.studied_ixp_ids)
-        assert parallel.report == serial.report
-        assert parallel.baseline_report == serial.baseline_report
-        assert parallel.rtt_summary.observations == serial.rtt_summary.observations
-
     def test_rerun_from_cache_is_identical(self, tiny_study):
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
@@ -157,132 +146,6 @@ class TestEngineEquivalence:
         assert first.report == second.report
         assert first.report is not second.report
         assert first.baseline_report == second.baseline_report
-
-
-class TestExecutorSeam:
-    def test_unknown_executor_rejected(self, tiny_study):
-        with pytest.raises(InferenceError):
-            PipelineEngine(tiny_study.inputs, executor="gpu")
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_every_executor_matches_serial(self, tiny_study, executor):
-        serial = tiny_study.outcome
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor=executor)
-        try:
-            outcome = engine.run(
-                tiny_study.config.inference, tiny_study.studied_ixp_ids)
-        finally:
-            engine.shutdown()
-        assert outcome == serial
-
-    def test_process_rerun_replays_from_parent_cache(self, tiny_study):
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="process")
-        config = tiny_study.config.inference
-        try:
-            first = engine.run(config, tiny_study.studied_ixp_ids)
-            created_after_first = engine.executor_stats()["pools_created"]
-            second = engine.run(config, tiny_study.studied_ixp_ids)
-        finally:
-            engine.shutdown()
-        assert first == second
-        # The rerun was served entirely by the parent's cache: the worker
-        # pool was never consulted again (no reuse tick, no second pool).
-        stats = engine.executor_stats()
-        assert stats["pools_created"] == created_after_first == 1
-        assert stats["pool_reuses"] == 0
-
-    def test_thread_pool_persists_across_runs(self, tiny_study):
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="thread")
-        config = tiny_study.config.inference
-        try:
-            engine.run(config, tiny_study.studied_ixp_ids)
-            engine.run(config, tiny_study.studied_ixp_ids)
-            stats = engine.executor_stats()
-            assert stats["pools_created"] == 1
-            assert stats["pool_reuses"] >= 1
-            assert stats["thread_pool_live"]
-        finally:
-            engine.shutdown()
-        stats = engine.executor_stats()
-        assert not stats["thread_pool_live"]
-        assert not stats["process_pool_live"]
-        engine.shutdown()  # idempotent
-
-    def test_engine_context_manager_shuts_pools_down(self, tiny_study):
-        with PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="thread",
-        ) as engine:
-            engine.run(tiny_study.config.inference, tiny_study.studied_ixp_ids)
-            assert engine.executor_stats()["thread_pool_live"]
-        stats = engine.executor_stats()
-        assert not stats["thread_pool_live"]
-        assert not stats["process_pool_live"]
-
-    def test_serial_executor_creates_no_pools(self, tiny_study):
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=4, executor="serial")
-        outcome = engine.run(
-            tiny_study.config.inference, tiny_study.studied_ixp_ids)
-        assert outcome == tiny_study.outcome
-        stats = engine.executor_stats()
-        assert stats["pools_created"] == 0
-        assert not stats["thread_pool_live"]
-        assert not stats["process_pool_live"]
-
-    def test_worker_payloads_pickle_round_trip(self, tiny_study):
-        # The process seam ships (inputs, delay_model) to the pool
-        # initializer; under the default fork start method the pickle is
-        # skipped, so exercise it explicitly.
-        import pickle
-
-        inputs2, delay_model2 = pickle.loads(
-            pickle.dumps((tiny_study.inputs, tiny_study.delay_model)))
-        # The index's dataset identity survives (the dunders ship the memo
-        # dicts but re-link the shared dataset object).
-        assert inputs2.geo_index.dataset is inputs2.dataset
-        engine = PipelineEngine(inputs2, delay_model=delay_model2,
-                                executor="serial")
-        outcome = engine.run(
-            tiny_study.config.inference, tiny_study.studied_ixp_ids)
-        assert outcome == tiny_study.outcome
-
-    def test_process_pool_rebuilt_after_journalled_revision(self):
-        from repro.config import ExperimentConfig
-        from repro.geo.coordinates import GeoPoint
-        from repro.study import RemotePeeringStudy
-
-        # A fresh study, not the shared session fixture: the test mutates
-        # the dataset through a journalled mutator.
-        study = RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
-        config = study.config.inference
-        engine = PipelineEngine(
-            study.inputs, delay_model=study.delay_model,
-            geo_index=study.geo_index, max_workers=2, executor="process")
-        try:
-            engine.run(config, study.studied_ixp_ids)
-            facility_id = sorted(study.inputs.dataset.facility_locations)[0]
-            location = study.inputs.dataset.facility_locations[facility_id]
-            study.inputs.dataset.set_facility_location(
-                facility_id,
-                GeoPoint(location.latitude + 0.25, location.longitude))
-            study.geo_index.invalidate()
-            revised = engine.run(config, study.studied_ixp_ids)
-        finally:
-            engine.shutdown()
-        # The stale worker snapshots were replaced, not reused.
-        assert engine.executor_stats()["pools_created"] == 2
-        fresh = PipelineEngine(
-            study.inputs, delay_model=study.delay_model,
-            geo_index=study.geo_index, executor="serial")
-        assert revised == fresh.run(config, study.studied_ixp_ids)
 
 
 class TestStepGraphDeclarations:
@@ -469,21 +332,37 @@ class TestEngineValidation:
         second = engine.run(config, tiny_study.studied_ixp_ids)
         assert first.report == second.report
 
-    def test_peek_returns_presence_without_stats(self):
-        cache = StepResultCache()
-        assert cache.peek("absent") == (False, None)
-        cache.get_or_compute("step1", "k1", lambda: "value")
+    def test_unknown_ixp_id_rejected(self, tiny_study):
+        with pytest.raises(InferenceError, match="NO-SUCH-IXP"):
+            tiny_study.engine.run(tiny_study.config.inference, ["NO-SUCH-IXP"])
 
-        def snapshot():
-            return {label: (s.hits, s.misses, s.evictions)
-                    for label, s in cache.stats.items()}
+    def test_mixed_ixp_ids_name_only_the_unknown(self, tiny_study):
+        known = tiny_study.studied_ixp_ids[0]
+        with pytest.raises(InferenceError) as excinfo:
+            tiny_study.engine.run(
+                tiny_study.config.inference, [known, "NO-SUCH-IXP"])
+        message = str(excinfo.value)
+        assert "NO-SUCH-IXP" in message
+        assert known not in message
 
-        before = snapshot()
-        assert cache.peek("k1") == (True, "value")
-        assert cache.peek("absent") == (False, None)
-        # Probes record neither hits nor misses: the process scheduler
-        # peeks every node and must not distort the per-step accounting.
-        assert snapshot() == before
+    def test_failing_step_raises_on_first_attempt(self, tiny_study, monkeypatch):
+        class StepFailure(InferenceError):
+            pass
+
+        calls = []
+
+        def failing_run(self, *args, **kwargs):
+            calls.append(args)
+            raise StepFailure("step 1 failed")
+
+        monkeypatch.setattr(PortCapacityStep, "run", failing_run)
+        # A fresh engine (empty cache) so Step 1 really computes.
+        engine = PipelineEngine(
+            tiny_study.inputs, delay_model=tiny_study.delay_model,
+            geo_index=tiny_study.geo_index)
+        with pytest.raises(StepFailure):
+            engine.run(tiny_study.config.inference, tiny_study.studied_ixp_ids)
+        assert len(calls) == 1
 
 
 class TestStudySweep:

@@ -609,6 +609,14 @@ class TestStepResultCacheBudget:
         assert len(cache) == 100
         assert cache.eviction_stats()["evictions"] == 0
 
+    @pytest.mark.parametrize("budget", ["max_entries", "max_bytes"])
+    @pytest.mark.parametrize("value", [0, -1, -3, 2.5, True, "10"])
+    def test_invalid_budget_rejected_at_construction(self, budget, value):
+        from repro.exceptions import InferenceError
+
+        with pytest.raises(InferenceError, match=budget):
+            StepResultCache(**{budget: value})
+
     def test_budget_kwargs_with_explicit_cache_are_rejected(self, revision_study):
         from repro.exceptions import InferenceError
 
