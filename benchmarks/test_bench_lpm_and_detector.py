@@ -1,13 +1,19 @@
 """Benchmarks for the shared LPM index and corpus-scale crossing detection.
 
-The detector classifies every responding hop two to three times per path, so
-corpus-scale detection throughput is dominated by IP classification.  The
-seed implementation answered each classification with a linear first-match
-scan over the LAN prefixes (re-parsing every prefix with
+The detector classifies every responding hop two to three times per path.
+The seed implementation answered each classification with a linear
+first-match scan over the LAN prefixes (re-parsing every prefix with
 :func:`ipaddress.ip_network`) plus a re-sorted by-length probe of the
-prefix2as buckets.  These benchmarks pin the indexed implementation's
-throughput and prove the required >=5x speedup over a faithful
-re-implementation of the seed linear-scan path on a repeated-hop corpus.
+prefix2as buckets, which made IP classification dominate detection.  These
+benchmarks pin the indexed implementation's throughput and prove the
+required >=5x speedup over a faithful re-implementation of the seed
+linear-scan path on a repeated-hop corpus.
+
+With memoised indexed classification, a per-path scan is dominated by the
+per-hop Python work instead: few distinct addresses recur across many hops.
+The last benchmark pins the corpus index's numpy bulk pass, which
+classifies each distinct address once and applies both rules to the whole
+corpus at once, against that per-path loop.
 """
 
 from __future__ import annotations
@@ -15,8 +21,11 @@ from __future__ import annotations
 import ipaddress
 import time
 
+import pytest
+
 from repro.measurement.results import TracerouteCorpus
-from repro.traixroute.detector import CrossingDetector
+from repro.traixroute import detector
+from repro.traixroute.detector import CorpusDetectionIndex, CrossingDetector
 
 
 class _SeedLinearDetector(CrossingDetector):
@@ -124,4 +133,31 @@ def test_detector_speedup_vs_seed_linear(study):
     assert speedup >= 5.0, (
         f"indexed detection is only {speedup:.1f}x faster than the seed "
         f"linear scan ({indexed_elapsed:.3f}s vs {seed_elapsed:.3f}s)"
+    )
+
+
+def test_bulk_detection_speedup_vs_per_path_loop(study, monkeypatch):
+    """A full scan's bulk pass equals the per-path loop and is >=1.5x faster."""
+    if detector._np is None:
+        pytest.skip("numpy not installed; the bulk pass is unavailable")
+    inputs = study.inputs
+
+    def full_scan():
+        index = CorpusDetectionIndex(inputs.dataset, inputs.prefix2as, inputs.corpus)
+        start = time.perf_counter()
+        results = index.results()
+        return results, time.perf_counter() - start
+
+    # Best of two for the fast side, as in the seed comparison above.
+    bulk, bulk_elapsed = full_scan()
+    bulk_elapsed = min(bulk_elapsed, full_scan()[1])
+    monkeypatch.setattr(detector, "_np", None)
+    reference, reference_elapsed = full_scan()
+
+    assert bulk == reference
+    assert bulk[0] and bulk[1]
+    speedup = reference_elapsed / bulk_elapsed
+    assert speedup >= 1.5, (
+        f"the bulk pass is only {speedup:.1f}x faster than the per-path loop "
+        f"({bulk_elapsed:.3f}s vs {reference_elapsed:.3f}s)"
     )

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import RoutingError
 from repro.geo.delay_model import DelayModel
 from repro.geo.worldindex import WorldDistanceIndex
+from repro.netindex import LPMIndex
 from repro.routing.bgp import ASGraph, EdgeRealization, RealizationKind, RouteSelector
 from repro.topology.entities import InterfaceKind, IXPMembership, Router
 from repro.topology.world import World
@@ -112,6 +113,9 @@ class ForwardingSimulator:
         for membership in world.memberships:
             if membership.departed_month is None:
                 self._memberships_by_as_ixp[(membership.asn, membership.ixp_id)] = membership
+        # Routed prefix -> origin AS, built on first use; the world does not
+        # change after generation.
+        self._routed_index: LPMIndex[int] | None = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -143,13 +147,14 @@ class ForwardingSimulator:
     # Internals
     # ------------------------------------------------------------------ #
     def _asn_for_destination(self, destination_ip: str) -> int:
-        import ipaddress
-
-        address = ipaddress.ip_address(destination_ip)
-        for prefix, asn in self.world.routed_prefixes.items():
-            if address in ipaddress.ip_network(prefix):
-                return asn
-        raise RoutingError(f"destination {destination_ip} is not in any routed prefix")
+        """Origin AS of the longest routed prefix holding the address."""
+        if self._routed_index is None:
+            self._routed_index = LPMIndex(self.world.routed_prefixes)
+        asn = self._routed_index.lookup(destination_ip)
+        if asn is None:
+            raise RoutingError(
+                f"destination {destination_ip} is not in any routed prefix")
+        return asn
 
     def _first_router(self, asn: int) -> Router:
         routers = self.world.routers_of_as(asn)

@@ -6,6 +6,9 @@ Two worlds are used throughout:
 * ``small_study`` — one session-scoped end-to-end study (world, data
   sources, campaigns, pipeline) shared by the integration, analysis and
   experiment tests, so the expensive parts are computed once.
+
+``detection_mode`` runs a test once with the corpus-detection index's numpy
+bulk pass and once with its per-path fallback.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.config import ExperimentConfig, GeneratorConfig
 from repro.study import RemotePeeringStudy
 from repro.topology.generator import WorldGenerator
 from repro.topology.world import World
+from repro.traixroute import detector
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +49,14 @@ def small_outcome(small_study):
 def tiny_study() -> RemotePeeringStudy:
     """A cheaper end-to-end study on the tiny configuration."""
     return RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
+
+
+@pytest.fixture(params=["numpy", "fallback"])
+def detection_mode(request, monkeypatch):
+    """Run a test with the bulk detection pass and with the per-path loop."""
+    if request.param == "numpy":
+        if detector._np is None:
+            pytest.skip("numpy not installed; the bulk pass is unavailable")
+    else:
+        monkeypatch.setattr(detector, "_np", None)
+    return request.param

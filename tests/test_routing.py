@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import GeneratorConfig
 from repro.exceptions import RoutingError
 from repro.routing.bgp import ASGraph, RealizationKind, RouteSelector
 from repro.routing.forwarding import ForwardingSimulator
 from repro.topology.entities import InterfaceKind
+from repro.topology.generator import WorldGenerator
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +268,20 @@ class TestForwarding:
         assert path.hops[index].asn == b
         assert path.hops[index - 1].asn == a
         assert path.hops[index + 1].asn == b
+
+    def test_destination_as_is_the_longest_prefix_match(self):
+        # A more-specific routed prefix nested inside a broader one owns the
+        # addresses it covers, whichever was registered first.  A private
+        # world: the shared tiny_world must not be edited.
+        world = WorldGenerator(GeneratorConfig.tiny(seed=7)).generate()
+        assert world.routed_prefixes["100.0.0.0/24"] == 1000
+        world.routed_prefixes["100.0.0.64/26"] = 1001
+        simulator = ForwardingSimulator(world, rng=random.Random(3))
+        source = sorted(world.ases)[5]
+        assert simulator.traceroute(source, "100.0.0.65").destination_asn == 1001
+        assert simulator.traceroute(source, "100.0.0.1").destination_asn == 1000
+        with pytest.raises(RoutingError, match="192.0.2.1"):
+            simulator.traceroute(source, "192.0.2.1")
 
     def test_destination_ip_for_rejects_unknown_as(self, simulator):
         with pytest.raises(RoutingError):

@@ -1,12 +1,14 @@
 """Unit tests for the IXP crossing detector (traIXroute rules)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.datasources.merge import ObservedDataset
 from repro.datasources.prefix2as import Prefix2ASMap
 from repro.measurement.results import TracerouteCorpus
 from repro.routing.forwarding import ForwardingHop, ForwardingPath
-from repro.traixroute.detector import CrossingDetector
+from repro.traixroute.detector import CorpusDetectionIndex, CrossingDetector
+from tests.detection_strategies import detection_inputs, forwarding_path
 
 
 def _path(hops, source=65001, destination=65002):
@@ -140,6 +142,73 @@ class TestNestedLANPrefixes:
         crossings = nested_detector.detect(path)
         assert len(crossings) == 1
         assert crossings[0].ixp_id == "ixp-a"
+
+
+class TestBulkMatchesReference:
+    """A full scan of the corpus index equals the per-path detector.
+
+    Runs with the numpy bulk pass and with the per-path fallback
+    (``detection_mode``).  Besides the results, the index's detector must
+    hold exactly the memoised answers the per-path loop asked for: eviction
+    and re-detection after a revision start from them.
+    """
+
+    @staticmethod
+    def _assert_matches_reference(dataset, prefix2as, corpus):
+        index = CorpusDetectionIndex(dataset, prefix2as, corpus)
+        reference = CrossingDetector(dataset, prefix2as)
+        expected = (
+            reference.detect_corpus(corpus),
+            reference.private_adjacencies_corpus(corpus),
+        )
+        assert index.results() == expected
+        assert index._detector._ixp_memo == reference._ixp_memo
+        assert index._detector._asn_memo == reference._asn_memo
+        return expected
+
+    def test_unanswered_hops_short_paths_and_repeats(self, detection_mode):
+        dataset = ObservedDataset()
+        dataset.set_ixp_prefix("185.1.0.0/24", "ixp-a")
+        dataset.set_interface("185.1.0.1", "ixp-a", 65001)
+        dataset.set_interface("185.1.0.2", "ixp-a", 65002)
+        prefix2as = Prefix2ASMap()
+        prefix2as.add("10.1.0.0/16", 65001)
+        prefix2as.add("10.2.0.0/16", 65002)
+        prefix2as.add("10.3.0.0/16", 65003)
+        entry, lan, exit_ = "10.1.0.9", "185.1.0.2", "10.2.0.9"
+        corpus = TracerouteCorpus(
+            paths=[
+                forwarding_path(hops)
+                for hops in [
+                    [None, entry, lan, exit_],
+                    [entry, None, lan, exit_],
+                    [entry, lan, exit_, None],
+                    [],
+                    [entry],
+                    [entry, "10.3.0.9"],
+                    [entry, lan, exit_, "185.1.0.1", entry],
+                ]
+            ]
+        )
+        crossings, adjacencies = self._assert_matches_reference(
+            dataset, prefix2as, corpus
+        )
+        assert [(c.entry_asn, c.far_asn) for c in crossings] == [
+            (65001, 65002),
+            (65001, 65002),
+            (65001, 65002),
+            (65002, 65001),
+        ]
+        assert [(a.near_asn, a.far_asn) for a in adjacencies] == [(65001, 65003)]
+
+    @given(inputs=detection_inputs())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_drawn_inputs(self, detection_mode, inputs):
+        self._assert_matches_reference(*inputs)
 
 
 class TestOnGeneratedCorpus:

@@ -9,9 +9,12 @@ budget and the engine's cross-revision step reuse.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import ExperimentConfig
 from repro.core.engine import PipelineEngine, StepResultCache
@@ -28,6 +31,7 @@ from repro.geo.distindex import GeoDistanceIndex
 from repro.netindex import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
 from repro.study import RemotePeeringStudy
 from repro.versioning import Change, ChangeJournal, ChangeKind, Versioned
+from tests.detection_strategies import detection_inputs, edits, forwarding_path
 from tests.helpers import build_scenario
 
 
@@ -570,6 +574,84 @@ class TestCorpusDetectionIndex:
         assert len(crossings) == 2
         assert index.full_scans == 1
         assert index.paths_redetected == 0
+
+    @given(inputs=detection_inputs(), steps=st.lists(edits, min_size=3, max_size=8))
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_journalled_edits_match_a_fresh_index(self, detection_mode, inputs, steps):
+        """After every edit the index equals a fresh one, and it re-detected
+        exactly the stored paths holding an evicted address or one that
+        classified to an IXP whose membership changed."""
+        from repro.traixroute.detector import CorpusDetectionIndex
+
+        dataset, prefix2as, corpus = inputs
+        index = CorpusDetectionIndex(dataset, prefix2as, corpus)
+        index.results()
+        for name, args in steps:
+            detector = index._detector
+            memoised = set(detector._ixp_memo) | set(detector._asn_memo)
+            lan_owners = dict(detector._ixp_memo)
+            members = {ixp_id: set(held) for ixp_id, held in detector._members.items()}
+            stored = len(corpus.paths)
+            full_scans, redetected = index.full_scans, index.paths_redetected
+            prefixes, ixp_ids, rescan = _apply_edit(
+                dataset, prefix2as, corpus, name, args
+            )
+
+            fresh = CorpusDetectionIndex(dataset, prefix2as, corpus)
+            assert index.results() == fresh.results()
+            assert index.full_scans == full_scans + rescan
+            if rescan:
+                assert index.paths_redetected == redetected
+                continue
+            known = set(dataset.ixp_ids())
+            changed = {
+                ixp_id
+                for ixp_id in ixp_ids
+                if (members.get(ixp_id) or set())
+                != (dataset.members_of_ixp(ixp_id) if ixp_id in known else set())
+            }
+            affected = {ip for ip in memoised if _under_any(ip, prefixes)}
+            affected |= {ip for ip, owner in lan_owners.items() if owner in changed}
+            holding = sum(
+                any(hop.ip in affected for hop in path.hops)
+                for path in corpus.paths[:stored]
+            )
+            assert index.paths_redetected == redetected + holding
+
+
+def _apply_edit(dataset, prefix2as, corpus, name, args):
+    """Apply one drawn edit through its journal-emitting mutator.
+
+    Returns the prefixes it changed, the IXPs whose rule-3 membership it may
+    have changed, and whether it forces a full re-scan.
+    """
+    if name == "prefix_add":
+        generation = prefix2as.generation
+        prefix2as.add(*args)
+        return ([args[0]] if prefix2as.generation != generation else []), set(), False
+    if name == "prefix_remove":
+        return ([args[0]] if prefix2as.remove(*args) else []), set(), False
+    if name == "set_ixp_prefix":
+        prefix, ixp_id = args
+        old = dataset.ixp_prefixes.get(prefix)
+        if not dataset.set_ixp_prefix(prefix, ixp_id):
+            return [], set(), False
+        return [prefix], {ixp_id} | ({old} if old is not None else set()), False
+    if name == "set_interface":
+        return [], set(), dataset.set_interface(*args)
+    if name == "add_ixp_facility":
+        return [], ({args[0]} if dataset.add_ixp_facility(*args) else set()), False
+    corpus.extend([forwarding_path(hops) for hops in args[0]])
+    return [], set(), False
+
+
+def _under_any(ip: str, prefixes: list[str]) -> bool:
+    address = ipaddress.ip_address(ip)
+    return any(address in ipaddress.ip_network(prefix) for prefix in prefixes)
 
 
 class TestStepResultCacheBudget:
