@@ -23,7 +23,8 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _require_fraction(value: float, name: str) -> None:
+def require_fraction(value: float, name: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` lies in [0, 1]."""
     _require(0.0 <= value <= 1.0, f"{name} must be in [0, 1], got {value}")
 
 
@@ -101,7 +102,7 @@ class GeneratorConfig:
             "local_departure_rate",
             "remote_departure_rate",
         ):
-            _require_fraction(getattr(self, name), name)
+            require_fraction(getattr(self, name), name)
         _require(
             self.tier1_fraction + self.tier2_fraction < 1.0,
             "tier1_fraction + tier2_fraction must be below 1",
@@ -201,7 +202,7 @@ class DataSourceNoiseConfig:
             "pdb_port_capacity_coverage",
             "pdb_traffic_coverage",
         ):
-            _require_fraction(getattr(self, name), name)
+            require_fraction(getattr(self, name), name)
         _require(self.facility_coordinate_error_km >= 0, "coordinate error must be >= 0")
         _require(self.website_facility_list_top_n >= 0, "website_facility_list_top_n must be >= 0")
 
@@ -243,7 +244,7 @@ class CampaignConfig:
             "traceroute_hop_loss_rate",
             "hot_potato_compliance",
         ):
-            _require_fraction(getattr(self, name), name)
+            require_fraction(getattr(self, name), name)
         _require(self.jitter_ms >= 0, "jitter_ms must be non-negative")
         low, high = self.remote_path_stretch
         _require(1.0 <= low <= high, "remote_path_stretch must be an increasing pair >= 1")

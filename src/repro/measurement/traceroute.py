@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.config import CampaignConfig
-from repro.exceptions import MeasurementError
+from repro.exceptions import MeasurementError, RoutingError
 from repro.geo.delay_model import DelayModel
 from repro.geo.worldindex import WorldDistanceIndex
 from repro.measurement.results import TracerouteCorpus
@@ -114,7 +114,7 @@ class TracerouteCampaign:
                 continue
             try:
                 destination_ip = self.simulator.destination_ip_for(destination_asn)
-            except Exception:  # pragma: no cover - every AS originates prefixes
+            except RoutingError:  # the destination originates no prefix
                 continue
             paths.append(self.simulator.traceroute_along(as_path, destination_ip))
         return paths

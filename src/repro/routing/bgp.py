@@ -6,7 +6,8 @@ way the adjacency is realised in the forwarding plane:
 * **transit** — customer/provider relationships from the relationship graph;
 * **private** — private interconnections (facility cross-connects);
 * **ixp** — co-membership at an IXP (multilateral peering over the route
-  server), one realization per common IXP, shared by every co-member pair.
+  server): one shared realization per IXP, and the crossings of a pair are
+  derived from the two members' IXP bitmasks rather than stored per pair.
 
 Route selection is shortest AS path (breadth-first search with deterministic
 neighbour ordering).  Relationship preferences beyond path length are not
@@ -18,7 +19,9 @@ modelled at the *realization* level in the forwarding simulator.
 The graph never changes once built, so its adjacency is frozen into one int
 bitmask per AS: bit *i* stands for the *i*-th smallest ASN.  A BFS expansion
 is then a single ``mask & unvisited``, and visiting the fresh bits lowest
-first is exactly the sorted-neighbour order.
+first is exactly the sorted-neighbour order.  IXP co-membership is a second
+bitmask per AS, over IXP positions in ``World.ixps`` order: the IXPs two ASes
+share are the set bits of the AND of their masks.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ class ASGraph:
 
     Nodes are ranked by ASN (``_asns[rank]``, ``_rank[asn]``) and
     ``_masks[rank]`` holds the node's neighbours as a bitmask over ranks.
+    Transit and private realizations are stored once per pair, under the
+    key ``(smaller ASN, larger ASN)``.  IXP crossings are not stored:
+    ``_ixp_bits[asn]`` has bit *p* set when the AS is an active member of
+    the *p*-th IXP of ``World.ixps``, whose one shared realization is
+    ``_ixp_crossings[p]``.
     """
 
     def __init__(self, world: World) -> None:
@@ -81,40 +89,51 @@ class ASGraph:
 
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        neighbours: dict[int, set[int]] = defaultdict(set)
-        realizations = self._realizations
-
-        def add_edge(a: int, b: int, realization: EdgeRealization) -> None:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-            realizations[(a, b)].append(realization)
-            realizations[(b, a)].append(realization)
-
-        relationships = self.world.relationships
-        transit = EdgeRealization(kind=RealizationKind.TRANSIT)
-        for asn in self.world.ases:
-            neighbours.setdefault(asn, set())
-            for provider in relationships.providers_of(asn):
-                add_edge(asn, provider, transit)
-        for index, link in enumerate(self.world.private_links):
-            add_edge(
-                link.asn_a,
-                link.asn_b,
-                EdgeRealization(kind=RealizationKind.PRIVATE, private_link_index=index),
-            )
-        for ixp_id in self.world.ixps:
-            members = self.world.active_memberships(ixp_id)
-            asns = sorted({m.asn for m in members})
-            crossing = EdgeRealization(kind=RealizationKind.IXP, ixp_id=ixp_id)
-            for i, a in enumerate(asns):
-                for b in asns[i + 1:]:
-                    add_edge(a, b, crossing)
-
-        self._asns: tuple[int, ...] = tuple(sorted(neighbours))
-        self._rank: dict[int, int] = {asn: rank for rank, asn in enumerate(self._asns)}
-        self._masks: tuple[int, ...] = tuple(
-            self._mask_of(neighbours[asn]) for asn in self._asns
+        world = self.world
+        relationships = world.relationships
+        transit = EdgeRealization(RealizationKind.TRANSIT)
+        edges: list[tuple[int, int, EdgeRealization]] = [
+            (asn, provider, transit)
+            for asn in world.ases
+            for provider in relationships.providers_of(asn)
+        ]
+        edges += [
+            (link.asn_a, link.asn_b, EdgeRealization(RealizationKind.PRIVATE, None, index))
+            for index, link in enumerate(world.private_links)
+        ]
+        self._ixp_ids: tuple[str, ...] = tuple(world.ixps)
+        self._ixp_crossings: tuple[EdgeRealization, ...] = tuple(
+            EdgeRealization(RealizationKind.IXP, ixp_id) for ixp_id in self._ixp_ids
         )
+        ixp_bits: dict[int, int] = {}
+        member_sets: list[set[int]] = []
+        for position, ixp_id in enumerate(self._ixp_ids):
+            members = {m.asn for m in world.active_memberships(ixp_id)}
+            member_sets.append(members)
+            for asn in members:
+                ixp_bits[asn] = ixp_bits.get(asn, 0) | (1 << position)
+        self._ixp_bits: dict[int, int] = ixp_bits
+
+        nodes = set(world.ases).union(ixp_bits)
+        for a, b, _ in edges:
+            nodes.add(a)
+            nodes.add(b)
+        self._asns: tuple[int, ...] = tuple(sorted(nodes))
+        self._rank: dict[int, int] = {asn: rank for rank, asn in enumerate(self._asns)}
+        rank = self._rank
+        masks = [0] * len(self._asns)
+        realizations = self._realizations
+        for a, b, realization in edges:
+            rank_a, rank_b = rank[a], rank[b]
+            masks[rank_a] |= 1 << rank_b
+            masks[rank_b] |= 1 << rank_a
+            realizations[(a, b) if a <= b else (b, a)].append(realization)
+        # Every member of an IXP is adjacent to every other member.
+        for members in member_sets:
+            member_mask = self._mask_of(members)
+            for asn in members:
+                masks[rank[asn]] |= member_mask ^ (1 << rank[asn])
+        self._masks: tuple[int, ...] = tuple(masks)
 
     def _mask_of(self, asns: Iterable[int]) -> int:
         """Bitmask over ranks of the given ASNs (ASNs not in the graph are skipped)."""
@@ -124,6 +143,12 @@ class ASGraph:
             if asn in rank:
                 mask |= 1 << rank[asn]
         return mask
+
+    def _shared_ixp_bits(self, a: int, b: int) -> int:
+        """Bitmask over IXP positions of the IXPs two distinct ASes share."""
+        if a == b:
+            return 0
+        return self._ixp_bits.get(a, 0) & self._ixp_bits.get(b, 0)
 
     # ------------------------------------------------------------------ #
     def neighbours(self, asn: int) -> list[int]:
@@ -138,15 +163,24 @@ class ASGraph:
         return [asns[r] for r in _bit_ranks(self._masks[rank])]
 
     def realizations(self, a: int, b: int) -> list[EdgeRealization]:
-        """All realizations of the edge between two adjacent ASes."""
-        return list(self._realizations.get((a, b), []))
+        """All realizations of the edge between two adjacent ASes.
+
+        Transit first, then private links in ``World.private_links`` order,
+        then one crossing per shared IXP in ``World.ixps`` order; the
+        forwarding simulator's RNG draws depend on this order.
+        """
+        found = list(self._realizations.get((a, b) if a <= b else (b, a), ()))
+        shared = self._shared_ixp_bits(a, b)
+        while shared:
+            low = shared & -shared
+            found.append(self._ixp_crossings[low.bit_length() - 1])
+            shared ^= low
+        return found
 
     def common_ixps(self, a: int, b: int) -> list[str]:
-        """IXPs at which both ASes are active members."""
-        return sorted(
-            r.ixp_id for r in self._realizations.get((a, b), [])
-            if r.kind is RealizationKind.IXP and r.ixp_id is not None
-        )
+        """IXPs at which both ASes are active members, sorted by id."""
+        ixp_ids = self._ixp_ids
+        return sorted(ixp_ids[p] for p in _bit_ranks(self._shared_ixp_bits(a, b)))
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if the two ASes are adjacent in any way."""

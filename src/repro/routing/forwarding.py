@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.config import require_fraction
 from repro.exceptions import RoutingError
 from repro.geo.delay_model import DelayModel
 from repro.geo.worldindex import WorldDistanceIndex
@@ -84,7 +85,12 @@ class ForwardingPath:
 
 
 class ForwardingSimulator:
-    """Builds IP-level paths for AS-level routes."""
+    """Builds IP-level paths for AS-level routes.
+
+    The world must not change once a simulator is built over it: the
+    routed-prefix index and the per-router and per-AS memos are filled on
+    first use and never refreshed.
+    """
 
     def __init__(
         self,
@@ -98,6 +104,11 @@ class ForwardingSimulator:
         hop_loss_rate: float = 0.03,
         ixp_preference: float = 0.60,
     ) -> None:
+        require_fraction(hot_potato_compliance, "hot_potato_compliance")
+        require_fraction(hop_loss_rate, "hop_loss_rate")
+        require_fraction(ixp_preference, "ixp_preference")
+        if graph is not None and graph.world is not world:
+            raise RoutingError("graph must be built over the same world")
         self.world = world
         self.graph = graph or ASGraph(world)
         self.selector = RouteSelector(self.graph)
@@ -113,9 +124,11 @@ class ForwardingSimulator:
         for membership in world.memberships:
             if membership.departed_month is None:
                 self._memberships_by_as_ixp[(membership.asn, membership.ixp_id)] = membership
-        # Routed prefix -> origin AS, built on first use; the world does not
-        # change after generation.
+        # Routed prefix -> origin AS, built on first use.
         self._routed_index: LPMIndex[int] | None = None
+        # Router id -> backbone address and AS -> first router, filled on use.
+        self._backbone_ips: dict[str, str | None] = {}
+        self._first_routers: dict[int, Router] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -157,36 +170,54 @@ class ForwardingSimulator:
         return asn
 
     def _first_router(self, asn: int) -> Router:
-        routers = self.world.routers_of_as(asn)
-        if not routers:
-            raise RoutingError(f"AS{asn} has no routers")
-        return routers[0]
+        router = self._first_routers.get(asn)
+        if router is None:
+            routers = self.world.routers_of_as(asn)
+            if not routers:
+                raise RoutingError(f"AS{asn} has no routers")
+            router = self._first_routers[asn] = routers[0]
+        return router
 
     def _backbone_ip(self, router: Router) -> str | None:
+        try:
+            return self._backbone_ips[router.router_id]
+        except KeyError:
+            pass
+        found = None
         for ip in router.interface_ips:
             interface = self.world.interfaces.get(ip)
             if interface is not None and interface.kind is InterfaceKind.BACKBONE:
-                return ip
-        return None
+                found = ip
+                break
+        self._backbone_ips[router.router_id] = found
+        return found
 
     def _choose_realization(self, a: int, b: int) -> EdgeRealization:
-        realizations = self.graph.realizations(a, b)
-        if not realizations:
-            raise RoutingError(f"AS{a} and AS{b} are not adjacent")
-        ixp_options = [r for r in realizations if r.kind is RealizationKind.IXP]
-        private_options = [r for r in realizations if r.kind is RealizationKind.PRIVATE]
-        transit_options = [r for r in realizations if r.kind is RealizationKind.TRANSIT]
-        if ixp_options and (not (private_options or transit_options)
+        ixp_options: list[EdgeRealization] = []
+        private_options: list[EdgeRealization] = []
+        transit: EdgeRealization | None = None
+        for realization in self.graph.realizations(a, b):
+            if realization.kind is RealizationKind.IXP:
+                ixp_options.append(realization)
+            elif realization.kind is RealizationKind.PRIVATE:
+                private_options.append(realization)
+            elif transit is None:
+                transit = realization
+        if ixp_options and ((transit is None and not private_options)
                             or self._rng.random() < self.ixp_preference):
             return self._rng.choice(ixp_options)
         if private_options:
             return self._rng.choice(private_options)
-        if transit_options:
-            return transit_options[0]
-        return self._rng.choice(ixp_options)
+        if transit is not None:
+            return transit
+        raise RoutingError(f"AS{a} and AS{b} are not adjacent")
 
     def _choose_ixp(self, current_facility_id: str, asn: int, candidates: list[str]) -> str:
-        """Hot-potato (closest exit) IXP choice, with policy deviations."""
+        """Hot-potato (closest exit) IXP choice, with policy deviations.
+
+        ``candidates`` are sorted by id, so a distance tie goes to the
+        smallest id.
+        """
         if len(candidates) == 1:
             return candidates[0]
         distances: dict[str, float] = {}
@@ -194,83 +225,76 @@ class ForwardingSimulator:
             membership = self._memberships_by_as_ixp[(asn, ixp_id)]
             distances[ixp_id] = self.world_index.facility_pair_km(
                 current_facility_id, membership.member_facility_id)
-        closest = min(sorted(candidates), key=lambda i: distances[i])
+        closest = min(candidates, key=lambda i: distances[i])
         if self._rng.random() < self.hot_potato_compliance:
             return closest
         others = [c for c in candidates if c != closest]
         return self._rng.choice(others)
 
+    def _hop(self, ip: str | None, asn: int, cumulative_km: float,
+             is_ixp_lan: bool = False, ixp_id: str | None = None) -> ForwardingHop:
+        """One hop ``cumulative_km`` along the path: its RTT draw, then its loss draw."""
+        rtt = self.delay_model.sample_rtt_ms(cumulative_km, self._rng, jitter_ms=0.4)
+        if ip is not None and self._rng.random() < self.hop_loss_rate:
+            ip = None
+        return ForwardingHop(ip, asn, rtt, is_ixp_lan, ixp_id)
+
     def _expand(self, as_path: list[int], destination_ip: str) -> ForwardingPath:
-        source_asn = as_path[0]
-        destination_asn = as_path[-1]
-        path = ForwardingPath(
-            source_asn=source_asn,
-            destination_asn=destination_asn,
-            destination_ip=destination_ip,
-        )
-        current_router = self._first_router(source_asn)
-        cumulative_km = 0.0
+        """Expand an AS path into the hops a traceroute would reveal.
 
-        def emit(ip: str | None, asn: int | None, *, is_ixp: bool = False,
-                 ixp_id: str | None = None) -> None:
-            nonlocal cumulative_km
-            rtt = self.delay_model.sample_rtt_ms(cumulative_km, self._rng, jitter_ms=0.4)
-            if ip is not None and self._rng.random() < self.hop_loss_rate:
-                ip = None
-            path.hops.append(
-                ForwardingHop(ip=ip, asn=asn, rtt_ms=rtt, is_ixp_lan=is_ixp, ixp_id=ixp_id)
-            )
+        The corpus bytes depend on the order of the RNG draws: per edge, the
+        realization draws, then, for an IXP crossing, the exit-IXP draws,
+        then each of the edge's hops in path order (:meth:`_hop`).
+        """
+        hop = self._hop
+        facility_pair_km = self.world_index.facility_pair_km
+        backbone_ip = self._backbone_ip
+        router_of = self.world.router
+        memberships = self._memberships_by_as_ixp
 
-        def move_to(router: Router) -> None:
-            nonlocal current_router, cumulative_km
-            # Same-facility moves contribute exactly 0 km, as the per-call
-            # geodesic on identical coordinates always did.
-            if router.facility_id != current_router.facility_id:
-                cumulative_km += self.world_index.facility_pair_km(
-                    current_router.facility_id, router.facility_id)
-            current_router = router
-
+        path = ForwardingPath(as_path[0], as_path[-1], destination_ip)
+        hops = path.hops
         # First hop: the source border router answering from a backbone interface.
-        emit(self._backbone_ip(current_router), source_asn)
-
-        for position in range(len(as_path) - 1):
-            here, there = as_path[position], as_path[position + 1]
+        current = self._first_router(as_path[0])
+        cumulative_km = 0.0
+        hops.append(hop(backbone_ip(current), as_path[0], cumulative_km))
+        for here, there in zip(as_path, as_path[1:]):
             realization = self._choose_realization(here, there)
-
-            if realization.kind is RealizationKind.IXP:
-                candidates = self.graph.common_ixps(here, there)
-                ixp_id = self._choose_ixp(current_router.facility_id, here, candidates)
-                exit_membership = self._memberships_by_as_ixp[(here, ixp_id)]
-                exit_router = self.world.router(exit_membership.router_id)
-                if exit_router.router_id != current_router.router_id:
-                    move_to(exit_router)
-                    emit(self._backbone_ip(exit_router), here)
-                entry_membership = self._memberships_by_as_ixp[(there, ixp_id)]
-                entry_router = self.world.router(entry_membership.router_id)
-                move_to(entry_router)
-                emit(entry_membership.interface_ip, there, is_ixp=True, ixp_id=ixp_id)
-                emit(self._backbone_ip(entry_router), there)
-            elif realization.kind is RealizationKind.PRIVATE:
-                link = self.world.private_links[realization.private_link_index]
-                if link.asn_a == here:
-                    exit_router_id, entry_router_id = link.router_a, link.router_b
-                    entry_ip = link.interface_b
+            kind = realization.kind
+            if kind is RealizationKind.TRANSIT:
+                entry = self._first_router(there)
+            else:
+                ixp_id: str | None = None
+                if kind is RealizationKind.IXP:
+                    ixp_id = self._choose_ixp(
+                        current.facility_id, here, self.graph.common_ixps(here, there))
+                    exit_router = router_of(memberships[(here, ixp_id)].router_id)
+                    entry_membership = memberships[(there, ixp_id)]
+                    entry = router_of(entry_membership.router_id)
+                    entry_ip = entry_membership.interface_ip
                 else:
-                    exit_router_id, entry_router_id = link.router_b, link.router_a
-                    entry_ip = link.interface_a
-                exit_router = self.world.router(exit_router_id)
-                if exit_router.router_id != current_router.router_id:
-                    move_to(exit_router)
-                    emit(self._backbone_ip(exit_router), here)
-                entry_router = self.world.router(entry_router_id)
-                move_to(entry_router)
-                emit(entry_ip, there)
-                emit(self._backbone_ip(entry_router), there)
-            else:  # transit
-                entry_router = self._first_router(there)
-                move_to(entry_router)
-                emit(self._backbone_ip(entry_router), there)
+                    link = self.world.private_links[realization.private_link_index]
+                    if link.asn_a == here:
+                        exit_router = router_of(link.router_a)
+                        entry, entry_ip = router_of(link.router_b), link.interface_b
+                    else:
+                        exit_router = router_of(link.router_b)
+                        entry, entry_ip = router_of(link.router_a), link.interface_a
+                if exit_router.router_id != current.router_id:
+                    # Same-facility moves add exactly 0 km.
+                    if exit_router.facility_id != current.facility_id:
+                        cumulative_km += facility_pair_km(
+                            current.facility_id, exit_router.facility_id)
+                    current = exit_router
+                    hops.append(hop(backbone_ip(exit_router), here, cumulative_km))
+            if entry.facility_id != current.facility_id:
+                cumulative_km += facility_pair_km(current.facility_id, entry.facility_id)
+            current = entry
+            if kind is not RealizationKind.TRANSIT:
+                # The far side's interface on the IXP LAN or the cross-connect.
+                hops.append(hop(entry_ip, there, cumulative_km, ixp_id is not None, ixp_id))
+            hops.append(hop(backbone_ip(entry), there, cumulative_km))
 
         # Final hop: the destination address itself.
-        emit(destination_ip, destination_asn)
+        hops.append(hop(destination_ip, as_path[-1], cumulative_km))
         return path

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.config import CampaignConfig
-from repro.exceptions import MeasurementError, VantagePointError
+from repro.config import CampaignConfig, GeneratorConfig
+from repro.exceptions import MeasurementError, RoutingError, VantagePointError
 from repro.measurement.periscope import PeriscopeClient
 from repro.measurement.traceroute import TracerouteCampaign
 from repro.measurement.vantage import VantagePointKind, VantagePointPlanner
 from repro.measurement.y1731 import Y1731Monitor
+from repro.routing.bgp import ASGraph
+from repro.topology.generator import WorldGenerator
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,33 @@ class TestTracerouteCampaign:
     def test_paths_from_filter(self, corpus):
         source = corpus.paths[0].source_asn
         assert all(p.source_asn == source for p in corpus.paths_from(source))
+
+    def test_graph_of_another_world_rejected(self, tiny_world, tiny_world_alt):
+        with pytest.raises(RoutingError, match="same world"):
+            TracerouteCampaign(tiny_world, graph=ASGraph(tiny_world_alt))
+
+    def test_destination_without_prefixes_is_skipped(self):
+        # A private world: the shared tiny_world must not be edited.
+        world = WorldGenerator(GeneratorConfig.tiny(seed=7)).generate()
+        asns = sorted({m.asn for m in world.memberships})
+        silent = asns[1]
+        for prefix in world.prefixes_of_as(silent):
+            del world.routed_prefixes[prefix]
+        world.reindex()
+        campaign = TracerouteCampaign(world, CampaignConfig())
+        corpus = campaign.run_pairs([(asns[0], silent), (asns[0], asns[2])])
+        assert [p.destination_asn for p in corpus.paths] == [asns[2]]
+
+    def test_simulator_errors_are_not_swallowed(self, tiny_world, monkeypatch):
+        campaign = TracerouteCampaign(tiny_world, CampaignConfig())
+
+        def broken(asn):
+            raise KeyError(asn)
+
+        monkeypatch.setattr(campaign.simulator, "destination_ip_for", broken)
+        asns = sorted({m.asn for m in tiny_world.memberships})
+        with pytest.raises(KeyError):
+            campaign.run_pairs([(asns[0], asns[1])])
 
 
 class TestY1731:

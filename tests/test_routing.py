@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GeneratorConfig
-from repro.exceptions import RoutingError
-from repro.routing.bgp import ASGraph, RealizationKind, RouteSelector
+from repro.exceptions import ConfigurationError, RoutingError
+from repro.routing.bgp import ASGraph, EdgeRealization, RealizationKind, RouteSelector
 from repro.routing.forwarding import ForwardingSimulator
 from repro.topology.entities import InterfaceKind
 from repro.topology.generator import WorldGenerator
@@ -132,6 +132,34 @@ def _reference_adjacency(world):
     return neighbours
 
 
+def _reference_realizations(world):
+    """The pairwise build: one realization list per directed adjacent pair.
+
+    Every co-member pair at an IXP holds that IXP's one shared crossing,
+    appended after the pair's transit and private realizations.
+    """
+    realizations = defaultdict(list)
+
+    def add_edge(a, b, realization):
+        realizations[(a, b)].append(realization)
+        realizations[(b, a)].append(realization)
+
+    transit = EdgeRealization(kind=RealizationKind.TRANSIT)
+    for asn in world.ases:
+        for provider in world.relationships.providers_of(asn):
+            add_edge(asn, provider, transit)
+    for index, link in enumerate(world.private_links):
+        add_edge(link.asn_a, link.asn_b, EdgeRealization(
+            kind=RealizationKind.PRIVATE, private_link_index=index))
+    for ixp_id in world.ixps:
+        crossing = EdgeRealization(kind=RealizationKind.IXP, ixp_id=ixp_id)
+        asns = sorted({m.asn for m in world.active_memberships(ixp_id)})
+        for i, a in enumerate(asns):
+            for b in asns[i + 1:]:
+                add_edge(a, b, crossing)
+    return realizations
+
+
 def _reference_bfs_tree(adjacency, source_asn, stop_at):
     parents = {}
     visited = {source_asn}
@@ -232,6 +260,58 @@ class TestReferenceEquivalence:
                     _reference_select_path(tiny_world, adjacency, source, destination))
 
 
+@pytest.fixture(scope="module")
+def small_world(small_study):
+    """The shared small study's world (seed 11)."""
+    return small_study.world
+
+
+@pytest.mark.parametrize("world_fixture", ["tiny_world", "small_world"])
+class TestRealizationsMatchPairwiseReference:
+    @pytest.fixture
+    def world(self, world_fixture, request):
+        return request.getfixturevalue(world_fixture)
+
+    def test_every_adjacent_pair_in_both_directions(self, world):
+        graph = ASGraph(world)
+        reference = _reference_realizations(world)
+        crossing_of = {}
+        pairs = 0
+        for a in graph._asns:
+            for b in graph.neighbours(a):
+                expected = reference.get((a, b), [])
+                found = graph.realizations(a, b)
+                assert found and found == expected, (a, b)
+                for realization in found:
+                    if realization.kind is RealizationKind.IXP:
+                        shared = crossing_of.setdefault(realization.ixp_id, realization)
+                        assert realization is shared
+                assert graph.common_ixps(a, b) == sorted(
+                    r.ixp_id for r in expected if r.kind is RealizationKind.IXP)
+                pairs += 1
+        assert pairs == sum(1 for key in reference if key[0] != key[1])
+        assert pairs == 2 * graph.edge_count
+
+    def test_self_non_adjacent_and_unknown_pairs_are_empty(self, world):
+        graph = ASGraph(world)
+        asns = graph._asns
+        a = asns[0]
+        stranger = next(b for b in asns[1:] if not graph.has_edge(a, b))
+        member = next(m.asn for m in world.active_memberships() if m.asn in graph._ixp_bits)
+        for x, y in [(a, stranger), (stranger, a), (member, member), (a, a),
+                     (1, a), (a, 1), (1, 2)]:
+            assert graph.realizations(x, y) == []
+            assert graph.common_ixps(x, y) == []
+
+    def test_non_adjacent_expansion_names_both_ases(self, world):
+        graph = ASGraph(world)
+        a = graph._asns[0]
+        stranger = next(b for b in graph._asns[1:] if not graph.has_edge(a, b))
+        simulator = ForwardingSimulator(world, graph, rng=random.Random(5))
+        with pytest.raises(RoutingError, match=rf"AS{a}\b.*AS{stranger}\b"):
+            simulator.traceroute_along([a, stranger], simulator.destination_ip_for(stranger))
+
+
 class TestForwarding:
     def test_traceroute_reaches_destination(self, simulator, tiny_world):
         asns = sorted(tiny_world.ases)
@@ -290,6 +370,16 @@ class TestForwarding:
     def test_empty_as_path_rejected(self, simulator):
         with pytest.raises(RoutingError):
             simulator.traceroute_along([], "100.0.0.1")
+
+    def test_graph_of_another_world_rejected(self, tiny_world, tiny_world_alt):
+        with pytest.raises(RoutingError, match="same world"):
+            ForwardingSimulator(tiny_world, ASGraph(tiny_world_alt))
+
+    @pytest.mark.parametrize("name", ["hot_potato_compliance", "hop_loss_rate", "ixp_preference"])
+    @pytest.mark.parametrize("value", [-0.01, 1.01])
+    def test_probability_outside_unit_interval_rejected(self, tiny_world, graph, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ForwardingSimulator(tiny_world, graph, **{name: value})
 
     def test_hop_loss_produces_missing_hops(self, tiny_world, graph):
         simulator = ForwardingSimulator(tiny_world, graph, rng=random.Random(4),

@@ -2,9 +2,11 @@
 
 The traceroute corpus and the world's memberships are pure functions of the
 seed, so any change to route selection, hop expansion, RTT sampling or the
-order of RNG draws shows up as a changed digest here.  The digests were
-recorded with the sorted-neighbour-list BFS the routing layer started from;
-a speed-up must leave them untouched.
+order of RNG draws shows up as a changed digest here.  The tiny and small
+digests were recorded with the sorted-neighbour-list BFS the routing layer
+started from, and the default ones with the pairwise realization lists the
+graph kept before it derived IXP crossings from member bitmasks; a speed-up
+must leave them untouched.
 """
 
 from __future__ import annotations
@@ -13,8 +15,23 @@ import hashlib
 
 import pytest
 
+from repro.config import ExperimentConfig, GeneratorConfig
+from repro.study import RemotePeeringStudy
+
+
+@pytest.fixture(scope="module")
+def default_study() -> RemotePeeringStudy:
+    """The default-scale study (seed 20180901); only its world and corpus are built."""
+    return RemotePeeringStudy(ExperimentConfig(generator=GeneratorConfig(seed=20180901)))
+
+
 #: Digests per study fixture: corpus paths, corpus hops, world memberships.
 EXPECTED = {
+    "default_study": {
+        "paths": "51fd9e46df2dc3efa10b47c0b3071aee149fe18d96605a97fce05e3c25cdc619",
+        "hops": "1b0fa09c62fb9fefc9a057c41947292e2003919a39534dc205d6c6acc300980f",
+        "memberships": "1d192a5a79bab5e1dab42895416c77d34a5eadb5d979431b0591cd17498b8df9",
+    },
     "tiny_study": {
         "paths": "6616c60577cc5787a2e1d1da0fbe8f0e14d75d7bf125ff816da045d2bac48576",
         "hops": "257d025cf9bc876f5a28c2f30572d1c1f767123b4de8be003de2b4fd3c48791e",
