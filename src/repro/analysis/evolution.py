@@ -33,13 +33,6 @@ class EvolutionSeries:
     cumulative_departures: list[int] = field(default_factory=list)
 
     @property
-    def net_growth(self) -> int:
-        """Members gained between the first and last month."""
-        if not self.active_members:
-            return 0
-        return self.active_members[-1] - self.active_members[0]
-
-    @property
     def total_joins(self) -> int:
         """Members that joined after the first month."""
         if not self.cumulative_joins:

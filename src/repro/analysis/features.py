@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.analysis.ecdf import ECDF
 from repro.core.types import InferenceReport
 from repro.datasources.merge import ObservedDataset
-from repro.topology.entities import TrafficLevel
 
 
 @dataclass
@@ -119,17 +118,6 @@ class MemberFeatureAnalysis:
                 medians[label] = ECDF.from_values(values).median
         return medians
 
-    def user_populations_by_class(self) -> dict[str, list[int]]:
-        """Estimated user populations per member class."""
-        result: dict[str, list[int]] = {"local": [], "remote": [], "hybrid": []}
-        for asn, label in self.member_classes().items():
-            if label not in result:
-                continue
-            population = self.dataset.user_populations.get(asn)
-            if population is not None:
-                result[label].append(population)
-        return result
-
     def top_countries_by_class(self, top: int = 5) -> dict[str, list[tuple[str, float]]]:
         """Most common headquarters countries per member class (with shares)."""
         result: dict[str, list[tuple[str, float]]] = {}
@@ -149,11 +137,3 @@ class MemberFeatureAnalysis:
             result[label] = [(country, count / total)
                              for country, count in counter.most_common(top)]
         return result
-
-    # ------------------------------------------------------------------ #
-    # Traffic-level helper for rendering Fig. 11b style tables
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def traffic_level_labels() -> list[str]:
-        """Ordered labels of the traffic buckets."""
-        return [level.value for level in TrafficLevel]

@@ -10,15 +10,13 @@ modules the engine executes (``repro.core``, ``repro.geo`` and
 
 * ``nondeterministic-call`` — calls into ``time``/``random``/``os.urandom``/
   ``uuid``/``secrets``, and any call reached through ``numpy.random`` (under
-  whichever alias the module imports numpy — ``numpy``, ``np`` or the geo
-  kernel's optional ``_np``).  Seeded :class:`random.Random` *construction*
-  is allowed (the simulation layer threads explicit RNGs through parameters,
-  which is the deterministic idiom); calling module-level functions that
-  share hidden global state is not.  Plain numpy array arithmetic is fine —
-  the vectorised geometry kernel deliberately restricts itself to elementwise
-  ufuncs that are bit-identical to their scalar counterparts (and routes
-  ``atan2`` through ``frompyfunc(math.atan2)`` where they are not); only the
-  ``numpy.random`` namespace is stateful.
+  whichever alias the module imports numpy — ``numpy``, ``np`` or the
+  optional-import handle ``_np``).  Seeded :class:`random.Random`
+  *construction* is allowed (the simulation layer threads explicit RNGs
+  through parameters, which is the deterministic idiom); calling
+  module-level functions that share hidden global state is not.  Plain
+  numpy array arithmetic is fine; only the ``numpy.random`` namespace is
+  stateful.
 * ``unordered-iteration`` — a ``for`` loop directly over a set literal, set
   comprehension or ``set()``/``frozenset()`` call.  Iteration order of sets
   is insertion-and-hash dependent, so any ordered output fed from such a
@@ -61,8 +59,9 @@ _NONDETERMINISTIC_MODULES: dict[str, frozenset[str] | None] = {
 #: RNG object seeded by the caller is the idiom the simulation layer uses.
 _ALLOWED_RANDOM_ATTRS: frozenset[str] = frozenset({"Random"})
 
-#: Names numpy is imported under in the covered modules.  The geo kernel
-#: binds its optional import to ``_np`` so the fallback stays importable.
+#: Names numpy is imported under.  ``_np`` is the optional-import handle:
+#: the corpus detector (``repro.traixroute.detector``) binds numpy to it so
+#: its per-path fallback stays importable without numpy.
 _NUMPY_ALIASES: frozenset[str] = frozenset({"numpy", "np", "_np"})
 
 

@@ -68,9 +68,9 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
    as they already had to treat `PipelineOutcome` fields under the shared
    ``GeoDistanceIndex``.
 
-:class:`StepResultCache` optionally enforces an LRU entry/byte budget so
-unbounded scenario sweeps cannot grow the cache without limit;
-:meth:`PipelineEngine.cache_eviction_stats` exposes the accounting.
+:class:`StepResultCache` is unbounded: it keeps every result it stores, so it
+grows with the distinct step keys an engine's runs create (configurations,
+studied IXP sets and dataset revisions) until ``cache.clear()``.
 
 Execution is serial: :meth:`PipelineEngine.run` computes each studied IXP's
 per-IXP chain in ``ixp_ids`` order, then the global nodes.  The per-IXP layer
@@ -82,9 +82,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import sys
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from threading import Lock
 from typing import Any, Callable, NamedTuple, Sequence, cast
 
@@ -287,38 +285,10 @@ _SPECS: dict[str, StepSpec] = {spec.name: spec for spec in STEP_GRAPH}
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters for one step label."""
+    """Hit/miss counters for one step label."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-
-
-def _estimate_size(value: object, _seen: set[int] | None = None) -> int:
-    """Rough deep size of a cached step result, in bytes.
-
-    Walks tuples/lists/dicts/sets and dataclass fields (the shapes step
-    results are made of), counting every shared object once.  An estimate is
-    all the byte budget needs — the goal is proportional accounting, not
-    exact accounting.
-    """
-    if _seen is None:
-        _seen = set()
-    marker = id(value)
-    if marker in _seen:
-        return 0
-    _seen.add(marker)
-    size = sys.getsizeof(value)
-    if isinstance(value, dict):
-        for key, item in value.items():
-            size += _estimate_size(key, _seen) + _estimate_size(item, _seen)
-    elif isinstance(value, (tuple, list, set, frozenset)):
-        for item in value:
-            size += _estimate_size(item, _seen)
-    elif is_dataclass(value) and not isinstance(value, type):
-        for spec in fields(value):
-            size += _estimate_size(getattr(value, spec.name), _seen)
-    return size
 
 
 class StepResultCache:
@@ -333,98 +303,34 @@ class StepResultCache:
     identity is deliberately not part of the key because an engine is bound
     to one bundle for its lifetime.
 
-    ``max_entries`` / ``max_bytes`` cap the cache with least-recently-used
-    eviction (the ROADMAP's unbounded-sweep concern): every hit refreshes an
-    entry's recency, inserts evict the coldest entries until the budget
-    holds, and evictions are tallied per step label in :attr:`stats` (an
-    evicted entry is charged to the label that inserted it).  Byte
-    accounting uses a rough deep-size estimate computed once per insert.
-    Each budget must be ``None`` (unbounded) or a positive ``int``; anything
-    else raises :class:`InferenceError` at construction.
-
     Safe to share between concurrent caller threads: lookups and inserts are
     serialised by a lock; concurrent misses on the same key compute
     duplicates (idempotent by construction) and keep the first stored value.
     """
 
-    def __init__(
-        self,
-        *,
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
-        for name, budget in (("max_entries", max_entries), ("max_bytes", max_bytes)):
-            if budget is not None and (
-                    isinstance(budget, bool) or not isinstance(budget, int)
-                    or budget < 1):
-                raise InferenceError(
-                    f"{name} must be a positive int or None, got {budget!r}")
-        # key -> (value, label, byte estimate); ordered oldest-used first.
-        self._entries: OrderedDict[str, tuple[object, str, int]] = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: dict[str, object] = {}
         # Serialises lookups and inserts from concurrent caller threads.
         self._lock = Lock()
         self.stats: dict[str, CacheStats] = {}
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.total_bytes = 0
 
     def get_or_compute(self, label: str, key: str, compute: Callable[[], object]) -> object:
         """The cached value for ``key``, computing (and storing) it if absent."""
         with self._lock:
             stats = self.stats.setdefault(label, CacheStats())
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
+            if key in self._entries:
                 stats.hits += 1
-                return entry[0]
+                return self._entries[key]
         value = compute()
-        size = _estimate_size(value) if self.max_bytes is not None else 0
         with self._lock:
             stats.misses += 1
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-            self._entries[key] = (value, label, size)
-            self.total_bytes += size
-            self._evict_over_budget()
-            return value
-
-    def _evict_over_budget(self) -> None:
-        """Drop least-recently-used entries until the budget holds (locked).
-
-        The most recently inserted entry is never evicted: a single result
-        larger than the whole byte budget must still be returned (and is
-        simply dropped on the next insert).
-        """
-        while len(self._entries) > 1 and (
-            (self.max_entries is not None and len(self._entries) > self.max_entries)
-            or (self.max_bytes is not None and self.total_bytes > self.max_bytes)
-        ):
-            _, (_, label, size) = self._entries.popitem(last=False)
-            self.total_bytes -= size
-            self.stats.setdefault(label, CacheStats()).evictions += 1
-
-    def eviction_stats(self) -> dict[str, object]:
-        """Budget/eviction accounting snapshot (entries, bytes, per-label)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "total_bytes": self.total_bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "evictions": sum(s.evictions for s in self.stats.values()),
-                "evictions_by_step": {
-                    label: s.evictions for label, s in self.stats.items() if s.evictions
-                },
-            }
+            return self._entries.setdefault(key, value)
 
     def clear(self) -> None:
         """Drop every entry (required if the inputs were mutated directly)."""
         with self._lock:
             self._entries.clear()
             self.stats.clear()
-            self.total_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -605,34 +511,19 @@ class PipelineEngine:
         *,
         delay_model: DelayModel | None = None,
         geo_index: GeoDistanceIndex | None = None,
-        cache: StepResultCache | None = None,
-        cache_max_entries: int | None = None,
-        cache_max_bytes: int | None = None,
     ) -> None:
         self.inputs = inputs
         self.delay_model = delay_model or DelayModel()
         if geo_index is not None and geo_index.dataset is not inputs.dataset:
             raise InferenceError("geo_index must be built over the same dataset")
         self.geo_index = geo_index if geo_index is not None else inputs.geo_index
-        if cache is None:
-            cache = StepResultCache(
-                max_entries=cache_max_entries, max_bytes=cache_max_bytes)
-        elif cache_max_entries is not None or cache_max_bytes is not None:
-            # A shared cache keeps its own budget; silently dropping the
-            # kwargs would misreport what bounds the sweep.
-            raise InferenceError(
-                "cache budgets must be set on the shared cache itself")
-        self.cache = cache
+        self.cache = StepResultCache()
         # Per-path corpus detection, maintained incrementally across
         # journalled prefix revisions (created on the first traceroute node);
         # the lock makes the lazy creation build-once when concurrent caller
         # threads run the engine.
         self._corpus_detection: CorpusDetectionIndex | None = None
         self._detection_lock = Lock()
-
-    def cache_eviction_stats(self) -> dict[str, object]:
-        """The step-result cache's LRU budget accounting (ROADMAP open item)."""
-        return self.cache.eviction_stats()
 
     # ------------------------------------------------------------------ #
     def run(self, config: InferenceConfig, ixp_ids: Sequence[str]) -> PipelineOutcome:

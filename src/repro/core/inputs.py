@@ -15,7 +15,6 @@ from repro.alias.midar import AliasResolver
 from repro.datasources.merge import ObservedDataset
 from repro.datasources.prefix2as import Prefix2ASMap
 from repro.exceptions import InferenceError
-from repro.geo.coordinates import GeoPoint
 from repro.geo.distindex import GeoDistanceIndex
 from repro.measurement.results import PingCampaignResult, TracerouteCorpus
 
@@ -55,20 +54,3 @@ class InferenceInputs:
     def interfaces_for(self, ixp_id: str) -> dict[str, int]:
         """IP -> ASN for the members of one IXP, as observed."""
         return self.dataset.interfaces_of_ixp(ixp_id)
-
-    def vantage_point_locations(self) -> list[GeoPoint]:
-        """Deduplicated vantage-point locations, in vantage-point-id order.
-
-        The geometry hot path (Steps 3/4) measures every feasibility ring
-        from a vantage point's location, so these are exactly the origin
-        points worth bulk-prebuilding into the geo index
-        (:meth:`~repro.geo.distindex.GeoDistanceIndex.prebuild`) before a
-        cold run that will touch most (point, facility) pairs anyway.
-        """
-        locations: list[GeoPoint] = []
-        seen: set[GeoPoint] = set()
-        for _vp_id, vantage_point in sorted(self.ping_result.vantage_points.items()):
-            if vantage_point.location not in seen:
-                seen.add(vantage_point.location)
-                locations.append(vantage_point.location)
-        return locations

@@ -18,10 +18,9 @@ the colocation/capacity/location setters) records a typed
 bumps the matching domain generation, and patches the derived indexes
 incrementally where possible — so continuous feed refreshes re-key exactly
 the consumers they can affect instead of tearing every cache down.
-:class:`DatasetMerger` itself writes through these mutators, which makes
-*re-merging* updated snapshots into an existing dataset
-(:meth:`DatasetMerger.merge` with ``into=``) emit a journal of the actual
-differences.
+:class:`DatasetMerger` itself writes through these mutators, resolving each
+key to its preferred value before writing, so a merge journals exactly one
+``ADD`` record per key.
 """
 
 from __future__ import annotations
@@ -506,10 +505,10 @@ class ObservedDataset(Versioned):
 class DatasetMerger:
     """Merges source snapshots with the paper's preference order.
 
-    All writes go through the dataset's journal-emitting mutators, so a merge
-    into an *existing* dataset (``merge(into=dataset)`` — the continuous
-    feed-refresh path) emits a journal of exactly the records that actually
-    changed, letting every downstream index patch itself incrementally.
+    All writes go through the dataset's journal-emitting mutators, and each
+    key is resolved before it is written, so the new dataset's journal holds
+    one ``ADD`` record per key and no lower-preference value is ever written
+    only to be replaced.
     """
 
     def __init__(self, snapshots: list[SourceSnapshot]) -> None:
@@ -518,19 +517,9 @@ class DatasetMerger:
         self.snapshots = snapshots
         self._by_source = {snapshot.source: snapshot for snapshot in snapshots}
 
-    def merge(
-        self, into: ObservedDataset | None = None
-    ) -> tuple[ObservedDataset, MergeStatistics]:
-        """Merge every snapshot into one observed dataset plus Table 1 stats.
-
-        ``into`` re-merges onto an existing dataset: records that resolve to
-        their current values are no-ops (no generation bump), and only the
-        true differences enter the journal.  Records absent from the new
-        snapshots are *not* retracted — the sources are additive views, and
-        retraction semantics belong to the caller (use the ``remove_*``
-        mutators).
-        """
-        dataset = into if into is not None else ObservedDataset()
+    def merge(self) -> tuple[ObservedDataset, MergeStatistics]:
+        """Merge every snapshot into one new observed dataset plus Table 1 stats."""
+        dataset = ObservedDataset()
         statistics = MergeStatistics()
 
         ordered = [s for s in SOURCE_PREFERENCE if s in self._by_source]
@@ -590,10 +579,9 @@ class DatasetMerger:
         statistics.total_interfaces = len(dataset.interface_ixp)
 
     def _merge_facilities(self, dataset: ObservedDataset, sources: list[SourceName]) -> None:
-        # Resolve each key to its final value *before* writing: a re-merge
-        # into an existing dataset must be a generation no-op for keys whose
-        # resolved value is unchanged, so intermediate lower-preference
-        # values may never touch the mutators.
+        # Resolve each key to its final value *before* writing, so
+        # intermediate lower-preference values never touch the mutators and
+        # the journal records one ADD per key.
         # PeeringDB provides the base coordinates; Inflect corrections win.
         resolved: dict[str, GeoPoint] = {}
         for source in (SourceName.PCH, SourceName.PDB, SourceName.HE, SourceName.WEBSITE):

@@ -101,21 +101,9 @@ class SourceSnapshot:
     user_populations: dict[int, int] = field(default_factory=dict)
     countries: dict[int, str] = field(default_factory=dict)
 
-    def interface_map(self) -> dict[str, InterfaceRecord]:
-        """Interfaces indexed by IP (later records win, mirroring dump order)."""
-        return {record.ip: record for record in self.interfaces}
-
-    def prefix_map(self) -> dict[str, PrefixRecord]:
-        """Prefixes indexed by CIDR string."""
-        return {record.prefix: record for record in self.prefixes}
-
     def as_facility_map(self) -> dict[int, set[str]]:
         """AS -> set of facility ids, aggregated from the records."""
         result: dict[int, set[str]] = {}
         for record in self.as_facilities:
             result.setdefault(record.asn, set()).add(record.facility_id)
         return result
-
-    def port_capacity_map(self) -> dict[tuple[str, int], int]:
-        """(ixp, asn) -> capacity in Mbit/s."""
-        return {(r.ixp_id, r.asn): r.capacity_mbps for r in self.port_capacities}

@@ -11,10 +11,7 @@ does not converge.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import import_module
-from typing import Any
 
 from repro.exceptions import ConfigurationError
 
@@ -24,27 +21,14 @@ _WGS84_A = 6_378_137.0
 _WGS84_F = 1.0 / 298.257223563
 #: WGS-84 semi-minor axis (metres).
 _WGS84_B = _WGS84_A * (1.0 - _WGS84_F)
-#: Ellipsoid terms shared by the scalar and vectorised kernels.
+#: Ellipsoid terms of the final Vincenty series.
 _A2_MINUS_B2 = _WGS84_A**2 - _WGS84_B**2
 _B2 = _WGS84_B**2
-#: Degrees-to-radians factor; ``math.radians(x)`` is exactly ``x * (pi/180)``
-#: (a single multiply), so the vectorised kernel can use the multiplication
-#: form without losing bit-identity with the scalar kernel.
-_DEG2RAD = math.pi / 180.0
+#: Vincenty iterations before the haversine fallback takes over.
+_MAX_ITERATIONS = 200
 
 #: Mean Earth radius (kilometres) used by the haversine fallback.
 EARTH_RADIUS_KM = 6_371.0088
-
-#: Optional numpy handle.  The bulk kernel vectorises when numpy is
-#: importable and degrades to a scalar loop when it is not, so numpy stays
-#: an optional dependency (install ``repro[fast]`` to opt in).  Resolved via
-#: :func:`importlib.import_module` so type checkers treat the handle as
-#: dynamic whether or not numpy stubs are installed.
-_np: Any
-try:
-    _np = import_module("numpy")
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
 
 
 @dataclass(frozen=True, order=True)
@@ -94,9 +78,7 @@ def haversine_distance_km(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def geodesic_distance_km(
-    a: GeoPoint, b: GeoPoint, *, max_iterations: int = 200
-) -> float:
+def geodesic_distance_km(a: GeoPoint, b: GeoPoint) -> float:
     """Geodesic (ellipsoidal) distance between two points, in kilometres.
 
     Implements the Vincenty inverse formula on WGS-84.  Falls back to the
@@ -124,12 +106,13 @@ def geodesic_distance_km(
     sin_u2, cos_u2 = math.sin(u2), math.cos(u2)
 
     lam_current = lam
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         sin_lam = math.sin(lam_current)
         cos_lam = math.cos(lam_current)
         # Squares are written as explicit multiplications (not ``**2``):
         # libm pow() can differ from a single multiply in the last ulp, and
-        # the vectorised kernel multiplies — both paths must agree exactly.
+        # that ulp would move every pinned digest (hop RTTs derive from these
+        # distances).
         cross = cos_u2 * sin_lam
         along = cos_u1 * sin_u2 - sin_u1 * cos_u2 * cos_lam
         sin_sigma = math.sqrt(cross * cross + along * along)
@@ -189,264 +172,6 @@ def geodesic_distance_km(
     )
     distance_m = _WGS84_B * big_a * (sigma - delta_sigma)
     return distance_m / 1_000.0
-
-
-def geodesic_distances_km(
-    pairs: Sequence[tuple[GeoPoint, GeoPoint]],
-    *,
-    max_iterations: int = 200,
-) -> list[float]:
-    """Bulk :func:`geodesic_distance_km` over many endpoint pairs.
-
-    Returns one distance per input pair, in input order.  When numpy is
-    importable the Vincenty iteration runs vectorised with per-element
-    convergence masking; otherwise the scalar kernel runs in a loop.  Both
-    paths apply the same canonical endpoint ordering and are **bit-identical**
-    to calling the scalar function pair by pair (a property test enforces
-    this), so the results may feed memo dicts that the lazy scalar path
-    also fills.
-    """
-    if _np is None:
-        return [
-            geodesic_distance_km(a, b, max_iterations=max_iterations) for a, b in pairs
-        ]
-    return _vectorised_distances_km(pairs, max_iterations)
-
-
-#: Active-set floor for the vectorised iteration: once fewer lanes than
-#: this are still converging, they are finished by the scalar kernel —
-#: trivially bit-identical, and far cheaper than running near-empty numpy
-#: passes for the (near-antipodal) stragglers that take ~200 iterations.
-_SCALAR_TAIL_LANES = 64
-
-
-def _vectorised_distances_km(
-    pairs: Sequence[tuple[GeoPoint, GeoPoint]], max_iterations: int
-) -> list[float]:
-    """Vectorised Vincenty over a pair sequence; requires numpy."""
-    np = _np
-    if not pairs:
-        return []
-    lat1 = np.array([first.latitude for first, _ in pairs], dtype=np.float64)
-    lon1 = np.array([first.longitude for first, _ in pairs], dtype=np.float64)
-    lat2 = np.array([second.latitude for _, second in pairs], dtype=np.float64)
-    lon2 = np.array([second.longitude for _, second in pairs], dtype=np.float64)
-    distances: list[float] = _vincenty_lanes(
-        lat1, lon1, lat2, lon2, max_iterations
-    ).tolist()
-    return distances
-
-
-def _vincenty_lanes(
-    lat1: Any, lon1: Any, lat2: Any, lon2: Any, max_iterations: int
-) -> Any:
-    """Array-level bulk kernel: one distance per lane, as a float64 array.
-
-    The four inputs are parallel float64 arrays of endpoint coordinates
-    (``GeoDistanceIndex.prebuild`` builds them with ``repeat``/``tile``
-    instead of materialising per-pair tuples).  The iteration keeps a
-    compressed active set: every lane whose lambda converged this round has
-    its intermediates frozen (exactly the values the scalar kernel breaks
-    out of its loop with) and is retired, so the per-iteration cost tracks
-    the lanes still converging.  Lanes that hit the iteration cap fall back
-    to the scalar haversine, as in the scalar kernel's ``for ... else``.
-    """
-    np = _np
-    # Canonical endpoint order is the same field-tuple compare the
-    # order=True dataclass performs; identical pairs short-cut to 0.0
-    # exactly as the scalar kernel does.
-    total = lat1.shape[0]
-    lane_ids = np.nonzero((lat1 != lat2) | (lon1 != lon2))[0]
-    if lane_ids.size == 0:
-        return np.zeros(total, dtype=np.float64)
-    lat1 = lat1[lane_ids]
-    lon1 = lon1[lane_ids]
-    lat2 = lat2[lane_ids]
-    lon2 = lon2[lane_ids]
-    swap = (lat2 < lat1) | ((lat2 == lat1) & (lon2 < lon1))
-    a_lat = np.where(swap, lat2, lat1)
-    a_lon = np.where(swap, lon2, lon1)
-    b_lat = np.where(swap, lat1, lat2)
-    b_lon = np.where(swap, lon1, lon2)
-
-    # Per-unique-latitude setup: the reduced-latitude trigonometry depends
-    # on latitude alone, and tan/atan/sin/cos must be exactly the libm
-    # functions the scalar kernel calls (numpy's SIMD variants may differ in
-    # the last ulp), so each distinct latitude is set up once in scalar math
-    # and gathered.  Uniqueness is over the raw float64 bit patterns so that
-    # -0.0 and +0.0 keep their own (sign-preserving) setups.
-    all_lats = np.concatenate((a_lat, b_lat))
-    unique_bits, inverse = np.unique(all_lats.view(np.int64), return_inverse=True)
-    unique_lats = unique_bits.view(np.float64)
-    sin_table = np.empty(unique_lats.size, dtype=np.float64)
-    cos_table = np.empty(unique_lats.size, dtype=np.float64)
-    one_minus_f = 1.0 - _WGS84_F
-    for position, latitude in enumerate(unique_lats.tolist()):
-        u = math.atan(one_minus_f * math.tan(math.radians(latitude)))
-        sin_table[position] = math.sin(u)
-        cos_table[position] = math.cos(u)
-    lane_count = lane_ids.size
-    sin_u1 = sin_table[inverse[:lane_count]]
-    cos_u1 = cos_table[inverse[:lane_count]]
-    sin_u2 = sin_table[inverse[lane_count:]]
-    cos_u2 = cos_table[inverse[lane_count:]]
-
-    # math.radians(x) is exactly x * (pi/180), so the initial lambda can be
-    # formed with one (bit-identical) vector multiply.
-    lam0 = (b_lon - a_lon) * _DEG2RAD
-    lam = lam0.copy()
-    lanes = np.arange(lane_count)
-
-    # Loop-invariant products, hoisted with the scalar kernel's exact
-    # grouping (2.0 * x is an exact scaling, so (2.0 * sin_u1) * sin_u2
-    # keeps the same rounding as inline).
-    cu1_cu2 = cos_u1 * cos_u2
-    su1_su2 = sin_u1 * sin_u2
-    cu1_su2 = cos_u1 * sin_u2
-    su1_cu2 = sin_u1 * cos_u2
-    two_su1_su2 = (2.0 * sin_u1) * sin_u2
-
-    results = np.zeros(lane_count, dtype=np.float64)
-    done_lanes: list[Any] = []
-    done_state: list[Any] = []
-
-    def lane_points(lane: int) -> tuple[GeoPoint, GeoPoint]:
-        # Already in canonical order, so the scalar kernel's own swap is a
-        # no-op and its result matches the original pair's bit for bit.
-        return (
-            GeoPoint(float(a_lat[lane]), float(a_lon[lane])),
-            GeoPoint(float(b_lat[lane]), float(b_lon[lane])),
-        )
-
-    for _ in range(max_iterations):
-        if lanes.size < _SCALAR_TAIL_LANES:
-            # Straggler tail: finish the few remaining lanes with the
-            # scalar kernel (bit-identical by construction) instead of
-            # running ~200 near-empty vector passes for them.
-            for lane in lanes.tolist():
-                a, b = lane_points(lane)
-                results[lane] = geodesic_distance_km(
-                    a, b, max_iterations=max_iterations
-                )
-            lanes = lanes[:0]
-            break
-        sin_lam = np.sin(lam)
-        cos_lam = np.cos(lam)
-        cross = cos_u2 * sin_lam
-        along = cu1_su2 - su1_cu2 * cos_lam
-        sin_sigma = np.sqrt(cross * cross + along * along)
-        coincident = sin_sigma == 0.0
-        cos_sigma = su1_su2 + cu1_cu2 * cos_lam
-        # Exact libm atan2 per lane (numpy's SIMD arctan2 differs in the
-        # last ulp for some inputs); map() over flat memoryviews is the
-        # cheapest way to reach math.atan2 from vector code.
-        sigma = np.fromiter(
-            map(math.atan2, memoryview(sin_sigma), memoryview(cos_sigma)),
-            np.float64,
-            count=sin_sigma.size,
-        )
-        # The coincident/equatorial guards are rare (identical points were
-        # already short-cut; both-on-equator needs two zero latitudes), so
-        # the masked divisors are only materialised when a mask fires.
-        if coincident.any():
-            sin_alpha = cu1_cu2 * sin_lam / np.where(coincident, 1.0, sin_sigma)
-        else:
-            sin_alpha = cu1_cu2 * sin_lam / sin_sigma
-        cos_sq_alpha = 1.0 - sin_alpha * sin_alpha
-        equatorial = cos_sq_alpha == 0.0
-        if equatorial.any():
-            cos_2sigma_m = np.where(
-                equatorial,
-                0.0,
-                cos_sigma - two_su1_su2 / np.where(equatorial, 1.0, cos_sq_alpha),
-            )
-        else:
-            cos_2sigma_m = cos_sigma - two_su1_su2 / cos_sq_alpha
-        c = (
-            _WGS84_F
-            / 16.0
-            * cos_sq_alpha
-            * (4.0 + _WGS84_F * (4.0 - 3.0 * cos_sq_alpha))
-        )
-        lam_new = lam0 + (1.0 - c) * _WGS84_F * sin_alpha * (
-            sigma
-            + c
-            * sin_sigma
-            * (
-                cos_2sigma_m
-                + c * cos_sigma * (-1.0 + 2.0 * (cos_2sigma_m * cos_2sigma_m))
-            )
-        )
-        converged = np.abs(lam_new - lam) < 1e-12
-        retiring = coincident | converged
-        if retiring.any():
-            # Coincident lanes retire with distance 0.0 (results is zeroed).
-            finished = converged & ~coincident
-            if finished.any():
-                done_lanes.append(lanes[finished])
-                done_state.append(
-                    (
-                        sin_sigma[finished],
-                        cos_sigma[finished],
-                        sigma[finished],
-                        cos_sq_alpha[finished],
-                        cos_2sigma_m[finished],
-                    )
-                )
-            keep = ~retiring
-            lanes = lanes[keep]
-            cos_u2 = cos_u2[keep]
-            cu1_cu2 = cu1_cu2[keep]
-            su1_su2 = su1_su2[keep]
-            cu1_su2 = cu1_su2[keep]
-            su1_cu2 = su1_cu2[keep]
-            two_su1_su2 = two_su1_su2[keep]
-            lam0 = lam0[keep]
-            lam = lam_new[keep]
-            if lanes.size == 0:
-                break
-        else:
-            lam = lam_new
-
-    # Lanes that never converged: haversine, as in the scalar for/else.
-    for lane in lanes.tolist():
-        a, b = lane_points(lane)
-        results[lane] = haversine_distance_km(a, b)
-
-    if done_lanes:
-        done_ids = np.concatenate(done_lanes)
-        sin_sigma = np.concatenate([state[0] for state in done_state])
-        cos_sigma = np.concatenate([state[1] for state in done_state])
-        sigma = np.concatenate([state[2] for state in done_state])
-        cos_sq_alpha = np.concatenate([state[3] for state in done_state])
-        cos_2sigma_m = np.concatenate([state[4] for state in done_state])
-        u_sq = cos_sq_alpha * _A2_MINUS_B2 / _B2
-        big_a = 1.0 + u_sq / 16384.0 * (
-            4096.0 + u_sq * (-768.0 + u_sq * (320.0 - 175.0 * u_sq))
-        )
-        big_b = u_sq / 1024.0 * (256.0 + u_sq * (-128.0 + u_sq * (74.0 - 47.0 * u_sq)))
-        delta_sigma = (
-            big_b
-            * sin_sigma
-            * (
-                cos_2sigma_m
-                + big_b
-                / 4.0
-                * (
-                    cos_sigma * (-1.0 + 2.0 * (cos_2sigma_m * cos_2sigma_m))
-                    - big_b
-                    / 6.0
-                    * cos_2sigma_m
-                    * (-3.0 + 4.0 * (sin_sigma * sin_sigma))
-                    * (-3.0 + 4.0 * (cos_2sigma_m * cos_2sigma_m))
-                )
-            )
-        )
-        results[done_ids] = _WGS84_B * big_a * (sigma - delta_sigma) / 1_000.0
-
-    full = np.zeros(total, dtype=np.float64)
-    full[lane_ids] = results
-    return full
 
 
 def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:

@@ -141,10 +141,6 @@ class DelayModel:
         fitted = self.v_min_coefficient_km_s * (math.log(distance_km) - 3.0)
         return max(self.v_min_floor_km_s, fitted)
 
-    def v_max_km_s_for(self, distance_km: float) -> float:
-        """Upper bound on the effective end-to-end speed (constant)."""
-        return self.v_max_km_s
-
     # ------------------------------------------------------------------ #
     # RTT bounds for a known distance
     # ------------------------------------------------------------------ #

@@ -58,19 +58,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 from threading import RLock
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.geo import coordinates
-from repro.geo.coordinates import (
-    GeoPoint,
-    _vincenty_lanes,
-    geodesic_distance_km,
-    geodesic_distances_km,
-)
+from repro.geo.coordinates import GeoPoint, geodesic_distance_km
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (merge imports geo)
     from repro.datasources.merge import ObservedDataset
@@ -302,193 +294,6 @@ class GeoDistanceIndex:
         with self._sync_lock:
             self._pair_km[key] = distance
         return distance
-
-    def prebuild(
-        self, points: Iterable[GeoPoint] = (), *, include_pairs: bool = True
-    ) -> int:
-        """Bulk-fill the point/pair distance memos for the given points.
-
-        Computes every missing (point, facility) distance for ``points`` and
-        (when ``include_pairs``) every missing located-facility-pair distance
-        in one vectorised pass (:func:`geodesic_distances_km`; scalar loop
-        without numpy), and stores them into the same memo dicts the lazy
-        per-call path fills.  The bulk kernel is bit-identical to the scalar
-        kernel by contract, so a prebuilt index is observationally equivalent
-        to a cold one — only faster.  Returns the number of entries added.
-
-        On a cold index with numpy available, the endpoint arrays are built
-        structurally (``repeat``/``tile`` over the small point and facility
-        coordinate vectors, ``triu_indices`` for the pair block) and the keys
-        with C-speed ``itertools`` — no per-pair tuples or membership checks
-        — feeding the array-level kernel directly.  A partially warm index
-        takes the generic filtered path instead.
-
-        Facilities referenced by IXP/AS footprints but without coordinates
-        get their ``None`` point-miss entries prefilled too (profiles probe
-        every footprint facility).  Unlocated *pair* entries are left to the
-        lazy path — spans touch far fewer pairs than profiles touch points.
-        """
-        self._sync()
-        dataset = self._dataset
-        footprint: set[str] = set(dataset.facility_locations)
-        for facilities in dataset.ixp_facilities.values():
-            footprint.update(facilities)
-        for facilities in dataset.as_facilities.values():
-            footprint.update(facilities)
-        located: list[tuple[str, GeoPoint]] = []
-        unlocated: list[str] = []
-        for facility_id in sorted(footprint):
-            location = dataset.facility_location(facility_id)
-            if location is None:
-                unlocated.append(facility_id)
-            else:
-                located.append((facility_id, location))
-
-        dedup_points: list[GeoPoint] = []
-        seen: set[GeoPoint] = set()
-        for point in points:
-            if point not in seen:
-                seen.add(point)
-                dedup_points.append(point)
-
-        point_memo = self._point_km
-        pair_memo = self._pair_km
-        if coordinates._np is not None and not point_memo and not pair_memo and located:
-            return self._prebuild_cold_arrays(
-                dedup_points, located, unlocated, include_pairs
-            )
-
-        point_keys: list[tuple[GeoPoint, str]] = []
-        misses: list[tuple[GeoPoint, str]] = []
-        tasks: list[tuple[GeoPoint, GeoPoint]] = []
-        for point in dedup_points:
-            for facility_id, location in located:
-                key = (point, facility_id)
-                if key not in point_memo:
-                    point_keys.append(key)
-                    tasks.append((point, location))
-            for facility_id in unlocated:
-                key = (point, facility_id)
-                if key not in point_memo:
-                    misses.append(key)
-
-        pair_keys: list[tuple[str, str]] = []
-        if include_pairs:
-            # Self-pairs included: span lookups over overlapping footprints
-            # memoise (f, f) too, and prebuild must cover every key the lazy
-            # path would fill.
-            for index, (facility_a, location_a) in enumerate(located):
-                for facility_b, location_b in located[index:]:
-                    pair_key = (facility_a, facility_b)
-                    if pair_key not in pair_memo:
-                        pair_keys.append(pair_key)
-                        tasks.append((location_a, location_b))
-
-        distances = geodesic_distances_km(tasks)
-        added = 0
-        with self._sync_lock:
-            for position, key in enumerate(point_keys):
-                if key not in point_memo:
-                    point_memo[key] = distances[position]
-                    added += 1
-            for key in misses:
-                if key not in point_memo:
-                    point_memo[key] = None
-                    added += 1
-            offset = len(point_keys)
-            for position, pair_key in enumerate(pair_keys):
-                if pair_key not in pair_memo:
-                    pair_memo[pair_key] = distances[offset + position]
-                    added += 1
-        return added
-
-    def _prebuild_cold_arrays(
-        self,
-        dedup_points: list[GeoPoint],
-        located: list[tuple[str, GeoPoint]],
-        unlocated: list[str],
-        include_pairs: bool,
-    ) -> int:
-        """Cold-memo prebuild through the array-level kernel (numpy only).
-
-        Both memos were observed empty, so no per-key filtering is needed:
-        the endpoint arrays are assembled structurally and the results
-        stored in one bulk update per memo.  A concurrent lazy fill racing
-        this path is handled by re-checking under the lock — first store
-        wins, exactly like the generic path.
-        """
-        np = coordinates._np
-        located_ids = [facility_id for facility_id, _ in located]
-        fac_lat = np.array(
-            [location.latitude for _, location in located], dtype=np.float64
-        )
-        fac_lon = np.array(
-            [location.longitude for _, location in located], dtype=np.float64
-        )
-
-        blocks: list[tuple[Any, Any, Any, Any]] = []
-        point_keys: list[tuple[GeoPoint, str]] = []
-        if dedup_points:
-            pt_lat = np.array(
-                [point.latitude for point in dedup_points], dtype=np.float64
-            )
-            pt_lon = np.array(
-                [point.longitude for point in dedup_points], dtype=np.float64
-            )
-            blocks.append(
-                (
-                    np.repeat(pt_lat, len(located)),
-                    np.repeat(pt_lon, len(located)),
-                    np.tile(fac_lat, len(dedup_points)),
-                    np.tile(fac_lon, len(dedup_points)),
-                )
-            )
-            # product() iterates point-major, matching repeat/tile order.
-            point_keys = list(product(dedup_points, located_ids))
-
-        pair_keys: list[tuple[str, str]] = []
-        if include_pairs:
-            # Row-major upper triangle (diagonal included: self-pairs are
-            # memoised by span lookups too) — the same order
-            # combinations_with_replacement() yields the key tuples in.
-            rows, cols = np.triu_indices(len(located))
-            blocks.append((fac_lat[rows], fac_lon[rows], fac_lat[cols], fac_lon[cols]))
-            pair_keys = list(combinations_with_replacement(located_ids, 2))
-
-        lanes = [np.concatenate([block[axis] for block in blocks]) for axis in range(4)]
-        distances: list[float] = _vincenty_lanes(
-            lanes[0], lanes[1], lanes[2], lanes[3], 200
-        ).tolist()
-        point_values = distances[: len(point_keys)]
-        pair_values = distances[len(point_keys) :]
-
-        point_memo = self._point_km
-        pair_memo = self._pair_km
-        added = 0
-        with self._sync_lock:
-            if point_memo:
-                for key, value in zip(point_keys, point_values):
-                    if key not in point_memo:
-                        point_memo[key] = value
-                        added += 1
-            else:
-                point_memo.update(zip(point_keys, point_values))
-                added += len(point_keys)
-            for point in dedup_points:
-                for facility_id in unlocated:
-                    key = (point, facility_id)
-                    if key not in point_memo:
-                        point_memo[key] = None
-                        added += 1
-            if pair_memo:
-                for pair_key, value in zip(pair_keys, pair_values):
-                    if pair_key not in pair_memo:
-                        pair_memo[pair_key] = value
-                        added += 1
-            else:
-                pair_memo.update(zip(pair_keys, pair_values))
-                added += len(pair_keys)
-        return added
 
     # ------------------------------------------------------------------ #
     # Sorted distance profiles (Step 3)

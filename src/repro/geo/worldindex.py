@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.geo.coordinates import geodesic_distance_km, geodesic_distances_km
+from repro.geo.coordinates import geodesic_distance_km
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.world import World
@@ -64,37 +64,6 @@ class WorldDistanceIndex:
             )
             self._pair_km[key] = distance
         return distance
-
-    def prebuild(self) -> int:
-        """Bulk-fill the memo with every ground-truth facility pair.
-
-        One vectorised pass through
-        :func:`repro.geo.coordinates.geodesic_distances_km` (scalar loop
-        without numpy); values are bit-identical to the lazy per-call path
-        by the bulk kernel's contract.  Returns the number of entries added.
-        """
-        world = self._world
-        pair_keys: list[tuple[str, str]] = []
-        tasks = []
-        facility_ids = sorted(world.facilities)
-        for index, facility_a in enumerate(facility_ids):
-            for facility_b in facility_ids[index + 1 :]:
-                key = (facility_a, facility_b)
-                if key not in self._pair_km:
-                    pair_keys.append(key)
-                    tasks.append(
-                        (
-                            world.facility_location(facility_a),
-                            world.facility_location(facility_b),
-                        )
-                    )
-        distances = geodesic_distances_km(tasks)
-        added = 0
-        for key, distance in zip(pair_keys, distances):
-            if key not in self._pair_km:
-                self._pair_km[key] = distance
-                added += 1
-        return added
 
     def __len__(self) -> int:
         """Number of memoised facility pairs (mainly for tests)."""

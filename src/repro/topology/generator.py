@@ -24,7 +24,6 @@ from repro.constants import (
     CAPACITY_GE,
     FRACTIONAL_CAPACITIES,
 )
-from repro.exceptions import TopologyError
 from repro.geo.cities import WORLD_CITIES, City
 from repro.geo.coordinates import geodesic_distance_km, offset_point
 from repro.geo.regions import region_for_country
@@ -915,12 +914,3 @@ class WorldGenerator:
                 self._world.routed_prefixes[str(prefix)] = asn
         for asn, block in self._plan.infrastructure_blocks().items():
             self._world.infrastructure_prefixes[str(block)] = asn
-
-    # ------------------------------------------------------------------ #
-    # Introspection helpers used by tests
-    # ------------------------------------------------------------------ #
-    def planned_remote_fraction(self, ixp_id: str) -> float:
-        """The remote fraction the generator targeted for one IXP."""
-        if ixp_id not in self._ixp_remote_fraction:
-            raise TopologyError(f"unknown IXP {ixp_id!r}")
-        return self._ixp_remote_fraction[ixp_id]

@@ -16,8 +16,6 @@ import enum
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
 
 
@@ -43,13 +41,21 @@ class RelationshipEdge:
 
 
 class ASRelationshipGraph:
-    """Holds c2p / p2p edges and answers cone and neighbour queries."""
+    """Holds c2p / p2p edges and answers cone and neighbour queries.
+
+    Each relationship lives in insertion-ordered ``dict[int, dict[int, None]]``
+    neighbour maps, one key per AS in registration order and one inner key
+    per neighbour in edge-insertion order.  Iteration order is behaviour:
+    the sets returned below are built from those orders (``ASGraph._build``
+    walks them) and :meth:`edges` feeds the CAIDA snapshot.
+    """
 
     def __init__(self) -> None:
-        # Directed graph with provider -> customer edges.
-        self._transit = nx.DiGraph()
-        # Undirected graph for p2p edges.
-        self._peering = nx.Graph()
+        # provider -> customers, customer -> providers, AS -> peers; every
+        # registered AS has a key in all three.
+        self._customers: dict[int, dict[int, None]] = {}
+        self._providers: dict[int, dict[int, None]] = {}
+        self._peers: dict[int, dict[int, None]] = {}
         self._cone_cache: dict[int, frozenset[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -57,8 +63,10 @@ class ASRelationshipGraph:
     # ------------------------------------------------------------------ #
     def add_asn(self, asn: int) -> None:
         """Register an AS even if it has no relationships yet."""
-        self._transit.add_node(asn)
-        self._peering.add_node(asn)
+        if asn not in self._customers:
+            self._customers[asn] = {}
+            self._providers[asn] = {}
+            self._peers[asn] = {}
 
     def add_customer_provider(self, customer: int, provider: int) -> None:
         """Record that ``customer`` buys transit from ``provider``."""
@@ -66,7 +74,8 @@ class ASRelationshipGraph:
             raise TopologyError(f"AS{customer} cannot be its own provider")
         self.add_asn(customer)
         self.add_asn(provider)
-        self._transit.add_edge(provider, customer)
+        self._customers[provider][customer] = None
+        self._providers[customer][provider] = None
         self._cone_cache.clear()
 
     def add_peering(self, asn_a: int, asn_b: int) -> None:
@@ -75,33 +84,32 @@ class ASRelationshipGraph:
             raise TopologyError(f"AS{asn_a} cannot peer with itself")
         self.add_asn(asn_a)
         self.add_asn(asn_b)
-        self._peering.add_edge(asn_a, asn_b)
+        self._peers[asn_a][asn_b] = None
+        self._peers[asn_b][asn_a] = None
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+    # The sets below are built from ``keys()`` views, one insert at a time:
+    # ``set(a_dict)`` presizes its table instead and can iterate in another
+    # order.
+
     @property
     def asns(self) -> set[int]:
         """All registered ASNs."""
-        return set(self._transit.nodes)
+        return set(self._customers.keys())
 
     def providers_of(self, asn: int) -> set[int]:
         """Direct transit providers of an AS."""
-        if asn not in self._transit:
-            return set()
-        return set(self._transit.predecessors(asn))
+        return set(self._providers.get(asn, {}).keys())
 
     def customers_of(self, asn: int) -> set[int]:
         """Direct customers of an AS."""
-        if asn not in self._transit:
-            return set()
-        return set(self._transit.successors(asn))
+        return set(self._customers.get(asn, {}).keys())
 
     def peers_of(self, asn: int) -> set[int]:
         """Settlement-free peers of an AS."""
-        if asn not in self._peering:
-            return set()
-        return set(self._peering.neighbors(asn))
+        return set(self._peers.get(asn, {}).keys())
 
     def relationship_between(self, asn_a: int, asn_b: int) -> str | None:
         """Return the relationship from ``asn_a``'s point of view.
@@ -110,17 +118,17 @@ class ASRelationshipGraph:
         if ``asn_a`` is a provider of ``asn_b``, ``"p2p"`` for settlement-free
         peering, or ``None`` if the two ASes have no direct relationship.
         """
-        if self._transit.has_edge(asn_b, asn_a):
+        if self.is_provider_of(asn_b, asn_a):
             return "c2p"
-        if self._transit.has_edge(asn_a, asn_b):
+        if self.is_provider_of(asn_a, asn_b):
             return "p2c"
-        if self._peering.has_edge(asn_a, asn_b):
+        if asn_b in self._peers.get(asn_a, {}):
             return "p2p"
         return None
 
     def is_provider_of(self, provider: int, customer: int) -> bool:
         """True if ``provider`` sells transit to ``customer``."""
-        return self._transit.has_edge(provider, customer)
+        return customer in self._customers.get(provider, {})
 
     # ------------------------------------------------------------------ #
     # Customer cones
@@ -133,7 +141,7 @@ class ASRelationshipGraph:
         """
         if asn in self._cone_cache:
             return self._cone_cache[asn]
-        if asn not in self._transit:
+        if asn not in self._customers:
             cone = frozenset({asn})
             self._cone_cache[asn] = cone
             return cone
@@ -141,7 +149,7 @@ class ASRelationshipGraph:
         queue: deque[int] = deque([asn])
         while queue:
             current = queue.popleft()
-            for customer in self._transit.successors(current):
+            for customer in self._customers[current]:
                 if customer not in visited:
                     visited.add(customer)
                     queue.append(customer)
@@ -161,27 +169,64 @@ class ASRelationshipGraph:
     # Export / sanity
     # ------------------------------------------------------------------ #
     def edges(self) -> list[RelationshipEdge]:
-        """Return every relationship as a list of records (CAIDA-dump style)."""
+        """Return every relationship as a list of records (CAIDA-dump style).
+
+        Transit records come provider-major (providers in registration
+        order, each provider's customers in insertion order); each peering
+        comes once, from whichever endpoint was registered first.
+        """
         records: list[RelationshipEdge] = []
-        for provider, customer in self._transit.edges:
-            records.append(
-                RelationshipEdge(
-                    first_asn=customer,
-                    second_asn=provider,
-                    relationship=Relationship.CUSTOMER_TO_PROVIDER,
+        for provider, customers in self._customers.items():
+            for customer in customers:
+                records.append(
+                    RelationshipEdge(
+                        first_asn=customer,
+                        second_asn=provider,
+                        relationship=Relationship.CUSTOMER_TO_PROVIDER,
+                    )
                 )
-            )
-        for a, b in self._peering.edges:
-            records.append(
-                RelationshipEdge(first_asn=a, second_asn=b, relationship=Relationship.PEER_TO_PEER)
-            )
+        listed: set[int] = set()
+        for a, peers in self._peers.items():
+            for b in peers:
+                if b not in listed:
+                    records.append(
+                        RelationshipEdge(
+                            first_asn=a,
+                            second_asn=b,
+                            relationship=Relationship.PEER_TO_PEER,
+                        )
+                    )
+            listed.add(a)
         return records
 
     def validate_acyclic(self) -> None:
-        """Ensure the transit hierarchy has no customer/provider cycles."""
-        if not nx.is_directed_acyclic_graph(self._transit):
-            cycle = nx.find_cycle(self._transit)
-            raise TopologyError(f"transit hierarchy contains a cycle: {cycle}")
+        """Ensure the transit hierarchy has no customer/provider cycles.
+
+        A depth-first walk down provider->customer edges; an edge back into
+        the current walk closes a cycle, which the error names as its
+        ``(provider, customer)`` edges.
+        """
+        finished: set[int] = set()
+        for root in self._customers:
+            if root in finished:
+                continue
+            # The walk's path (insertion-ordered) and one iterator per level.
+            path: dict[int, None] = {root: None}
+            pending = [iter(self._customers[root])]
+            while pending:
+                for customer in pending[-1]:
+                    if customer in path:
+                        nodes = list(path)
+                        cycle = nodes[nodes.index(customer) :] + [customer]
+                        edges = list(zip(cycle, cycle[1:]))
+                        raise TopologyError(f"transit hierarchy contains a cycle: {edges}")
+                    if customer not in finished:
+                        path[customer] = None
+                        pending.append(iter(self._customers[customer]))
+                        break
+                else:
+                    finished.add(path.popitem()[0])
+                    pending.pop()
 
     def degree_summary(self) -> dict[int, dict[str, int]]:
         """Per-AS neighbour counts, useful for analysis and tests."""

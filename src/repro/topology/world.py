@@ -153,22 +153,10 @@ class World:
         except KeyError as exc:
             raise UnknownEntityError(f"no membership for interface {interface_ip!r}") from exc
 
-    def memberships_of_as(self, asn: int) -> list[IXPMembership]:
-        """Every IXP membership held by one AS."""
-        return [m for m in self.memberships if m.asn == asn]
-
     def active_memberships(self, ixp_id: str | None = None) -> list[IXPMembership]:
         """Memberships that have not departed, optionally restricted to one IXP."""
         pool = self.members_of(ixp_id) if ixp_id is not None else self.memberships
         return [m for m in pool if m.departed_month is None]
-
-    def private_links_of(self, asn: int) -> list[PrivateLink]:
-        """Every private interconnection one AS takes part in."""
-        return [link for link in self.private_links if link.involves(asn)]
-
-    def private_links_in_facility(self, facility_id: str) -> list[PrivateLink]:
-        """Every private interconnection hosted by one facility."""
-        return [link for link in self.private_links if link.facility_id == facility_id]
 
     def routers_of_as(self, asn: int) -> list[Router]:
         """Every router owned by one AS."""
@@ -177,10 +165,6 @@ class World:
     def prefixes_of_as(self, asn: int) -> list[str]:
         """Prefixes originated by one AS."""
         return list(self._prefixes_by_asn.get(asn, []))
-
-    def ground_truth_is_remote(self, interface_ip: str) -> bool:
-        """Ground-truth remoteness label for an IXP-LAN interface."""
-        return self.membership_for_interface(interface_ip).is_remote
 
     def ixps_by_member_count(self) -> list[IXP]:
         """IXPs ordered by decreasing number of members."""

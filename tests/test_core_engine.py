@@ -17,7 +17,6 @@ from repro.core.baseline import RTTBaseline
 from repro.core.engine import (
     STEP_GRAPH,
     PipelineEngine,
-    StepResultCache,
     StepScope,
     SweepRunner,
 )
@@ -323,7 +322,7 @@ class TestEngineValidation:
     def test_cache_clear_recomputes(self, tiny_study):
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, cache=StepResultCache())
+            geo_index=tiny_study.geo_index)
         config = tiny_study.config.inference
         first = engine.run(config, tiny_study.studied_ixp_ids)
         assert len(engine.cache) > 0

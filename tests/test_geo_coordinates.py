@@ -1,6 +1,7 @@
 """Unit tests for geographic coordinates and geodesic distances."""
 
 import math
+import random
 
 import pytest
 
@@ -87,6 +88,83 @@ class TestDistances:
         assert geodesic_distance_km(a, c) <= (
             geodesic_distance_km(a, b) + geodesic_distance_km(b, c) + 1e-6
         )
+
+
+def _edge_case_pairs() -> list[tuple[GeoPoint, GeoPoint]]:
+    """A deterministic grid concentrated on the Vincenty kernel's hard regions."""
+    rng = random.Random(20260807)
+    pairs: list[tuple[GeoPoint, GeoPoint]] = []
+    # Broad seeded coverage.
+    for _ in range(300):
+        pairs.append((
+            GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)),
+            GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)),
+        ))
+    # Identical points: the coincident short-circuit.
+    for _ in range(20):
+        point = GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+        pairs.append((point, point))
+    # Equatorial pairs: cos_sq_alpha == 0 guards the 0/0 division.
+    for _ in range(40):
+        pairs.append((
+            GeoPoint(0.0, rng.uniform(-180.0, 180.0)),
+            GeoPoint(0.0, rng.uniform(-180.0, 180.0)),
+        ))
+    # Near-antipodal and exactly antipodal: slow/failed convergence.
+    for _ in range(40):
+        lat = rng.uniform(-89.0, 89.0)
+        lon = rng.uniform(-179.0, 179.0)
+        wobble_lat = rng.uniform(-0.01, 0.01)
+        wobble_lon = rng.uniform(-0.01, 0.01)
+        anti_lon = lon + 180.0 if lon < 0.0 else lon - 180.0
+        pairs.append((
+            GeoPoint(lat, lon),
+            GeoPoint(
+                max(-90.0, min(90.0, -lat + wobble_lat)),
+                max(-180.0, min(180.0, anti_lon + wobble_lon)),
+            ),
+        ))
+    pairs.append((GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)))
+    pairs.append((GeoPoint(0.0, 0.0), GeoPoint(0.0, 179.999999)))
+    pairs.append((GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0)))
+    # Tiny separations: first-iteration convergence.
+    for _ in range(30):
+        lat = rng.uniform(-89.0, 89.0)
+        lon = rng.uniform(-179.0, 179.0)
+        pairs.append((
+            GeoPoint(lat, lon),
+            GeoPoint(lat + rng.uniform(-1e-7, 1e-7),
+                     lon + rng.uniform(-1e-7, 1e-7)),
+        ))
+    # Signed zero: -0.0 == 0.0, but the sign survives the trigonometry.
+    pairs.append((GeoPoint(-0.0, 10.0), GeoPoint(0.0, 20.0)))
+    pairs.append((GeoPoint(0.0, -0.0), GeoPoint(-0.0, 0.0)))
+    # Swapped duplicates: the canonical endpoint ordering must make the
+    # result independent of argument order.
+    for a, b in rng.sample(pairs, 100):
+        pairs.append((b, a))
+    return pairs
+
+
+class TestEdgeCaseGrid:
+    """The kernel's contract over its hard regions, which random draws rarely hit."""
+
+    def test_symmetry_is_exact(self):
+        for a, b in _edge_case_pairs():
+            assert geodesic_distance_km(a, b) == geodesic_distance_km(b, a), (a, b)
+
+    def test_identical_points_are_zero_apart(self):
+        pairs = _edge_case_pairs()
+        assert sum(a == b for a, b in pairs) >= 20
+        for a, b in pairs:
+            assert geodesic_distance_km(a, a) == 0.0, a
+            if a == b:
+                assert geodesic_distance_km(a, b) == 0.0, (a, b)
+
+    def test_distances_are_finite_and_non_negative(self):
+        for a, b in _edge_case_pairs():
+            distance = geodesic_distance_km(a, b)
+            assert math.isfinite(distance) and distance >= 0.0, (a, b)
 
 
 class TestOffsetAndMidpoint:

@@ -117,74 +117,6 @@ class TestIndexMatchesDirectComputation:
         assert index.common_facility_span_km(65002, IXP_ID) is None  # no shared facility
 
 
-class TestPrebuild:
-    def test_prebuild_matches_lazy_fills_bit_exactly(self):
-        scenario, vp = _measured_scenario()
-        dataset = scenario.dataset
-        lazy = GeoDistanceIndex(dataset)
-        # Exercise every lookup family so the lazy memos fill completely.
-        for facility_id in dataset.facility_locations:
-            lazy.facility_distance_km(vp.location, facility_id)
-        for asn in dataset.as_facilities:
-            lazy.as_profile(vp.location, asn)
-            lazy.as_ixp_span_km(asn, IXP_ID)
-        lazy.ixp_profile(vp.location, IXP_ID)
-
-        prebuilt = GeoDistanceIndex(dataset)
-        added = prebuilt.prebuild([vp.location])
-        assert added > 0
-        # Every lazily filled distance is present and bit-identical.
-        for key, value in lazy._point_km.items():
-            assert prebuilt._point_km[key] == value
-        for key, value in lazy._pair_km.items():
-            assert prebuilt._pair_km[key] == value
-
-    def test_second_prebuild_adds_nothing(self):
-        scenario, vp = _measured_scenario()
-        index = GeoDistanceIndex(scenario.dataset)
-        assert index.prebuild([vp.location]) > 0
-        assert index.prebuild([vp.location]) == 0
-
-    def test_unlocated_facilities_prefill_point_misses(self):
-        scenario, vp = _measured_scenario()
-        scenario.dataset.as_facilities[65001].add("fac-ghost")
-        index = GeoDistanceIndex(scenario.dataset)
-        index.prebuild([vp.location])
-        assert index._point_km[(vp.location, "fac-ghost")] is None
-        assert index.facility_distance_km(vp.location, "fac-ghost") is None
-
-    def test_prebuilt_index_is_observationally_equivalent(self):
-        scenario, vp = _measured_scenario()
-        dataset = scenario.dataset
-        cold = GeoDistanceIndex(dataset)
-        warm = GeoDistanceIndex(dataset)
-        warm.prebuild([vp.location])
-        for asn in dataset.as_facilities:
-            assert warm.as_profile(vp.location, asn) == cold.as_profile(
-                vp.location, asn)
-            assert warm.as_ixp_span_km(asn, IXP_ID) == cold.as_ixp_span_km(
-                asn, IXP_ID)
-        assert warm.ixp_profile(vp.location, IXP_ID) == cold.ixp_profile(
-            vp.location, IXP_ID)
-
-    def test_world_index_prebuild_matches_lazy_pairs(self):
-        from repro.geo.worldindex import WorldDistanceIndex
-
-        scenario, _ = _measured_scenario()
-        world = scenario.world
-        lazy = WorldDistanceIndex(world)
-        facility_ids = sorted(world.facilities)
-        expected = {}
-        for i, fa in enumerate(facility_ids):
-            for fb in facility_ids[i + 1:]:
-                expected[(fa, fb)] = lazy.facility_pair_km(fa, fb)
-        prebuilt = WorldDistanceIndex(world)
-        added = prebuilt.prebuild()
-        assert added == len(expected)
-        assert prebuilt._pair_km == expected
-        assert prebuilt.prebuild() == 0
-
-
 class TestDistanceProfile:
     def test_within_is_inclusive_on_both_bounds(self):
         profile = DistanceProfile(distances=(1.0, 2.0, 3.0, 4.0),

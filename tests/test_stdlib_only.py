@@ -1,0 +1,34 @@
+"""The package runs on the standard library alone.
+
+``pyproject.toml`` declares no dependencies, so the quickstart must run, with
+the same output, when networkx cannot be imported.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Runs the script named by its first argument with networkx unimportable.
+_WITHOUT_NETWORKX = (
+    "import runpy, sys; sys.modules['networkx'] = None; "
+    "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+)
+
+
+def _quickstart(*interpreter_args: str) -> str:
+    result = subprocess.run(
+        [sys.executable, *interpreter_args, "examples/quickstart.py",
+         "--scale", "tiny", "--seed", "7"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_quickstart_output_is_unchanged_without_networkx():
+    assert _quickstart("-c", _WITHOUT_NETWORKX) == _quickstart()

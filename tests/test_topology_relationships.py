@@ -98,6 +98,15 @@ class TestValidationAndExport:
         with pytest.raises(TopologyError):
             graph.validate_acyclic()
 
+    def test_cycle_error_names_its_edges(self):
+        graph = ASRelationshipGraph()
+        graph.add_customer_provider(customer=2, provider=1)
+        graph.add_customer_provider(customer=3, provider=2)
+        graph.add_customer_provider(customer=1, provider=3)
+        graph.add_customer_provider(customer=4, provider=1)
+        with pytest.raises(TopologyError, match=r"cycle: \[\(2, 3\), \(3, 1\), \(1, 2\)\]$"):
+            graph.validate_acyclic()
+
     def test_edges_export_covers_all_relationships(self, simple_hierarchy):
         edges = simple_hierarchy.edges()
         c2p = [e for e in edges if e.relationship is Relationship.CUSTOMER_TO_PROVIDER]

@@ -3,8 +3,8 @@
 Covers the :mod:`repro.versioning` primitives, the incremental LPM delta
 path, the journal-emitting dataset mutators (including the historical
 size-guard trap: in-place replacement at unchanged size), the selective
-eviction of the geodesic-distance index, the step-result cache's LRU/byte
-budget and the engine's cross-revision step reuse.
+eviction of the geodesic-distance index and the engine's cross-revision step
+reuse.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ExperimentConfig
-from repro.core.engine import PipelineEngine, StepResultCache
+from repro.core.engine import PipelineEngine
 from repro.core.inputs import InferenceInputs
 from repro.datasources.merge import (
     DOMAIN_FACILITY_LOCATIONS,
@@ -271,59 +271,31 @@ class TestDatasetMutators:
         assert dataset.domain_token(DOMAIN_FACILITY_LOCATIONS) == location_token
 
 
-class TestRemerge:
-    def _snapshots(self, tiny_world, noise=None):
+class TestMergeJournal:
+    def test_fresh_merge_journals_only_additions(self, tiny_world):
+        from repro.config import DataSourceNoiseConfig
         from repro.datasources.hurricane import HurricaneElectricSource
         from repro.datasources.inflect import InflectSource
         from repro.datasources.ixp_websites import IXPWebsiteSource
+        from repro.datasources.merge import DatasetMerger
         from repro.datasources.pch import PacketClearingHouseSource
         from repro.datasources.peeringdb import PeeringDBSource
 
-        return [
-            IXPWebsiteSource(tiny_world, noise).snapshot(),
-            HurricaneElectricSource(tiny_world, noise).snapshot(),
-            PeeringDBSource(tiny_world, noise).snapshot(),
-            PacketClearingHouseSource(tiny_world, noise).snapshot(),
-            InflectSource(tiny_world, noise).snapshot(),
-        ]
-
-    def test_remerging_identical_snapshots_is_a_generation_noop(self, tiny_world):
-        from repro.config import DataSourceNoiseConfig
-        from repro.datasources.merge import DatasetMerger
-
         # Noise creates conflicting records (e.g. PDB coordinates corrected
-        # by Inflect), so this also pins that the merge resolves each key
-        # *before* writing — intermediate lower-preference values must never
-        # reach the journal-emitting mutators.
+        # by Inflect), so this pins that the merge resolves each key *before*
+        # writing: a lower-preference value that reached the mutators would
+        # be replaced later and journal a REPLACE.
         noise = DataSourceNoiseConfig()
-        snapshots = self._snapshots(tiny_world, noise)
+        snapshots = [
+            source(tiny_world, noise).snapshot()
+            for source in (IXPWebsiteSource, HurricaneElectricSource, PeeringDBSource,
+                           PacketClearingHouseSource, InflectSource)
+        ]
         dataset, _ = DatasetMerger(snapshots).merge()
-        dataset.ixp_for_ip(next(iter(dataset.interface_ixp)))  # warm the LAN view
-        generation = dataset.generation
-        remerged, _ = DatasetMerger(
-            self._snapshots(tiny_world, noise)).merge(into=dataset)
-        assert remerged is dataset
-        assert dataset.generation == generation, (
-            "an idempotent feed refresh must not invalidate a single cache")
-
-    def test_remerge_emits_only_the_actual_differences(self, tiny_world):
-        from repro.datasources.merge import DOMAIN_INTERFACES, DatasetMerger
-        from repro.datasources.records import InterfaceRecord
-
-        snapshots = self._snapshots(tiny_world)
-        dataset, _ = DatasetMerger(snapshots).merge()
-        generation = dataset.generation
-        refreshed = self._snapshots(tiny_world)
-        victim = refreshed[0].interfaces[0]
-        refreshed[0].interfaces[0] = InterfaceRecord(
-            ip=victim.ip, asn=victim.asn + 7, ixp_id=victim.ixp_id,
-            source=victim.source)
-        DatasetMerger(refreshed).merge(into=dataset)
-        changes = dataset.journal.since(generation)
+        changes = dataset.journal.since(0)
         assert changes is not None
-        assert [c.domain for c in changes] == [DOMAIN_INTERFACES]
-        assert changes[0].key == victim.ip
-        assert dataset.interface_asn[victim.ip] == victim.asn + 7
+        assert len(changes) == 1426
+        assert {change.kind for change in changes} == {ChangeKind.ADD}
 
 
 class TestGeoSelectiveEviction:
@@ -652,59 +624,6 @@ def _apply_edit(dataset, prefix2as, corpus, name, args):
 def _under_any(ip: str, prefixes: list[str]) -> bool:
     address = ipaddress.ip_address(ip)
     return any(address in ipaddress.ip_network(prefix) for prefix in prefixes)
-
-
-class TestStepResultCacheBudget:
-    def test_lru_entry_budget_evicts_coldest(self):
-        cache = StepResultCache(max_entries=2)
-        cache.get_or_compute("s", "k1", lambda: "v1")
-        cache.get_or_compute("s", "k2", lambda: "v2")
-        cache.get_or_compute("s", "k1", lambda: "v1")  # refresh k1's recency
-        cache.get_or_compute("s", "k3", lambda: "v3")  # evicts k2, not k1
-        assert len(cache) == 2
-        hits_before = cache.stats["s"].hits
-        cache.get_or_compute("s", "k1", lambda: "rebuilt")
-        assert cache.stats["s"].hits == hits_before + 1
-        cache.get_or_compute("s", "k2", lambda: "rebuilt")
-        assert cache.stats["s"].misses == 4
-        assert cache.stats["s"].evictions >= 1
-
-    def test_byte_budget_and_stats_snapshot(self):
-        cache = StepResultCache(max_bytes=1)
-        cache.get_or_compute("a", "k1", lambda: ("x",) * 100)
-        # The most recent entry survives even when it alone exceeds the
-        # budget; the next insert evicts it.
-        assert len(cache) == 1
-        cache.get_or_compute("b", "k2", lambda: ("y",) * 100)
-        assert len(cache) == 1
-        stats = cache.eviction_stats()
-        assert stats["entries"] == 1
-        assert stats["evictions"] == 1
-        assert stats["evictions_by_step"] == {"a": 1}
-        assert stats["max_bytes"] == 1
-        assert stats["total_bytes"] > 0
-
-    def test_unbudgeted_cache_never_evicts(self):
-        cache = StepResultCache()
-        for index in range(100):
-            cache.get_or_compute("s", f"k{index}", lambda: index)
-        assert len(cache) == 100
-        assert cache.eviction_stats()["evictions"] == 0
-
-    @pytest.mark.parametrize("budget", ["max_entries", "max_bytes"])
-    @pytest.mark.parametrize("value", [0, -1, -3, 2.5, True, "10"])
-    def test_invalid_budget_rejected_at_construction(self, budget, value):
-        from repro.exceptions import InferenceError
-
-        with pytest.raises(InferenceError, match=budget):
-            StepResultCache(**{budget: value})
-
-    def test_budget_kwargs_with_explicit_cache_are_rejected(self, revision_study):
-        from repro.exceptions import InferenceError
-
-        with pytest.raises(InferenceError):
-            PipelineEngine(
-                revision_study.inputs, cache=StepResultCache(), cache_max_entries=5)
 
 
 @pytest.fixture(scope="module")
