@@ -1,6 +1,6 @@
 """Static contract checker for the reproduction pipeline.
 
-Four rule families police the contracts the runtime machinery relies on
+Three rule families police the contracts the runtime machinery relies on
 but cannot itself see:
 
 1. **Step-declaration completeness** (:mod:`repro.contracts.stepdecl`) —
@@ -8,10 +8,6 @@ but cannot itself see:
    fields, dataset domains and versioned inputs it declares; the
    declarations feed the step-result cache keys, so an undeclared read is a
    stale-cache bug and an unused declaration is a spurious invalidation.
-2. **Mutation discipline** (:mod:`repro.contracts.mutation`) — the backing
-   collections of :class:`~repro.versioning.Versioned` containers may only
-   be mutated from their own modules, where the journal-emitting mutators
-   live.
 3. **Read-only outcomes** (:mod:`repro.contracts.readonly`) — replayed
    :class:`~repro.core.engine.PipelineOutcome` values are shared by the
    cache and must not be mutated by experiment/analysis/validation code.
@@ -21,7 +17,11 @@ but cannot itself see:
    hit is only a proof of reusability if recomputation would be
    bit-identical.
 
-The numbers are stable names the docs refer to; there is no rule 4.
+The numbers are stable names the docs refer to.  There is no rule 4 (the
+lock-discipline rule went with the thread executor) and no rule 2 (mutation
+discipline): the dataset, campaign and result containers expose read-only
+collections, so the runtime refuses the direct writes rule 2 used to
+approximate over the AST.
 
 Run it three ways: ``python -m repro.contracts`` (the CLI, wired into CI),
 ``tests/test_contracts.py`` (tier-1, over the live tree and over seeded-bug
@@ -43,7 +43,6 @@ from repro.contracts.model import (
     parse_waivers,
 )
 from repro.contracts.determinism import check_determinism
-from repro.contracts.mutation import check_mutation_discipline
 from repro.contracts.readonly import check_readonly_outcomes
 from repro.contracts.stepdecl import check_step_declarations
 from repro.contracts.tree import SourceTree
@@ -56,7 +55,6 @@ __all__ = [
     "Waiver",
     "apply_waivers",
     "check_determinism",
-    "check_mutation_discipline",
     "check_readonly_outcomes",
     "check_step_declarations",
     "collect_violations",
@@ -66,10 +64,9 @@ __all__ = [
 
 
 def collect_violations(tree: SourceTree) -> list[Violation]:
-    """All four rule families over one tree, in a stable order."""
+    """All three rule families over one tree, in a stable order."""
     violations: list[Violation] = []
     violations.extend(check_step_declarations(tree))
-    violations.extend(check_mutation_discipline(tree))
     violations.extend(check_readonly_outcomes(tree))
     violations.extend(check_determinism(tree))
     return violations

@@ -60,8 +60,7 @@ DATASET_FIELD_DOMAINS: dict[str, tuple[str, ...]] = {
 }
 
 #: Dataset members that are versioning machinery, not data reads.  Mutators
-#: are listed too: *calling* one is not a read (and the mutation-discipline
-#: rule, not this table, polices where mutation may happen).
+#: are listed too: *calling* one is not a read.
 DATASET_NEUTRAL_MEMBERS: frozenset[str] = frozenset(
     {
         "generation",
@@ -71,7 +70,6 @@ DATASET_NEUTRAL_MEMBERS: frozenset[str] = frozenset(
         "domain_generation",
         "record_change",
         "bump_generation",
-        "invalidate_caches",
         "set_ixp_prefix",
         "remove_ixp_prefix",
         "set_interface",
@@ -113,7 +111,7 @@ GEO_ACCESSOR_DOMAINS: dict[str, tuple[str, ...]] = {
 }
 
 #: GeoDistanceIndex members that are plumbing, not data reads.
-GEO_NEUTRAL_MEMBERS: frozenset[str] = frozenset({"dataset", "invalidate"})
+GEO_NEUTRAL_MEMBERS: frozenset[str] = frozenset({"dataset"})
 
 #: InferenceInputs members that are versioned data inputs (their version
 #: tokens enter step cache keys, so reading one must be declared).

@@ -30,12 +30,30 @@ from __future__ import annotations
 import ast
 
 from repro.contracts.model import Violation
-from repro.contracts.mutation import MUTATING_METHODS
 from repro.contracts.tree import (
     ModuleInfo,
     SourceTree,
     annotation_text,
     walk_scope,
+)
+
+#: Method calls that mutate a dict / list / set receiver in place.
+MUTATING_METHODS: frozenset[str] = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "update",
+        "setdefault",
+        "pop",
+        "popitem",
+        "clear",
+        "add",
+        "discard",
+        "remove",
+        "sort",
+        "reverse",
+    }
 )
 
 #: Annotations that mark a parameter/variable as replayed pipeline output.

@@ -5,7 +5,6 @@ exactly once and exposes the class-level facts the rules need:
 
 * every class definition with its base names, annotated fields and
   ``self.<name> = ...`` constructor fields;
-* the transitive descendants of :class:`repro.versioning.Versioned`;
 * per-module import aliasing (``from x import Y as Z``), so receivers can be
   resolved back to the classes they were constructed from.
 
@@ -21,10 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.contracts.model import ContractCheckError
-
-#: Builtin container constructors whose values make a field "mutable" for the
-#: mutation-discipline rule.
-_MUTABLE_BUILTINS = ("dict", "list", "set", "deque", "defaultdict", "Counter")
 
 
 def walk_scope(func: ast.AST) -> "list[ast.AST]":
@@ -58,37 +53,6 @@ def annotation_text(node: ast.AST | None) -> str:
         return ""
 
 
-def is_mutable_annotation(text: str) -> bool:
-    """Whether an annotation denotes a plain mutable container field."""
-    cleaned = text.strip().strip('"').strip("'")
-    return cleaned.startswith(_MUTABLE_BUILTINS) or cleaned.startswith(
-        ("Dict[", "List[", "Set[")
-    )
-
-
-def _is_mutable_default(node: ast.expr | None) -> bool:
-    """Whether a field default/value builds a mutable builtin container."""
-    if node is None:
-        return False
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in _MUTABLE_BUILTINS:
-            return True
-        # dataclasses.field(default_factory=dict) and friends.
-        if isinstance(func, ast.Name) and func.id == "field":
-            for keyword in node.keywords:
-                if keyword.arg == "default_factory":
-                    factory = keyword.value
-                    if (
-                        isinstance(factory, ast.Name)
-                        and factory.id in _MUTABLE_BUILTINS
-                    ):
-                        return True
-    return False
-
-
 @dataclass
 class ClassInfo:
     """Syntactic facts about one class definition."""
@@ -100,8 +64,6 @@ class ClassInfo:
     base_names: tuple[str, ...]
     #: field name -> annotation text ("" when the field has no annotation).
     fields: dict[str, str] = field(default_factory=dict)
-    #: fields whose annotation or default marks them as mutable containers.
-    mutable_fields: set[str] = field(default_factory=set)
 
     def method(self, name: str) -> ast.FunctionDef | None:
         """The named method's AST, if defined directly on this class."""
@@ -128,28 +90,22 @@ def _collect_class(info: ClassInfo) -> None:
         if isinstance(statement, ast.AnnAssign) and isinstance(
             statement.target, ast.Name
         ):
-            text = annotation_text(statement.annotation)
-            info.fields[statement.target.id] = text
-            if is_mutable_annotation(text) or _is_mutable_default(statement.value):
-                info.mutable_fields.add(statement.target.id)
+            info.fields[statement.target.id] = annotation_text(statement.annotation)
         elif isinstance(statement, ast.Assign):
             for target in statement.targets:
                 if isinstance(target, ast.Name):
                     info.fields.setdefault(target.id, "")
-                    if _is_mutable_default(statement.value):
-                        info.mutable_fields.add(target.id)
     for method_name in ("__init__", "__post_init__"):
         method = info.method(method_name)
         if method is None:
             continue
         for node in ast.walk(method):
             target: ast.expr | None = None
-            value: ast.expr | None = None
             annotation = ""
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
+                target = node.targets[0]
             elif isinstance(node, ast.AnnAssign):
-                target, value = node.target, node.value
+                target = node.target
                 annotation = annotation_text(node.annotation)
             if (
                 isinstance(target, ast.Attribute)
@@ -157,8 +113,6 @@ def _collect_class(info: ClassInfo) -> None:
                 and target.value.id == "self"
             ):
                 info.fields.setdefault(target.attr, annotation)
-                if is_mutable_annotation(annotation) or _is_mutable_default(value):
-                    info.mutable_fields.add(target.attr)
 
 
 class SourceTree:
@@ -176,7 +130,6 @@ class SourceTree:
         #: class name -> every definition of that name in the tree.
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
         self._parse_all()
-        self.versioned_classes = self._resolve_versioned()
 
     # ------------------------------------------------------------------ #
     def _parse_all(self) -> None:
@@ -216,27 +169,6 @@ class SourceTree:
         )
         _collect_class(info)
         self.classes_by_name.setdefault(node.name, []).append(info)
-
-    def _resolve_versioned(self) -> list[ClassInfo]:
-        """Transitive subclasses of ``Versioned``, resolved by base name."""
-        versioned_names = {"Versioned"}
-        changed = True
-        while changed:
-            changed = False
-            for name, definitions in self.classes_by_name.items():
-                if name in versioned_names:
-                    continue
-                for info in definitions:
-                    if any(base in versioned_names for base in info.base_names):
-                        versioned_names.add(name)
-                        changed = True
-                        break
-        return [
-            info
-            for name in versioned_names
-            if name != "Versioned"
-            for info in self.classes_by_name.get(name, [])
-        ]
 
     # ------------------------------------------------------------------ #
     def display_path(self, path: Path) -> str:

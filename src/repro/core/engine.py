@@ -54,13 +54,11 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
    per IXP, Step 4, Step 5), so the assembled
    :class:`~repro.core.types.InferenceReport` equals the monolith's —
    including insertion order.
-2. **Revision consistency** — the engine survives dataset revisions made
-   through the journal-emitting mutators (and campaign appends through the
-   recording mutators): the version tokens in every key guarantee a hit is
-   proof of reusability.  Mutating the inputs *directly* (raw dict pokes at
-   unchanged size) still requires ``invalidate_caches()`` on the mutated
-   container or ``cache.clear()``, exactly like the other indexed
-   subsystems.
+2. **Revision consistency** — the inputs' public collections are read-only
+   views, so every revision goes through a journal-emitting dataset mutator
+   or a recording campaign mutator, and each moves a generation: the version
+   tokens in every key guarantee a hit is proof of reusability, with no
+   manual invalidation anywhere.
 3. **Shared immutables** — outcome containers (lists, dicts) are fresh per
    run, but the objects inside (crossings, adjacencies, routers, feasibility
    analyses, evidence values) are shared with the cache and between runs
@@ -357,7 +355,7 @@ class _RecordingReport(InferenceReport):
         self.log = []
 
     def ensure(self, ixp_id: str, interface_ip: str, asn: int) -> InferenceResult:
-        if self.log is not None and (ixp_id, interface_ip) not in self.results:
+        if self.log is not None and (ixp_id, interface_ip) not in self._results:
             self.log.append(("ensure", ixp_id, interface_ip, asn))
         return super().ensure(ixp_id, interface_ip, asn)
 

@@ -30,10 +30,12 @@ class InferenceInputs:
     memoised distances.
 
     The bundle's members are generation-stamped
-    (:class:`~repro.versioning.Versioned`): the step-graph engine folds the
-    version tokens of each step's declared data into its cache keys, so one
-    bundle (and one engine) survives journalled dataset and campaign
-    revisions — steps whose declared inputs are untouched replay from cache.
+    (:class:`~repro.versioning.Versioned`) and expose only read-only
+    collections, so their mutators are the only way to revise them.  The
+    step-graph engine folds the version tokens of each step's declared data
+    into its cache keys, so one bundle (and one engine) survives every
+    dataset and campaign revision — steps whose declared inputs are
+    untouched replay from cache.
     """
 
     dataset: ObservedDataset

@@ -18,20 +18,25 @@ into one *minimum RTT observation* per (IXP, member interface):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.config import InferenceConfig
 from repro.constants import EXPECTED_INITIAL_TTLS
 from repro.core.inputs import InferenceInputs
 from repro.measurement.results import PingSeries
 from repro.measurement.vantage import VantagePoint
-from repro.versioning import GenerationGuardedIndex, Versioned
+from repro.versioning import GenerationGuardedIndex
 
 #: Reply TTLs the match/switch filters accept: the initial TTL itself (reply
 #: generated on the LAN) or one below it (reply that crossed the IXP switch).
 _ACCEPTED_REPLY_TTLS: frozenset[int] = frozenset(EXPECTED_INITIAL_TTLS) | frozenset(
     ttl - 1 for ttl in EXPECTED_INITIAL_TTLS
 )
+
+#: The empty default of every :class:`RTTCampaignSummary` table argument.
+_NO_ENTRIES: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -58,68 +63,100 @@ class RTTObservation:
     vp_id: str
 
 
-@dataclass
-class RTTCampaignSummary(Versioned):
-    """Everything Step 2 extracted from the raw ping campaign."""
+class RTTCampaignSummary:
+    """Everything Step 2 extracted from the raw ping campaign.
 
-    observations: dict[tuple[str, str], RTTObservation] = field(default_factory=dict)
-    usable_vps: dict[str, VantagePoint] = field(default_factory=dict)
-    discarded_vps: dict[str, str] = field(default_factory=dict)
-    queried_per_vp: dict[str, int] = field(default_factory=dict)
-    responsive_per_vp: dict[str, int] = field(default_factory=dict)
+    The five tables are read-only views.  :meth:`RTTMeasurementStep.run`
+    fills a fresh summary's private dicts, and :meth:`merge_from` is the
+    only writer after that; neither ever drops a key, so the observation
+    count is an exact version token for the IXP -> observation-keys index
+    behind :meth:`observations_for_ixp`
+    (:class:`~repro.versioning.GenerationGuardedIndex`).  The index stores
+    keys, so replacing an observation under an existing key stays visible
+    without a rebuild.
+    """
 
-    # Lazily built IXP -> observation-keys index, guarded by a
-    # ``(generation, len(observations))`` version token
-    # (:class:`~repro.versioning.GenerationGuardedIndex`).  The index stores
-    # keys, not observation objects, so in-place replacement of an
-    # observation under an existing key stays visible without a rebuild.
-    # Mutations that keep the size unchanged but alter the key set (delete
-    # one key, insert another) require :meth:`invalidate_caches`.
-    _keys_by_ixp: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        observations: Mapping[tuple[str, str], RTTObservation] = _NO_ENTRIES,
+        usable_vps: Mapping[str, VantagePoint] = _NO_ENTRIES,
+        discarded_vps: Mapping[str, str] = _NO_ENTRIES,
+        queried_per_vp: Mapping[str, int] = _NO_ENTRIES,
+        responsive_per_vp: Mapping[str, int] = _NO_ENTRIES,
+    ) -> None:
+        self._observations = dict(observations)
+        self._usable_vps = dict(usable_vps)
+        self._discarded_vps = dict(discarded_vps)
+        self._queried_per_vp = dict(queried_per_vp)
+        self._responsive_per_vp = dict(responsive_per_vp)
+        self._keys_by_ixp: GenerationGuardedIndex[dict[str, list[tuple[str, str]]]] = (
+            GenerationGuardedIndex())
 
-    def invalidate_caches(self) -> None:
-        """Re-key the derived index; the next accessor call rebuilds it."""
-        self.bump_generation()
+    def _tables(self) -> tuple[dict, ...]:
+        return (self._observations, self._usable_vps, self._discarded_vps,
+                self._queried_per_vp, self._responsive_per_vp)
 
-    def merge_from(self, part: "RTTCampaignSummary") -> None:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tables() == other._tables()
+
+    @property
+    def observations(self) -> Mapping[tuple[str, str], RTTObservation]:
+        """(IXP id, interface IP) -> the kept minimum-RTT observation."""
+        return MappingProxyType(self._observations)
+
+    @property
+    def usable_vps(self) -> Mapping[str, VantagePoint]:
+        """Vantage point id -> every vantage point that passed the filters."""
+        return MappingProxyType(self._usable_vps)
+
+    @property
+    def discarded_vps(self) -> Mapping[str, str]:
+        """Vantage point id -> why it was discarded."""
+        return MappingProxyType(self._discarded_vps)
+
+    @property
+    def queried_per_vp(self) -> Mapping[str, int]:
+        """Vantage point id -> interfaces it queried."""
+        return MappingProxyType(self._queried_per_vp)
+
+    @property
+    def responsive_per_vp(self) -> Mapping[str, int]:
+        """Vantage point id -> interfaces that answered it usably."""
+        return MappingProxyType(self._responsive_per_vp)
+
+    def merge_from(self, part: RTTCampaignSummary) -> None:
         """Fold another summary's entries into this one (later parts win).
 
-        This is the journal-honouring way to assemble a campaign-wide
-        summary from per-IXP parts: one generation bump covers the whole
-        merge, so the ``_keys_by_ixp`` index can never survive it stale.
+        This is how the engine assembles a campaign-wide summary from its
+        per-IXP parts.
         """
-        self.observations.update(part.observations)
-        self.usable_vps.update(part.usable_vps)
-        self.discarded_vps.update(part.discarded_vps)
-        self.queried_per_vp.update(part.queried_per_vp)
-        self.responsive_per_vp.update(part.responsive_per_vp)
-        self.bump_generation()
+        for mine, theirs in zip(self._tables(), part._tables()):
+            mine.update(theirs)
 
     def observation_for(self, ixp_id: str, interface_ip: str) -> RTTObservation | None:
         """The kept observation for one interface, if any."""
-        return self.observations.get((ixp_id, interface_ip))
+        return self._observations.get((ixp_id, interface_ip))
 
     def _build_keys_by_ixp(self) -> dict[str, list[tuple[str, str]]]:
         index: dict[str, list[tuple[str, str]]] = {}
-        for key in self.observations:
+        for key in self._observations:
             index.setdefault(key[0], []).append(key)
         return index
 
     def observations_for_ixp(self, ixp_id: str) -> list[RTTObservation]:
         """All kept observations at one IXP."""
-        index = self._keys_by_ixp.get(
-            (self.generation, len(self.observations)), self._build_keys_by_ixp)
-        observations = self.observations
-        # Tolerate keys deleted since the index was built instead of raising.
-        return [observations[key] for key in index.get(ixp_id, ()) if key in observations]
+        observations = self._observations
+        index = self._keys_by_ixp.get(len(observations), self._build_keys_by_ixp)
+        return [observations[key] for key in index.get(ixp_id, ())]
 
     def response_rate(self, vp_id: str) -> float:
         """Fraction of queried interfaces that answered a vantage point."""
-        queried = self.queried_per_vp.get(vp_id, 0)
+        queried = self._queried_per_vp.get(vp_id, 0)
         if queried == 0:
             return 0.0
-        return self.responsive_per_vp.get(vp_id, 0) / queried
+        return self._responsive_per_vp.get(vp_id, 0) / queried
 
 
 @dataclass
@@ -132,6 +169,11 @@ class RTTMeasurementStep:
     def run(self, ixp_ids: list[str]) -> RTTCampaignSummary:
         """Process the campaign for the given IXPs."""
         summary = RTTCampaignSummary()
+        # Fill the fresh summary's own dicts: nothing has read it yet.
+        observations = summary._observations
+        usable = summary._usable_vps
+        queried = summary._queried_per_vp
+        responsive = summary._responsive_per_vp
         wanted = set(ixp_ids)
         ping = self.inputs.ping_result
 
@@ -140,9 +182,9 @@ class RTTMeasurementStep:
                 continue
             reason = self._unusable_reason(vp)
             if reason is not None:
-                summary.discarded_vps[vp_id] = reason
+                summary._discarded_vps[vp_id] = reason
                 continue
-            summary.usable_vps[vp_id] = vp
+            usable[vp_id] = vp
 
         # Iterate the campaign's per-IXP series index instead of filtering
         # the full series list: the engine runs this step once per studied
@@ -150,24 +192,21 @@ class RTTMeasurementStep:
         # observation per key is unaffected by iteration order (_prefer is a
         # total order), and keys never span IXPs.  Deduplicate the requested
         # ids so a repeated id cannot double-count the per-VP tallies.
+        vantage_points = ping.vantage_points
         for ixp_id in dict.fromkeys(ixp_ids):
             for series in ping.series_for_ixp(ixp_id):
-                vp = ping.vantage_points.get(series.vp_id)
-                if vp is None or series.vp_id not in summary.usable_vps:
+                vp = vantage_points.get(series.vp_id)
+                if vp is None or series.vp_id not in usable:
                     continue
-                summary.queried_per_vp[series.vp_id] = (
-                    summary.queried_per_vp.get(series.vp_id, 0) + 1
-                )
+                queried[series.vp_id] = queried.get(series.vp_id, 0) + 1
                 observation = self._process_series(series, vp)
                 if observation is None:
                     continue
-                summary.responsive_per_vp[series.vp_id] = (
-                    summary.responsive_per_vp.get(series.vp_id, 0) + 1
-                )
+                responsive[series.vp_id] = responsive.get(series.vp_id, 0) + 1
                 key = (series.ixp_id, series.target_ip)
-                existing = summary.observations.get(key)
+                existing = observations.get(key)
                 if existing is None or self._prefer(observation, existing):
-                    summary.observations[key] = observation
+                    observations[key] = observation
         return summary
 
     @staticmethod

@@ -88,12 +88,13 @@ class ColocationRTTStep:
         """
         analyses: dict[tuple[str, str], FeasibleFacilityAnalysis] = {}
         dataset = self.inputs.dataset
+        usable_vps = rtt_summary.usable_vps
         for ixp_id in ixp_ids:
             for interface_ip, asn in sorted(dataset.interfaces_of_ixp(ixp_id).items()):
                 observation = rtt_summary.observation_for(ixp_id, interface_ip)
                 if observation is None:
                     continue
-                vp = rtt_summary.usable_vps.get(observation.vp_id)
+                vp = usable_vps.get(observation.vp_id)
                 if vp is None:
                     continue
                 analysis = self._analyse(ixp_id, interface_ip, asn, observation, vp.location)

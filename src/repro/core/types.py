@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.exceptions import InferenceError
-from repro.versioning import GenerationGuardedIndex, Versioned
+from repro.versioning import GenerationGuardedIndex
 
 
 class PeeringClassification(enum.Enum):
@@ -64,31 +66,38 @@ class InferenceResult:
         return self.classification is PeeringClassification.REMOTE
 
 
-@dataclass
-class InferenceReport(Versioned):
+class InferenceReport:
     """The collection of classifications produced by a pipeline run.
 
-    :meth:`results_for_as` and :meth:`results_for_ixp` are served from lazily
-    built key indexes guarded by ``(generation, len(results))`` version
-    tokens (:class:`~repro.versioning.GenerationGuardedIndex`): Step 4
-    queries the ASN index once per (router, IXP) combination and sweep
-    reporting queries the IXP index once per (scenario, IXP), which on a
-    corpus is far too hot for a linear scan.  The indexes store keys, so
-    in-place reclassification stays visible without a rebuild; key-set
-    changes at unchanged size require :meth:`invalidate_caches` (an opaque
-    generation bump).
+    ``results`` is a read-only view: :meth:`ensure` and :meth:`classify` are
+    the only writers, and neither ever drops a key, so the key count is an
+    exact version token.  :meth:`results_for_as` and :meth:`results_for_ixp`
+    are served from lazily built key indexes guarded by that count
+    (:class:`~repro.versioning.GenerationGuardedIndex`): Step 4 queries the
+    ASN index once per (router, IXP) combination and sweep reporting
+    queries the IXP index once per (scenario, IXP), which on a corpus is far
+    too hot for a linear scan.  The indexes store keys, so in-place
+    reclassification stays visible without a rebuild.
     """
 
-    results: dict[tuple[str, str], InferenceResult] = field(default_factory=dict)
+    def __init__(
+        self, results: Mapping[tuple[str, str], InferenceResult] = MappingProxyType({})
+    ) -> None:
+        self._results = dict(results)
+        self._as_index: GenerationGuardedIndex[dict[int, list[tuple[str, str]]]] = (
+            GenerationGuardedIndex())
+        self._ixp_index: GenerationGuardedIndex[dict[str, list[tuple[str, str]]]] = (
+            GenerationGuardedIndex())
 
-    _as_index: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
-    _ixp_index: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._results == other._results
 
-    def invalidate_caches(self) -> None:
-        """Re-key the derived indexes; the next accessor call rebuilds them."""
-        self.bump_generation()
+    @property
+    def results(self) -> Mapping[tuple[str, str], InferenceResult]:
+        """(IXP id, interface IP) -> result, in first-``ensure`` order."""
+        return MappingProxyType(self._results)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -96,9 +105,10 @@ class InferenceReport(Versioned):
     def ensure(self, ixp_id: str, interface_ip: str, asn: int) -> InferenceResult:
         """Get (or create as UNKNOWN) the result for one interface."""
         key = (ixp_id, interface_ip)
-        if key not in self.results:
-            self.results[key] = InferenceResult(ixp_id=ixp_id, interface_ip=interface_ip, asn=asn)
-        return self.results[key]
+        results = self._results
+        if key not in results:
+            results[key] = InferenceResult(ixp_id=ixp_id, interface_ip=interface_ip, asn=asn)
+        return results[key]
 
     def classify(
         self,
@@ -128,51 +138,47 @@ class InferenceReport(Versioned):
     # ------------------------------------------------------------------ #
     def result_for(self, ixp_id: str, interface_ip: str) -> InferenceResult | None:
         """The result for one interface, if tracked."""
-        return self.results.get((ixp_id, interface_ip))
+        return self._results.get((ixp_id, interface_ip))
 
     def classification_of(self, ixp_id: str, interface_ip: str) -> PeeringClassification:
         """Classification for one interface (UNKNOWN if never seen)."""
-        result = self.results.get((ixp_id, interface_ip))
+        result = self._results.get((ixp_id, interface_ip))
         return result.classification if result else PeeringClassification.UNKNOWN
 
     def _build_ixp_index(self) -> dict[str, list[tuple[str, str]]]:
         index: dict[str, list[tuple[str, str]]] = {}
-        for key in self.results:
+        for key in self._results:
             index.setdefault(key[0], []).append(key)
         return index
 
     def _build_as_index(self) -> dict[int, list[tuple[str, str]]]:
         index: dict[int, list[tuple[str, str]]] = {}
-        for key, result in self.results.items():
+        for key, result in self._results.items():
             index.setdefault(result.asn, []).append(key)
         return index
 
     def results_for_ixp(self, ixp_id: str) -> list[InferenceResult]:
         """All results at one IXP."""
-        index = self._ixp_index.get(
-            (self.generation, len(self.results)), self._build_ixp_index)
-        results = self.results
-        # Tolerate keys deleted since the index was built instead of raising.
-        return [results[key] for key in index.get(ixp_id, ()) if key in results]
+        results = self._results
+        index = self._ixp_index.get(len(results), self._build_ixp_index)
+        return [results[key] for key in index.get(ixp_id, ())]
 
     def results_for_as(self, asn: int, ixp_id: str | None = None) -> list[InferenceResult]:
         """All results for one member AS, optionally restricted to an IXP."""
-        index = self._as_index.get(
-            (self.generation, len(self.results)), self._build_as_index)
-        results = self.results
-        # Tolerate keys deleted since the index was built instead of raising.
+        results = self._results
+        index = self._as_index.get(len(results), self._build_as_index)
         return [
             results[key] for key in index.get(asn, ())
-            if key in results and (ixp_id is None or key[0] == ixp_id)
+            if ixp_id is None or key[0] == ixp_id
         ]
 
     def inferred(self) -> list[InferenceResult]:
         """Every classified (non-unknown) result."""
-        return [r for r in self.results.values() if r.is_inferred]
+        return [r for r in self._results.values() if r.is_inferred]
 
     def unknown(self) -> list[InferenceResult]:
         """Every result still lacking a classification."""
-        return [r for r in self.results.values() if not r.is_inferred]
+        return [r for r in self._results.values() if not r.is_inferred]
 
     def remote_share(self, ixp_id: str | None = None) -> float:
         """Fraction of inferred interfaces classified remote."""
@@ -186,7 +192,7 @@ class InferenceReport(Versioned):
     def coverage(self, ixp_id: str | None = None) -> float:
         """Fraction of tracked interfaces that received a classification."""
         pool = [
-            r for r in self.results.values() if ixp_id is None or r.ixp_id == ixp_id
+            r for r in self._results.values() if ixp_id is None or r.ixp_id == ixp_id
         ]
         if not pool:
             return 0.0
@@ -220,4 +226,4 @@ class InferenceReport(Versioned):
         return "hybrid"
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self._results)

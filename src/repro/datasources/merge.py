@@ -10,23 +10,28 @@ re-implements exactly that merge and produces:
   port capacities, per-AS attributes), and
 * a :class:`MergeStatistics` record that regenerates Table 1.
 
-The dataset is **generation-stamped** (:class:`~repro.versioning.Versioned`).
-Every mutation that goes through the journal-emitting mutators
+The dataset is **generation-stamped** (:class:`~repro.versioning.Versioned`)
+and has one write path: its public tables are read-only views, so every
+mutation goes through a journal-emitting mutator
 (:meth:`ObservedDataset.set_ixp_prefix`, :meth:`~ObservedDataset.set_interface`,
-the colocation/capacity/location setters) records a typed
+the colocation/capacity/location/attribute setters).  Each records a typed
 :class:`~repro.versioning.Change` under one of the :data:`DATASET_DOMAINS`,
 bumps the matching domain generation, and patches the derived indexes
 incrementally where possible — so continuous feed refreshes re-key exactly
 the consumers they can affect instead of tearing every cache down.
 :class:`DatasetMerger` itself writes through these mutators, resolving each
 key to its preferred value before writing, so a merge journals exactly one
-``ADD`` record per key.
+``ADD`` record per key; :func:`build_observed_dataset` adds the CAIDA cone
+sizes and APNIC populations through :meth:`ObservedDataset.set_attribute`.
 """
 
 from __future__ import annotations
 
+import ipaddress
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from threading import Lock
+from types import MappingProxyType
 
 from repro.datasources.records import SourceName, SourceSnapshot
 from repro.exceptions import DataSourceError
@@ -72,6 +77,18 @@ DATASET_DOMAINS: tuple[str, ...] = (
 _ATTRIBUTE_FIELDS: frozenset[str] = frozenset(
     {"traffic_levels", "user_populations", "customer_cone_sizes", "countries"}
 )
+
+#: The empty default of every :class:`ObservedDataset` table argument.
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+def _canonical_prefix(prefix: str) -> str:
+    """One spelling per LAN prefix: ``str(ipaddress.ip_network(prefix))``."""
+    try:
+        return str(ipaddress.ip_network(prefix))
+    except ValueError as error:
+        raise DataSourceError(f"invalid LAN prefix {prefix!r}: {error}") from error
+
 
 #: The domains the geometry of Steps 3-5 depends on; the
 #: :class:`~repro.geo.distindex.GeoDistanceIndex` replays exactly these.
@@ -142,100 +159,141 @@ class MergeStatistics:
         return rows
 
 
-@dataclass
 class ObservedDataset(Versioned):
     """The merged view of the world that inference and analysis consume.
 
-    The hot lookups (:meth:`ixp_for_ip`, :meth:`interfaces_of_ixp`,
-    :meth:`members_of_ixp`) are served from lazily built indexes over the
-    public dicts, guarded by ``(domain generation, size)`` version tokens
-    (:class:`~repro.versioning.GenerationGuardedIndex`).  The staleness
-    contract layers two paths:
+    The twelve tables (``ixp_prefixes`` … ``countries``) are read-only
+    ``types.MappingProxyType`` views over private dicts, and the facility
+    footprints in ``ixp_facilities`` / ``as_facilities`` are frozensets, so
+    the journal-emitting mutators (``set_*`` / ``add_*`` / ``remove_*``) are
+    the only way to change the dataset.  Each records a typed change and
+    bumps the matching domain generation; the constructor copies its
+    arguments and journals nothing.
 
-    * **journalled mutators** (``set_*`` / ``add_*`` / ``remove_*``) record a
-      typed change, bump the matching domain generation and — for the LAN
-      LPM — patch the built index incrementally, so *every* mutation through
-      them is visible immediately, including in-place value replacement at
-      unchanged size (the historical size-guard trap);
-    * **direct dict mutation** (the legacy path) keeps the legacy semantics:
-      growth and shrinkage are detected by the size half of the token, and
-      same-size edits require :meth:`invalidate_caches` (now an opaque
-      generation bump that re-keys everything).
+    The hot lookups (:meth:`ixp_for_ip`, :meth:`interfaces_of_ixp`,
+    :meth:`members_of_ixp`) are served from lazily built indexes guarded by
+    domain generations (:class:`~repro.versioning.GenerationGuardedIndex`),
+    and a LAN prefix re-map is patched straight into the built LAN LPM, so
+    every mutation is visible immediately, in-place replacement at unchanged
+    size included.  LAN prefixes are keyed by their canonical spelling
+    (``str(ipaddress.ip_network(prefix))``), as in
+    :class:`~repro.datasources.prefix2as.Prefix2ASMap`.
     """
 
-    ixp_prefixes: dict[str, str] = field(default_factory=dict)
-    interface_ixp: dict[str, str] = field(default_factory=dict)
-    interface_asn: dict[str, int] = field(default_factory=dict)
-    ixp_facilities: dict[str, set[str]] = field(default_factory=dict)
-    as_facilities: dict[int, set[str]] = field(default_factory=dict)
-    facility_locations: dict[str, GeoPoint] = field(default_factory=dict)
-    port_capacities: dict[tuple[str, int], int] = field(default_factory=dict)
-    min_physical_capacity: dict[str, int] = field(default_factory=dict)
-    traffic_levels: dict[int, TrafficLevel] = field(default_factory=dict)
-    user_populations: dict[int, int] = field(default_factory=dict)
-    customer_cone_sizes: dict[int, int] = field(default_factory=dict)
-    countries: dict[int, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        ixp_prefixes: Mapping[str, str] = _NO_ENTRIES,
+        interface_ixp: Mapping[str, str] = _NO_ENTRIES,
+        interface_asn: Mapping[str, int] = _NO_ENTRIES,
+        ixp_facilities: Mapping[str, Iterable[str]] = _NO_ENTRIES,
+        as_facilities: Mapping[int, Iterable[str]] = _NO_ENTRIES,
+        facility_locations: Mapping[str, GeoPoint] = _NO_ENTRIES,
+        port_capacities: Mapping[tuple[str, int], int] = _NO_ENTRIES,
+        min_physical_capacity: Mapping[str, int] = _NO_ENTRIES,
+        traffic_levels: Mapping[int, TrafficLevel] = _NO_ENTRIES,
+        user_populations: Mapping[int, int] = _NO_ENTRIES,
+        customer_cone_sizes: Mapping[int, int] = _NO_ENTRIES,
+        countries: Mapping[int, str] = _NO_ENTRIES,
+    ) -> None:
+        self._ixp_prefixes = {
+            _canonical_prefix(prefix): ixp_id for prefix, ixp_id in ixp_prefixes.items()
+        }
+        self._interface_ixp = dict(interface_ixp)
+        self._interface_asn = dict(interface_asn)
+        self._ixp_facilities = {k: frozenset(v) for k, v in ixp_facilities.items()}
+        self._as_facilities = {k: frozenset(v) for k, v in as_facilities.items()}
+        self._facility_locations = dict(facility_locations)
+        self._port_capacities = dict(port_capacities)
+        self._min_physical_capacity = dict(min_physical_capacity)
+        self._traffic_levels = dict(traffic_levels)
+        self._user_populations = dict(user_populations)
+        self._customer_cone_sizes = dict(customer_cone_sizes)
+        self._countries = dict(countries)
+        # Derived lookup indexes.  The LAN LPM state is one atomically
+        # swapped (token, view) tuple so a reader never observes a fresh
+        # token with a stale view.
+        self._lan_state: tuple[int, LPMIndex | LPMDeltaView] | None = None
+        self._ixp_views: GenerationGuardedIndex[dict[str, dict[str, int]]] = (
+            GenerationGuardedIndex())
+        self._ixp_members: dict[str, set[int]] = {}
+        # Serialises the lazy builds/fills of the derived state above when
+        # concurrent caller threads read the dataset (mutators stay
+        # single-threaded by contract).
+        self._view_lock = Lock()
 
-    # Derived lookup indexes; never part of equality or repr.  The LAN LPM
-    # state is one atomically swapped (token, view) tuple so a reader never
-    # observes a fresh token with a stale view.
-    _lan_state: tuple[tuple[int, int], LPMIndex | LPMDeltaView] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _ixp_views: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
-    _ixp_members: dict[str, set[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # Serialises the lazy builds/fills of the derived state above when
-    # concurrent caller threads read the dataset (journalled mutators stay
-    # single-threaded by contract and are policed by the mutation rule).
-    _view_lock: Lock = field(
-        default_factory=Lock, init=False, repr=False, compare=False)
+    # ------------------------------------------------------------------ #
+    # Read-only tables
+    # ------------------------------------------------------------------ #
+    @property
+    def ixp_prefixes(self) -> Mapping[str, str]:
+        """Canonical LAN prefix -> IXP id."""
+        return MappingProxyType(self._ixp_prefixes)
+
+    @property
+    def interface_ixp(self) -> Mapping[str, str]:
+        """Member interface IP -> IXP id."""
+        return MappingProxyType(self._interface_ixp)
+
+    @property
+    def interface_asn(self) -> Mapping[str, int]:
+        """Member interface IP -> member ASN."""
+        return MappingProxyType(self._interface_asn)
+
+    @property
+    def ixp_facilities(self) -> Mapping[str, frozenset[str]]:
+        """IXP id -> its observed facility footprint."""
+        return MappingProxyType(self._ixp_facilities)
+
+    @property
+    def as_facilities(self) -> Mapping[int, frozenset[str]]:
+        """Member ASN -> its observed facility footprint."""
+        return MappingProxyType(self._as_facilities)
+
+    @property
+    def facility_locations(self) -> Mapping[str, GeoPoint]:
+        """Facility id -> best-known coordinates."""
+        return MappingProxyType(self._facility_locations)
+
+    @property
+    def port_capacities(self) -> Mapping[tuple[str, int], int]:
+        """(IXP id, member ASN) -> observed port capacity (Mbit/s)."""
+        return MappingProxyType(self._port_capacities)
+
+    @property
+    def min_physical_capacity(self) -> Mapping[str, int]:
+        """IXP id -> the smallest physical port it sells (Mbit/s)."""
+        return MappingProxyType(self._min_physical_capacity)
+
+    @property
+    def traffic_levels(self) -> Mapping[int, TrafficLevel]:
+        """ASN -> self-reported traffic level (analysis only)."""
+        return MappingProxyType(self._traffic_levels)
+
+    @property
+    def user_populations(self) -> Mapping[int, int]:
+        """ASN -> estimated user population (analysis only)."""
+        return MappingProxyType(self._user_populations)
+
+    @property
+    def customer_cone_sizes(self) -> Mapping[int, int]:
+        """ASN -> customer cone size (analysis only)."""
+        return MappingProxyType(self._customer_cone_sizes)
+
+    @property
+    def countries(self) -> Mapping[int, str]:
+        """ASN -> registration country (analysis only)."""
+        return MappingProxyType(self._countries)
 
     # ------------------------------------------------------------------ #
     # Versioning
     # ------------------------------------------------------------------ #
-    def invalidate_caches(self) -> None:
-        """Opaquely bump the generation; every derived index re-keys.
-
-        Required only after mutating the public dicts *directly* without a
-        size change; the journal-emitting mutators never need it.
-        """
-        self.bump_generation()
-        self._lan_state = None
-        self._ixp_members = {}
-
-    def domain_token(self, domain: str) -> tuple[int, int]:
-        """``(domain generation, size hint)`` version token for one domain.
-
-        The size hint preserves the legacy automatic detection of direct
-        dict growth/shrinkage; the generation half covers every journalled
-        mutation, including same-size replacement.
-        """
-        return (self.domain_generation(domain), self._domain_size(domain))
-
-    def _domain_size(self, domain: str) -> int:
-        if domain == DOMAIN_IXP_PREFIXES:
-            return len(self.ixp_prefixes)
-        if domain == DOMAIN_INTERFACES:
-            return len(self.interface_ixp) + len(self.interface_asn)
-        if domain == DOMAIN_IXP_FACILITIES:
-            return sum(len(facilities) for facilities in self.ixp_facilities.values())
-        if domain == DOMAIN_AS_FACILITIES:
-            return sum(len(facilities) for facilities in self.as_facilities.values())
-        if domain == DOMAIN_FACILITY_LOCATIONS:
-            return len(self.facility_locations)
-        if domain == DOMAIN_CAPACITIES:
-            return len(self.port_capacities) + len(self.min_physical_capacity)
-        if domain == DOMAIN_ATTRIBUTES:
-            return (
-                len(self.traffic_levels)
-                + len(self.user_populations)
-                + len(self.customer_cone_sizes)
-                + len(self.countries)
-            )
-        # A typo in a StepSpec.data_domains declaration must fail loudly, not
-        # produce a wrong-but-valid token (mirrors config_fingerprint).
-        raise DataSourceError(f"unknown dataset domain {domain!r}")
+    def domain_token(self, domain: str) -> int:
+        """Version token of one of the :data:`DATASET_DOMAINS`: its generation."""
+        if domain not in DATASET_DOMAINS:
+            # A typo in a StepSpec.data_domains declaration must fail loudly,
+            # not produce a wrong-but-valid token (mirrors config_fingerprint).
+            raise DataSourceError(f"unknown dataset domain {domain!r}")
+        return self.domain_generation(domain)
 
     # ------------------------------------------------------------------ #
     # Journal-emitting mutators
@@ -243,112 +301,106 @@ class ObservedDataset(Versioned):
     def set_ixp_prefix(self, prefix: str, ixp_id: str) -> bool:
         """Register (or re-map) one peering-LAN prefix; True if anything changed.
 
-        A re-map at unchanged size is patched straight into the built LAN
-        LPM view (or compacts it past the overlay threshold) — no manual
-        invalidation, no full teardown.
+        A re-map is patched straight into the built LAN LPM view (or
+        compacts it past the overlay threshold); no full teardown.
         """
-        old = self.ixp_prefixes.get(prefix)
+        key = _canonical_prefix(prefix)
+        old = self._ixp_prefixes.get(key)
         if old == ixp_id:
             return False
-        kind = ChangeKind.ADD if prefix not in self.ixp_prefixes else ChangeKind.REPLACE
+        kind = ChangeKind.ADD if key not in self._ixp_prefixes else ChangeKind.REPLACE
+        self._ixp_prefixes[key] = ixp_id
+        generation = self.record_change(
+            Change(kind, DOMAIN_IXP_PREFIXES, key, old, ixp_id))
         state = self._lan_state
-        # The built view may only be patched if it is current *before* this
-        # mutation; a stale view (a direct dict poke since it was built)
-        # must be rebuilt, or the patch would stamp missing entries as fresh.
-        before_token = self.domain_token(DOMAIN_IXP_PREFIXES)
-        self.ixp_prefixes[prefix] = ixp_id
-        self.record_change(Change(kind, DOMAIN_IXP_PREFIXES, prefix, old, ixp_id))
-        if state is None or state[0] != before_token:
-            self._lan_state = None
-            return True
-        patched = apply_lpm_delta(state[1], prefix, ixp_id)
-        if patched is None:  # compaction: the next lookup rebuilds
-            self._lan_state = None
-        else:
-            self._lan_state = (self.domain_token(DOMAIN_IXP_PREFIXES), patched)
+        if state is not None:
+            patched = apply_lpm_delta(state[1], key, ixp_id)
+            # None signals compaction: the next lookup rebuilds.
+            self._lan_state = None if patched is None else (generation, patched)
         return True
 
     def remove_ixp_prefix(self, prefix: str) -> bool:
         """Drop one peering-LAN prefix; the LAN LPM rebuilds on next lookup."""
-        if prefix not in self.ixp_prefixes:
+        key = _canonical_prefix(prefix)
+        if key not in self._ixp_prefixes:
             return False
-        old = self.ixp_prefixes.pop(prefix)
+        old = self._ixp_prefixes.pop(key)
         self.record_change(
-            Change(ChangeKind.REMOVE, DOMAIN_IXP_PREFIXES, prefix, old, None))
+            Change(ChangeKind.REMOVE, DOMAIN_IXP_PREFIXES, key, old, None))
         self._lan_state = None
         return True
 
     def set_interface(self, ip: str, ixp_id: str, asn: int) -> bool:
         """Register (or re-own) one IXP member interface; True if changed."""
-        old = (self.interface_ixp.get(ip), self.interface_asn.get(ip))
+        old = (self._interface_ixp.get(ip), self._interface_asn.get(ip))
         if old == (ixp_id, asn):
             return False
-        kind = ChangeKind.ADD if ip not in self.interface_ixp else ChangeKind.REPLACE
-        self.interface_ixp[ip] = ixp_id
-        self.interface_asn[ip] = asn
+        kind = ChangeKind.ADD if ip not in self._interface_ixp else ChangeKind.REPLACE
+        self._interface_ixp[ip] = ixp_id
+        self._interface_asn[ip] = asn
         self.record_change(
             Change(kind, DOMAIN_INTERFACES, ip, old, (ixp_id, asn)))
         return True
 
     def remove_interface(self, ip: str) -> bool:
         """Drop one member interface from both interface dicts."""
-        if ip not in self.interface_ixp and ip not in self.interface_asn:
+        if ip not in self._interface_ixp and ip not in self._interface_asn:
             return False
-        old = (self.interface_ixp.pop(ip, None), self.interface_asn.pop(ip, None))
+        old = (self._interface_ixp.pop(ip, None), self._interface_asn.pop(ip, None))
         self.record_change(Change(ChangeKind.REMOVE, DOMAIN_INTERFACES, ip, old, None))
         return True
 
     def set_facility_location(self, facility_id: str, location: GeoPoint) -> bool:
         """Record (or move) a facility's coordinates; True if changed."""
-        old = self.facility_locations.get(facility_id)
+        old = self._facility_locations.get(facility_id)
         if old == location:
             return False
         kind = (
             ChangeKind.ADD
-            if facility_id not in self.facility_locations
+            if facility_id not in self._facility_locations
             else ChangeKind.REPLACE
         )
-        self.facility_locations[facility_id] = location
+        self._facility_locations[facility_id] = location
         self.record_change(
             Change(kind, DOMAIN_FACILITY_LOCATIONS, facility_id, old, location))
         return True
 
     def add_ixp_facility(self, ixp_id: str, facility_id: str) -> bool:
         """Add one facility to an IXP's observed footprint; True if new."""
-        facilities = self.ixp_facilities.setdefault(ixp_id, set())
+        facilities = self._ixp_facilities.get(ixp_id, frozenset())
         if facility_id in facilities:
             return False
-        facilities.add(facility_id)
+        self._ixp_facilities[ixp_id] = facilities | {facility_id}
         self.record_change(
             Change(ChangeKind.ADD, DOMAIN_IXP_FACILITIES, (ixp_id, facility_id)))
         return True
 
     def remove_ixp_facility(self, ixp_id: str, facility_id: str) -> bool:
         """Drop one facility from an IXP's observed footprint."""
-        facilities = self.ixp_facilities.get(ixp_id)
+        facilities = self._ixp_facilities.get(ixp_id)
         if facilities is None or facility_id not in facilities:
             return False
-        facilities.discard(facility_id)
+        self._ixp_facilities[ixp_id] = facilities - {facility_id}
         self.record_change(
             Change(ChangeKind.REMOVE, DOMAIN_IXP_FACILITIES, (ixp_id, facility_id)))
         return True
 
     def add_as_facility(self, asn: int, facility_id: str) -> bool:
         """Add one facility to a member AS's observed footprint; True if new."""
-        facilities = self.as_facilities.setdefault(asn, set())
+        facilities = self._as_facilities.get(asn, frozenset())
         if facility_id in facilities:
             return False
-        facilities.add(facility_id)
+        self._as_facilities[asn] = facilities | {facility_id}
         self.record_change(
             Change(ChangeKind.ADD, DOMAIN_AS_FACILITIES, (asn, facility_id)))
         return True
 
     def remove_as_facility(self, asn: int, facility_id: str) -> bool:
         """Drop one facility from a member AS's observed footprint."""
-        facilities = self.as_facilities.get(asn)
+        facilities = self._as_facilities.get(asn)
         if facilities is None or facility_id not in facilities:
             return False
-        facilities.discard(facility_id)
+        self._as_facilities[asn] = facilities - {facility_id}
         self.record_change(
             Change(ChangeKind.REMOVE, DOMAIN_AS_FACILITIES, (asn, facility_id)))
         return True
@@ -356,25 +408,25 @@ class ObservedDataset(Versioned):
     def set_port_capacity(self, ixp_id: str, asn: int, capacity_mbps: int) -> bool:
         """Record a member's observed port capacity at one IXP."""
         key = (ixp_id, asn)
-        old = self.port_capacities.get(key)
+        old = self._port_capacities.get(key)
         if old == capacity_mbps:
             return False
-        kind = ChangeKind.ADD if key not in self.port_capacities else ChangeKind.REPLACE
-        self.port_capacities[key] = capacity_mbps
+        kind = ChangeKind.ADD if key not in self._port_capacities else ChangeKind.REPLACE
+        self._port_capacities[key] = capacity_mbps
         self.record_change(Change(kind, DOMAIN_CAPACITIES, key, old, capacity_mbps))
         return True
 
     def set_min_capacity(self, ixp_id: str, capacity_mbps: int) -> bool:
         """Record the minimum physical port capacity an IXP sells directly."""
-        old = self.min_physical_capacity.get(ixp_id)
+        old = self._min_physical_capacity.get(ixp_id)
         if old == capacity_mbps:
             return False
         kind = (
             ChangeKind.ADD
-            if ixp_id not in self.min_physical_capacity
+            if ixp_id not in self._min_physical_capacity
             else ChangeKind.REPLACE
         )
-        self.min_physical_capacity[ixp_id] = capacity_mbps
+        self._min_physical_capacity[ixp_id] = capacity_mbps
         self.record_change(
             Change(kind, DOMAIN_CAPACITIES, ("min", ixp_id), old, capacity_mbps))
         return True
@@ -389,7 +441,7 @@ class ObservedDataset(Versioned):
         if attribute not in _ATTRIBUTE_FIELDS:
             raise DataSourceError(
                 f"{attribute!r} is not an analysis attribute; use its dedicated mutator")
-        backing: dict = getattr(self, attribute)
+        backing: dict = getattr(self, f"_{attribute}")
         old = backing.get(key)
         if old == value:
             return False
@@ -404,12 +456,12 @@ class ObservedDataset(Versioned):
     # ------------------------------------------------------------------ #
     def ixp_ids(self) -> list[str]:
         """All IXPs present in the merged dataset."""
-        return sorted(set(self.ixp_prefixes.values()) | set(self.ixp_facilities))
+        return sorted(set(self._ixp_prefixes.values()) | set(self._ixp_facilities))
 
     def _build_interface_views(self) -> dict[str, dict[str, int]]:
         by_ixp: dict[str, dict[str, int]] = {}
-        for ip, owner in self.interface_ixp.items():
-            asn = self.interface_asn.get(ip)
+        for ip, owner in self._interface_ixp.items():
+            asn = self._interface_asn.get(ip)
             # Skip interfaces with no ASN record rather than letting one
             # inconsistent entry poison the view for every IXP.
             if asn is not None:
@@ -422,7 +474,7 @@ class ObservedDataset(Versioned):
     def _interfaces_by_ixp(self) -> dict[str, dict[str, int]]:
         """IXP -> (IP -> member ASN) view, re-keyed when interfaces change."""
         return self._ixp_views.get(
-            self.domain_token(DOMAIN_INTERFACES), self._build_interface_views)
+            self.domain_generation(DOMAIN_INTERFACES), self._build_interface_views)
 
     def interfaces_of_ixp(self, ixp_id: str) -> dict[str, int]:
         """IP -> member ASN for one IXP."""
@@ -441,11 +493,11 @@ class ObservedDataset(Versioned):
 
     def asn_of_interface(self, ip: str) -> int | None:
         """Member ASN owning an IXP interface, if known."""
-        return self.interface_asn.get(ip)
+        return self._interface_asn.get(ip)
 
     def ixp_of_interface(self, ip: str) -> str | None:
         """IXP whose peering LAN contains an interface, if known."""
-        return self.interface_ixp.get(ip)
+        return self._interface_ixp.get(ip)
 
     def ixp_for_ip(self, ip: str) -> str | None:
         """Longest-prefix match of an arbitrary IP against the known LANs.
@@ -455,7 +507,7 @@ class ObservedDataset(Versioned):
         misclassified addresses whenever a more-specific LAN nested inside a
         broader registered prefix.
         """
-        token = self.domain_token(DOMAIN_IXP_PREFIXES)
+        token = self.domain_generation(DOMAIN_IXP_PREFIXES)
         state = self._lan_state
         if state is None or state[0] != token:
             # Double-checked build: concurrent caller threads must neither
@@ -463,7 +515,7 @@ class ObservedDataset(Versioned):
             with self._view_lock:
                 state = self._lan_state
                 if state is None or state[0] != token:
-                    state = (token, LPMIndex(self.ixp_prefixes))
+                    state = (token, LPMIndex(self._ixp_prefixes))
                     self._lan_state = state
         return state[1].lookup(ip)
 
@@ -472,19 +524,19 @@ class ObservedDataset(Versioned):
     # ------------------------------------------------------------------ #
     def facilities_of_ixp(self, ixp_id: str) -> set[str]:
         """Observed facilities of one IXP (may be incomplete)."""
-        return set(self.ixp_facilities.get(ixp_id, set()))
+        return set(self._ixp_facilities.get(ixp_id, ()))
 
     def facilities_of_as(self, asn: int) -> set[str]:
         """Observed facilities of one AS (may be incomplete or spurious)."""
-        return set(self.as_facilities.get(asn, set()))
+        return set(self._as_facilities.get(asn, ()))
 
     def has_facility_data_for_as(self, asn: int) -> bool:
         """Whether any facility is recorded for an AS (no set copy)."""
-        return bool(self.as_facilities.get(asn))
+        return bool(self._as_facilities.get(asn))
 
     def facility_location(self, facility_id: str) -> GeoPoint | None:
         """Best-known coordinates of a facility."""
-        return self.facility_locations.get(facility_id)
+        return self._facility_locations.get(facility_id)
 
     def common_facilities(self, ixp_id: str, asn: int) -> set[str]:
         """Facilities shared by an IXP and a member AS, as observed."""
@@ -495,11 +547,11 @@ class ObservedDataset(Versioned):
     # ------------------------------------------------------------------ #
     def port_capacity(self, ixp_id: str, asn: int) -> int | None:
         """Observed port capacity of a member at an IXP (Mbit/s), if known."""
-        return self.port_capacities.get((ixp_id, asn))
+        return self._port_capacities.get((ixp_id, asn))
 
     def min_capacity(self, ixp_id: str) -> int | None:
         """Minimum physical port capacity advertised by the IXP, if known."""
-        return self.min_physical_capacity.get(ixp_id)
+        return self._min_physical_capacity.get(ixp_id)
 
 
 class DatasetMerger:
@@ -668,7 +720,9 @@ def build_observed_dataset(
     ]
     dataset, statistics = DatasetMerger(snapshots).merge()
     if include_caida:
-        dataset.customer_cone_sizes = CAIDASource(world, noise).snapshot().cone_sizes
+        for asn, size in CAIDASource(world, noise).snapshot().cone_sizes.items():
+            dataset.set_attribute("customer_cone_sizes", asn, size)
     if include_apnic:
-        dataset.user_populations = APNICSource(world, noise).snapshot()
+        for asn, population in APNICSource(world, noise).snapshot().items():
+            dataset.set_attribute("user_populations", asn, population)
     return dataset, statistics

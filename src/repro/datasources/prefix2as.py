@@ -100,10 +100,6 @@ class Prefix2ASMap(Versioned):
             self.full_rebuilds += 1
         return view.lookup(ip)
 
-    def version_token(self) -> tuple[int, int]:
-        """``(generation, size)`` stamp folded into engine cache keys."""
-        return (self.generation, len(self._prefixes))
-
     def __len__(self) -> int:
         return len(self._prefixes)
 

@@ -41,17 +41,16 @@ Invariants consumers rely on:
    facilities with ``min_km <= distance <= max_km`` (``bisect_left`` /
    ``bisect_right``), matching the seed's inclusive ring comparison.
 3. **Journalled revision consistency** — the index tracks the dataset's
-   generation stamp (:class:`~repro.versioning.Versioned`).  Mutations made
-   through the dataset's journal-emitting mutators are replayed lazily on
-   the next lookup, evicting **only the memos a change can touch** (the
-   point/pair distances, profiles and spans involving a moved facility, the
+   generation stamp (:class:`~repro.versioning.Versioned`).  The dataset's
+   tables are read-only views, so every change to them goes through a
+   journal-emitting mutator; the journal is replayed lazily on the next
+   lookup, evicting **only the memos a change can touch** (the point/pair
+   distances, profiles and spans involving a moved facility, the
    profiles/spans of a re-footprinted IXP or AS, the majority votes of a
-   re-footprinted AS) instead of tearing the whole index down.  Mutating the
-   dataset's dicts *directly* bumps nothing — that legacy path still
-   requires :meth:`GeoDistanceIndex.invalidate` (or a fresh index), exactly
-   as before.  An opaque bump (``invalidate_caches()``) or a truncated
-   journal falls back to wholesale invalidation, so the index is never
-   stale, only occasionally over-evicted.
+   re-footprinted AS) instead of tearing the whole index down.  An
+   unavailable replay (an opaque bump or a truncated journal) or an
+   oversized batch falls back to wholesale invalidation, so the index is
+   never stale, only occasionally over-evicted.
 """
 
 from __future__ import annotations
@@ -119,13 +118,13 @@ class GeoDistanceIndex:
         self._dataset = dataset
         # Serialises journal replay, wholesale invalidation and every memo
         # store from concurrent caller threads; reentrant because _sync
-        # falls back to invalidate() while holding it.  Memo *reads* stay
+        # falls back to _invalidate() while holding it.  Memo *reads* stay
         # lock-free (GIL-atomic dict lookups).
         self._sync_lock = RLock()
         self._synced_generation = getattr(dataset, "generation", 0)
         #: Journalled changes absorbed by selective eviction (accounting).
         self.incremental_evictions = 0
-        #: Times the whole index was dropped (manual, opaque or truncated).
+        #: Times the whole index was dropped (opaque, truncated or oversized).
         self.wholesale_invalidations = 0
         self._point_km: dict[tuple[GeoPoint, str], float | None] = {}
         self._pair_km: dict[tuple[str, str], float | None] = {}
@@ -141,13 +140,8 @@ class GeoDistanceIndex:
         """The dataset snapshot this index answers for."""
         return self._dataset
 
-    def invalidate(self) -> None:
-        """Drop every memo and resynchronise with the dataset's generation.
-
-        Required after mutating the dataset's dicts *directly*; journalled
-        mutations are absorbed automatically (and more selectively) by the
-        lazy replay in :meth:`_sync`.
-        """
+    def _invalidate(self) -> None:
+        """Drop every memo and resynchronise with the dataset's generation."""
         with self._sync_lock:
             self._point_km.clear()
             self._pair_km.clear()
@@ -185,7 +179,7 @@ class GeoDistanceIndex:
 
             changes = dataset.journal.since(self._synced_generation, GEO_DOMAINS)
             if changes is None or len(changes) > SELECTIVE_EVICTION_LIMIT:
-                self.invalidate()
+                self._invalidate()
                 return
             for change in changes:
                 self._evict_for(change)

@@ -91,22 +91,24 @@ class PingCampaign:
         ixp = self.world.ixp(vp.ixp_id)
         # Route-server control series (used by Step 2's Atlas filter).
         if ixp.route_server_ip is not None:
-            route_server_series = PingSeries(
-                vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=ixp.route_server_ip)
+            samples: tuple[PingSample, ...] = ()
             if not vp.is_dead:
-                self._fill_samples(vp, route_server_series, distance_km=0.0, stretch=1.0,
-                                   responds=True)
-            result.add_route_server_series(route_server_series)
+                samples = self._fill_samples(vp, distance_km=0.0, stretch=1.0,
+                                             responds=True)
+            result.add_route_server_series(PingSeries(
+                vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=ixp.route_server_ip,
+                samples=samples))
 
         for membership in self.world.active_memberships(vp.ixp_id):
-            series = PingSeries(
-                vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=membership.interface_ip)
+            samples = ()
             if not vp.is_dead:
                 responds = self._rng.random() < self._response_rate(vp)
                 distance, stretch = self._distance_and_stretch(vp, membership)
-                self._fill_samples(vp, series, distance_km=distance, stretch=stretch,
-                                   responds=responds)
-            result.add_series(series)
+                samples = self._fill_samples(vp, distance_km=distance, stretch=stretch,
+                                             responds=responds)
+            result.add_series(PingSeries(
+                vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=membership.interface_ip,
+                samples=samples))
 
     def _response_rate(self, vp: VantagePoint) -> float:
         return (
@@ -128,14 +130,14 @@ class PingCampaign:
     def _fill_samples(
         self,
         vp: VantagePoint,
-        series: PingSeries,
         *,
         distance_km: float,
         stretch: float,
         responds: bool,
-    ) -> None:
+    ) -> tuple[PingSample, ...]:
         if not responds:
-            return
+            return ()
+        samples: list[PingSample] = []
         initial_ttl = self._rng.choice(EXPECTED_INITIAL_TTLS)
         for _ in range(self.config.ping_rounds):
             if self._rng.random() > 0.97:
@@ -148,4 +150,5 @@ class PingCampaign:
             reply_ttl = initial_ttl - 1
             if self._rng.random() < self.config.ttl_anomaly_rate:
                 reply_ttl = initial_ttl - self._rng.randint(3, 14)
-            series.samples.append(PingSample(rtt_ms=rtt, reply_ttl=reply_ttl))
+            samples.append(PingSample(rtt_ms=rtt, reply_ttl=reply_ttl))
+        return tuple(samples)

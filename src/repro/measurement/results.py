@@ -9,8 +9,11 @@ collection and interpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
+from repro.measurement.vantage import VantagePoint
 from repro.routing.forwarding import ForwardingPath
 from repro.versioning import GenerationGuardedIndex, Versioned
 
@@ -23,14 +26,14 @@ class PingSample:
     reply_ttl: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PingSeries:
     """All ping replies collected for one (vantage point, target) pair."""
 
     vp_id: str
     ixp_id: str
     target_ip: str
-    samples: list[PingSample] = field(default_factory=list)
+    samples: tuple[PingSample, ...] = ()
 
     @property
     def responded(self) -> bool:
@@ -44,78 +47,87 @@ class PingSeries:
         return min(sample.rtt_ms for sample in self.samples)
 
 
-@dataclass
+#: (IXP id -> series, VP id -> series) over a campaign's member series.
+_SeriesIndex = tuple[dict[str, list[PingSeries]], dict[str, list[PingSeries]]]
+
+
 class PingCampaignResult(Versioned):
     """Everything a ping campaign produced.
 
-    The per-VP and per-IXP accessors are served from lazily built dict
-    indexes over the (append-only) series lists, guarded by
-    ``(generation, length)`` version tokens
-    (:class:`~repro.versioning.GenerationGuardedIndex`): appending through
-    :meth:`add_series` / :meth:`add_route_server_series` — or growing the
-    lists directly — re-keys the indexes automatically, and the generation
-    stamp also re-keys the step-graph engine's cached Step 2 results.
-    Editing a recorded series' samples *in place* still requires
-    :meth:`invalidate_caches` (an opaque generation bump).
+    ``series`` and ``route_server_series`` read as tuples and
+    ``vantage_points`` as a read-only mapping; :meth:`add_series`,
+    :meth:`add_route_server_series` and :meth:`register_vantage_point` are
+    the only writers, and each bumps the generation that re-keys the
+    step-graph engine's cached Step 2 results.  The per-VP and per-IXP
+    accessors, and the tuple snapshots themselves, are lazily built from the
+    private append-only lists and guarded by that generation
+    (:class:`~repro.versioning.GenerationGuardedIndex`).  Series are frozen,
+    so a recorded series never changes after it is appended.
     """
 
-    series: list[PingSeries] = field(default_factory=list)
-    route_server_series: list[PingSeries] = field(default_factory=list)
-    vantage_points: dict[str, "VantagePoint"] = field(default_factory=dict)  # noqa: F821
+    def __init__(
+        self,
+        series: Iterable[PingSeries] = (),
+        route_server_series: Iterable[PingSeries] = (),
+        vantage_points: Mapping[str, VantagePoint] = MappingProxyType({}),
+    ) -> None:
+        self._series = list(series)
+        self._route_server_series = list(route_server_series)
+        self._vantage_points = dict(vantage_points)
+        self._snapshots: GenerationGuardedIndex[tuple[tuple[PingSeries, ...], ...]] = (
+            GenerationGuardedIndex())
+        self._series_index: GenerationGuardedIndex[_SeriesIndex] = GenerationGuardedIndex()
+        self._rs_index: GenerationGuardedIndex[dict[str, PingSeries]] = (
+            GenerationGuardedIndex())
 
-    # Generation-guarded derived indexes; never part of equality or repr.
-    _series_index: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
-    _rs_index: GenerationGuardedIndex = field(
-        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
+    def _snapshot(self) -> tuple[tuple[PingSeries, ...], ...]:
+        return tuple(self._series), tuple(self._route_server_series)
 
-    def invalidate_caches(self) -> None:
-        """Re-key the derived indexes (needed after in-place sample edits)."""
-        self.bump_generation()
+    @property
+    def series(self) -> tuple[PingSeries, ...]:
+        """Every member-interface series, in append order."""
+        return self._snapshots.get(self.generation, self._snapshot)[0]
 
-    def version_token(self) -> tuple[int, int, int, int]:
-        """``(generation, sizes...)`` stamp folded into engine cache keys."""
-        return (
-            self.generation,
-            len(self.series),
-            len(self.route_server_series),
-            len(self.vantage_points),
-        )
+    @property
+    def route_server_series(self) -> tuple[PingSeries, ...]:
+        """Every route-server control series, in append order."""
+        return self._snapshots.get(self.generation, self._snapshot)[1]
+
+    @property
+    def vantage_points(self) -> Mapping[str, VantagePoint]:
+        """Vantage point id -> the vantage point the campaign measured from."""
+        return MappingProxyType(self._vantage_points)
 
     def add_series(self, series: PingSeries) -> None:
         """Record one member-interface series (a campaign append or retry)."""
-        self.series.append(series)
+        self._series.append(series)
         self.bump_generation()
 
     def add_route_server_series(self, series: PingSeries) -> None:
         """Record one route-server control series for a vantage point."""
-        self.route_server_series.append(series)
+        self._route_server_series.append(series)
         self.bump_generation()
 
-    def register_vantage_point(self, vp: "VantagePoint") -> None:  # noqa: F821
+    def register_vantage_point(self, vp: VantagePoint) -> None:
         """Record a vantage point the campaign measures from.
 
-        Registration changes the version token (``len(vantage_points)``
-        participates, and the generation bump covers re-registration of an
-        existing VP id), so cached Step 2 results re-key.
+        The generation bump (which also covers re-registration of an
+        existing VP id) re-keys cached Step 2 results.
         """
-        self.vantage_points[vp.vp_id] = vp
+        self._vantage_points[vp.vp_id] = vp
         self.bump_generation()
 
-    def _build_series_index(
-        self,
-    ) -> tuple[dict[str, list[PingSeries]], dict[str, list[PingSeries]]]:
+    def _build_series_index(self) -> _SeriesIndex:
         by_ixp: dict[str, list[PingSeries]] = {}
         by_vp: dict[str, list[PingSeries]] = {}
-        for series in self.series:
+        for series in self._series:
             by_ixp.setdefault(series.ixp_id, []).append(series)
             by_vp.setdefault(series.vp_id, []).append(series)
         return by_ixp, by_vp
 
-    def _indexed_series(self) -> tuple[dict[str, list[PingSeries]], dict[str, list[PingSeries]]]:
+    def _indexed_series(self) -> _SeriesIndex:
         """(IXP -> series, VP -> series) indexes over the member series."""
-        return self._series_index.get(
-            (self.generation, len(self.series)), self._build_series_index)
+        return self._series_index.get(self.generation, self._build_series_index)
 
     def series_for_ixp(self, ixp_id: str) -> list[PingSeries]:
         """Member-interface series collected at one IXP."""
@@ -131,64 +143,62 @@ class PingCampaignResult(Versioned):
         A vantage point may carry several control series (a retried or
         refreshed campaign appends a new one); all of their samples are one
         population of control measurements, so they are merged into a single
-        series rather than silently keeping the first.  The returned series
-        is a merged *read-only view* built when the index was (re)built: the
-        recorded series are never mutated, callers must not mutate the view,
-        and editing a recorded series' samples in place after the index was
-        built requires :meth:`invalidate_caches` to become visible.
+        series, in append order, rather than silently keeping the first.
         """
-        index = self._rs_index.get(
-            (self.generation, len(self.route_server_series)), self._build_rs_index)
-        return index.get(vp_id)
+        return self._rs_index.get(self.generation, self._build_rs_index).get(vp_id)
 
     def _build_rs_index(self) -> dict[str, PingSeries]:
         by_vp: dict[str, PingSeries] = {}
-        for series in self.route_server_series:
+        for series in self._route_server_series:
             merged = by_vp.get(series.vp_id)
-            if merged is None:
-                merged = by_vp[series.vp_id] = PingSeries(
-                    vp_id=series.vp_id, ixp_id=series.ixp_id,
-                    target_ip=series.target_ip)
-            merged.samples.extend(series.samples)
+            by_vp[series.vp_id] = (
+                series if merged is None
+                else replace(merged, samples=merged.samples + series.samples))
         return by_vp
 
     def queried_interfaces(self, ixp_id: str | None = None) -> set[str]:
         """Interfaces that were queried (optionally for one IXP)."""
         return {
-            s.target_ip for s in self.series if ixp_id is None or s.ixp_id == ixp_id
+            s.target_ip for s in self._series if ixp_id is None or s.ixp_id == ixp_id
         }
 
     def responsive_interfaces(self, ixp_id: str | None = None) -> set[str]:
         """Interfaces that replied to at least one vantage point."""
         return {
             s.target_ip
-            for s in self.series
+            for s in self._series
             if s.responded and (ixp_id is None or s.ixp_id == ixp_id)
         }
 
 
-@dataclass
 class TracerouteCorpus(Versioned):
     """A collection of simulated traceroute paths.
 
-    Generation-stamped so the engine's traceroute-observables cache key
-    tracks corpus refreshes made through :meth:`extend`.
+    ``paths`` reads as a tuple (a snapshot rebuilt once per generation, so
+    element access is O(1)); :meth:`extend` is the only writer, and its
+    generation bump re-keys the engine's traceroute-observables cache entry.
+    Paths must not change after they are appended (see
+    :class:`~repro.traixroute.detector.CorpusDetectionIndex`).
     """
 
-    paths: list[ForwardingPath] = field(default_factory=list)
+    def __init__(self, paths: Iterable[ForwardingPath] = ()) -> None:
+        self._paths = list(paths)
+        self._snapshot: GenerationGuardedIndex[tuple[ForwardingPath, ...]] = (
+            GenerationGuardedIndex())
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self._paths)
 
-    def version_token(self) -> tuple[int, int]:
-        """``(generation, size)`` stamp folded into engine cache keys."""
-        return (self.generation, len(self.paths))
+    @property
+    def paths(self) -> tuple[ForwardingPath, ...]:
+        """Every path, in append order."""
+        return self._snapshot.get(self.generation, lambda: tuple(self._paths))
 
-    def extend(self, paths: list[ForwardingPath]) -> None:
+    def extend(self, paths: Iterable[ForwardingPath]) -> None:
         """Append paths to the corpus."""
-        self.paths.extend(paths)
+        self._paths.extend(paths)
         self.bump_generation()
 
     def paths_from(self, source_asn: int) -> list[ForwardingPath]:
         """All paths whose probe sits in the given AS."""
-        return [p for p in self.paths if p.source_asn == source_asn]
+        return [p for p in self._paths if p.source_asn == source_asn]

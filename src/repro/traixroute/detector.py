@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import ipaddress
 from array import array
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from importlib import import_module
 from itertools import accumulate, chain
@@ -251,22 +251,25 @@ class CorpusDetectionIndex:
       membership sets (triplet rule 3) derive from the interface dicts, so
       any path could be affected;
     * **corpus growth** detects only the appended paths;
-    * an opaque bump, a truncated journal, a shrunk corpus or an oversized
-      change batch (:data:`SELECTIVE_REDETECTION_LIMIT`) falls back to a
-      full re-scan with a fresh detector.
+    * an opaque bump, a truncated journal or an oversized change batch
+      (:data:`SELECTIVE_REDETECTION_LIMIT`) falls back to a full re-scan
+      with a fresh detector.
 
-    Every hop address is interned once per index into an integer id, and
-    each path into a run of ids in one flat array (``None`` hops are id 0).
-    The table only grows and survives full re-scans, so **paths must not
-    change after they are appended to the corpus**: their hop ids are the
-    snapshot taken when they were interned.  Only a shrunk corpus
-    re-interns its paths.  A full re-scan classifies each distinct address
-    once and applies both rules to the whole id array in one numpy pass
-    (:meth:`_detect_bulk`); it then fills the fresh detector's memos with
-    exactly the answers the per-path loop would have asked for, so
-    re-detection, eviction and the counters behave as if that loop had
-    run.  Without numpy the full re-scan *is* that loop.  Re-detection and
-    appended paths always use the per-path :class:`CrossingDetector`.
+    The inputs' collections are read-only views, so these journals and the
+    corpus's appends are the only ways the inputs change; in particular the
+    corpus never shrinks.  Every hop address is interned once per index
+    into an integer id, and each path into a run of ids in one flat array
+    (``None`` hops are id 0).  The table only grows and survives full
+    re-scans, so **paths must not change after they are appended to the
+    corpus**: their hop ids are the snapshot taken when they were interned
+    (``ForwardingPath.hops`` is still a list).  A full re-scan classifies
+    each distinct address once and applies both rules to the whole id array
+    in one numpy pass (:meth:`_detect_bulk`); it then fills the fresh
+    detector's memos with exactly the answers the per-path loop would have
+    asked for, so re-detection, eviction and the counters behave as if that
+    loop had run.  Without numpy the full re-scan *is* that loop.
+    Re-detection and appended paths always use the per-path
+    :class:`CrossingDetector`.
 
     Results are equal to what a fresh :class:`CrossingDetector` over the
     current state would produce, in the same (path-major) order.
@@ -375,9 +378,6 @@ class CorpusDetectionIndex:
         if len(changed_prefixes) + len(membership_dirty) > SELECTIVE_REDETECTION_LIMIT:
             self._rebuild()
             return
-        if len(self.corpus.paths) < self._synced_paths:
-            self._rebuild()
-            return
 
         affected: set[str] = set()
         if changed_prefixes:
@@ -390,8 +390,9 @@ class CorpusDetectionIndex:
         self._synced_prefix2as = prefix2as_generation
 
         self._intern()
-        self._append_detected(detector, self.corpus.paths[self._synced_paths :])
-        self._synced_paths = len(self.corpus.paths)
+        paths = self.corpus.paths
+        self._append_detected(detector, paths[self._synced_paths :])
+        self._synced_paths = len(paths)
 
     def _rebuild(self) -> None:
         detector = self._detector = CrossingDetector(self.dataset, self.prefix2as)
@@ -416,16 +417,8 @@ class CorpusDetectionIndex:
 
     def _intern(self) -> None:
         """Intern the hops of every corpus path not interned yet."""
-        paths = self.corpus.paths
         offsets = self._offsets
-        if len(paths) < len(offsets) - 1:
-            # The corpus shrank, so it was replaced: re-intern every path.
-            # The address table only grows.
-            self._hop_ids = array("q")
-            self._offsets = offsets = array("q", [0])
-            self._paths_of = {}
-            self._paths_indexed = 0
-        new_paths = paths[len(offsets) - 1 :]
+        new_paths = self.corpus.paths[len(offsets) - 1 :]
         ids = self._address_ids
         self._hop_ids += array(
             "q",
@@ -442,7 +435,7 @@ class CorpusDetectionIndex:
         )
 
     def _append_detected(
-        self, detector: CrossingDetector, paths: list[ForwardingPath]
+        self, detector: CrossingDetector, paths: Sequence[ForwardingPath]
     ) -> None:
         """Detect paths one by one and append their results."""
         crossings, adjacencies = self._crossings, self._adjacencies
@@ -654,8 +647,9 @@ class CorpusDetectionIndex:
         touched = sorted(held_by)
         crossings: dict[int, list[IXPCrossing]] = {}
         adjacencies: dict[int, list[PrivateAdjacency]] = {}
+        paths = self.corpus.paths
         for index in touched:
-            path = self.corpus.paths[index]
+            path = paths[index]
             crossings[index] = detector.detect(path)
             adjacencies[index] = detector.private_adjacencies(path)
         self._crossings, self._crossing_bounds = _splice(

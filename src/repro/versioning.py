@@ -5,10 +5,10 @@ tables over prefixes (:mod:`repro.netindex`), the geodesic-distance memos
 (:mod:`repro.geo.distindex`), the per-container accessor views and the
 step-result cache of the execution engine (:mod:`repro.core.engine`).  Before
 this module each layer policed staleness with its own hand-rolled contract: a
-``(size-when-built, payload)`` guard here, a manual ``invalidate_caches()``
-there, a "build a fresh engine" rule elsewhere.  The three contracts drifted,
-and the size guard had a documented trap: replacing a value in place at
-unchanged size was invisible until someone remembered the manual call.
+``(size-when-built, payload)`` guard here, a manual cache reset there, a
+"build a fresh engine" rule elsewhere.  The three contracts drifted, and the
+size guard had a documented trap: replacing a value in place at unchanged
+size was invisible until someone remembered the manual call.
 
 This module is the single versioning layer the other subsystems share:
 
@@ -17,7 +17,7 @@ This module is the single versioning layer the other subsystems share:
   named slice of the container, e.g. ``"ixp_prefixes"`` or
   ``"facility_locations"``).  Mutators either *record* a typed change (the
   journalled path) or *bump* opaquely (something changed, nothing precise is
-  known — the modern spelling of ``invalidate_caches()``).
+  known).
 * :class:`Change` / :class:`ChangeKind` — one typed add / remove / replace
   record, naming its domain, key and both values.
 * :class:`ChangeJournal` — the ordered, bounded record of changes between two
@@ -29,25 +29,25 @@ This module is the single versioning layer the other subsystems share:
   construction: every mutation either appended a record or raised the floor.
 * :class:`GenerationGuardedIndex` — the successor of the retired
   ``SizeGuardedIndex``: a lazily built payload guarded by an explicit
-  **version token** instead of a bare size.  The conventional token is
-  ``(domain generation, len(backing))``, so growth and shrinkage are still
-  detected automatically *and* journalled in-place replacement at unchanged
-  size re-keys the payload — the historical trap cannot recur for mutations
-  that go through the recording mutators.
+  **version token** instead of a bare size.  The conventional token is the
+  owner's (domain) generation, so every mutation through a container's
+  mutators re-keys the payload, in-place replacement at unchanged size
+  included.  (The unversioned result containers, which never drop a key,
+  use their key count.)
 
 Invariants consumers rely on:
 
 1. **Monotonicity** — generation stamps only ever increase; equal stamps
-   (with equal size hints) mean "nothing changed through a tracked path".
+   mean "nothing changed".
 2. **Journal completeness** — ``journal.since(g)`` either returns *every*
    change after generation ``g`` (filtered to the requested domains) or
    ``None``; it never silently drops a record.
-3. **Opaque bumps poison replay** — ``bump_generation()`` raises the journal
-   floor, so consumers fall back to a full rebuild instead of patching
-   against an unknown mutation.  Direct mutation of a container's public
-   dicts (the legacy path) bumps nothing: it keeps the legacy size-guard
-   semantics and still requires ``invalidate_caches()`` when sizes do not
-   change.
+3. **One write path** — a versioned container's public collections are
+   read-only views (``types.MappingProxyType``, tuples, frozensets), so its
+   mutators are the only way to change it and every change moves its
+   generation.  ``bump_generation()`` (the opaque path, for appends nothing
+   replays precisely) raises the journal floor, so consumers fall back to a
+   full rebuild instead of patching against an unknown mutation.
 """
 
 from __future__ import annotations
@@ -224,9 +224,8 @@ class Versioned:
     def bump_generation(self) -> int:
         """Opaque bump: every domain is considered changed, replay impossible.
 
-        This is the modern spelling of the legacy ``invalidate_caches()``
-        contract — derived state is re-keyed everywhere, and journal
-        consumers rebuild instead of patching.
+        Derived state is re-keyed everywhere, and journal consumers rebuild
+        instead of patching.
         """
         generation = self._generation + 1
         self._generation = generation
@@ -245,13 +244,7 @@ class Versioned:
         return max(recorded, self._opaque_generation)
 
     def version_token(self) -> tuple[Hashable, ...]:
-        """A hashable stamp of this container's tracked state.
-
-        The base implementation is the bare generation; containers override
-        it to append size hints (``(generation, len(backing), ...)``) so that
-        legacy direct mutation that grows or shrinks a backing collection is
-        still detected without a generation bump.
-        """
+        """A hashable stamp of this container's state: its generation."""
         return (self._generation,)
 
 
@@ -260,10 +253,9 @@ class GenerationGuardedIndex(Generic[P]):
 
     The successor of the retired ``(size-when-built, payload)`` pattern
     (``SizeGuardedIndex``): the guard is any hashable token the owner derives
-    from its versioned state — conventionally ``(domain generation, size)``.
-    Growth and shrinkage change the size part exactly as before, and
-    journalled in-place replacement at unchanged size changes the generation
-    part, which the size guard could never see.
+    from its versioned state — conventionally its (domain) generation, which
+    also moves on in-place replacement at unchanged size, where the size
+    guard could never see a change.
 
     The ``(token, payload)`` pair is stored and swapped as one atomic
     reference, so a reader never observes a fresh token with a stale payload.
@@ -291,11 +283,6 @@ class GenerationGuardedIndex(Generic[P]):
                 state = (token, build())
                 self._state = state
         return state[1]
-
-    def invalidate(self) -> None:
-        """Drop the payload; the next :meth:`get` rebuilds it."""
-        with self._lock:
-            self._state = None
 
     @property
     def is_built(self) -> bool:

@@ -63,12 +63,17 @@ class MiniScenario:
             location=location,
         )
         self.world.facilities[facility.facility_id] = facility
-        self.dataset.facility_locations[facility.facility_id] = location
+        self.dataset.set_facility_location(facility.facility_id, location)
         return facility
 
     def add_ixp(self, name: str, facilities: list[Facility], *,
-                prefix: str, min_capacity: int = 1_000) -> IXP:
-        """Create an IXP spanning the given facilities."""
+                prefix: str, min_capacity: int = 1_000,
+                record_min_capacity: bool = True) -> IXP:
+        """Create an IXP spanning the given facilities.
+
+        ``record_min_capacity=False`` keeps its minimum physical port
+        capacity out of the observed dataset.
+        """
         ixp = IXP(
             ixp_id=f"ixp-{name.lower()}",
             name=name,
@@ -80,9 +85,11 @@ class MiniScenario:
             route_server_ip=prefix.rsplit(".", 1)[0] + ".250",
         )
         self.world.ixps[ixp.ixp_id] = ixp
-        self.dataset.ixp_prefixes[prefix] = ixp.ixp_id
-        self.dataset.ixp_facilities[ixp.ixp_id] = set(ixp.facility_ids)
-        self.dataset.min_physical_capacity[ixp.ixp_id] = min_capacity
+        self.dataset.set_ixp_prefix(prefix, ixp.ixp_id)
+        for facility in facilities:
+            self.dataset.add_ixp_facility(ixp.ixp_id, facility.facility_id)
+        if record_min_capacity:
+            self.dataset.set_min_capacity(ixp.ixp_id, min_capacity)
         return ixp
 
     def add_as(self, asn: int, facility: Facility, *, tier: int = 3) -> AutonomousSystem:
@@ -96,8 +103,16 @@ class MiniScenario:
             tier=tier,
         )
         self.world.ases[asn] = system
-        self.dataset.as_facilities[asn] = {facility.facility_id}
+        self.set_as_footprint(asn, {facility.facility_id})
         return system
+
+    def set_as_footprint(self, asn: int, facility_ids) -> None:
+        """Make an AS's observed footprint exactly ``facility_ids``."""
+        wanted = set(facility_ids)
+        for facility_id in self.dataset.facilities_of_as(asn) - wanted:
+            self.dataset.remove_as_facility(asn, facility_id)
+        for facility_id in sorted(wanted):
+            self.dataset.add_as_facility(asn, facility_id)
 
     def add_router(self, asn: int, facility: Facility) -> Router:
         """Create a router for an AS at a facility."""
@@ -120,9 +135,14 @@ class MiniScenario:
         interface_ip: str,
         connection: ConnectionKind = ConnectionKind.LOCAL,
         capacity: int = 1_000,
+        record_capacity: bool = True,
         reseller_id: str | None = None,
     ) -> IXPMembership:
-        """Attach an AS to an IXP with full control over the ground truth."""
+        """Attach an AS to an IXP with full control over the ground truth.
+
+        ``record_capacity=False`` keeps the port capacity out of the
+        observed dataset.
+        """
         router.add_interface(interface_ip)
         self.world.interfaces[interface_ip] = Interface(
             ip=interface_ip, asn=asn, router_id=router.router_id,
@@ -138,9 +158,9 @@ class MiniScenario:
             reseller_id=reseller_id,
         )
         self.world.add_membership(membership)
-        self.dataset.interface_ixp[interface_ip] = ixp.ixp_id
-        self.dataset.interface_asn[interface_ip] = asn
-        self.dataset.port_capacities[(ixp.ixp_id, asn)] = capacity
+        self.dataset.set_interface(interface_ip, ixp.ixp_id, asn)
+        if record_capacity:
+            self.dataset.set_port_capacity(ixp.ixp_id, asn, capacity)
         return membership
 
     def add_backbone_interface(self, asn: int, router: Router, ip: str) -> Interface:
@@ -163,7 +183,7 @@ class MiniScenario:
             location=facility.location,
             rounds_rtt_up=rounds_rtt_up,
         )
-        self.ping_result.vantage_points[vp.vp_id] = vp
+        self.ping_result.register_vantage_point(vp)
         return vp
 
     def add_ping_series(
@@ -175,18 +195,18 @@ class MiniScenario:
         reply_ttl: int = 63,
     ) -> PingSeries:
         """Record a raw ping series for a target interface."""
-        series = PingSeries(vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=target_ip)
-        series.samples = [PingSample(rtt_ms=rtt, reply_ttl=reply_ttl) for rtt in rtts_ms]
-        self.ping_result.series.append(series)
+        series = PingSeries(vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=target_ip,
+                            samples=_samples(rtts_ms, reply_ttl))
+        self.ping_result.add_series(series)
         return series
 
     def add_route_server_series(self, vp: VantagePoint, rtts_ms: list[float],
                                 *, reply_ttl: int = 63) -> PingSeries:
         """Record the route-server control series of a vantage point."""
         ixp = self.world.ixps[vp.ixp_id]
-        series = PingSeries(vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=ixp.route_server_ip)
-        series.samples = [PingSample(rtt_ms=rtt, reply_ttl=reply_ttl) for rtt in rtts_ms]
-        self.ping_result.route_server_series.append(series)
+        series = PingSeries(vp_id=vp.vp_id, ixp_id=vp.ixp_id, target_ip=ixp.route_server_ip,
+                            samples=_samples(rtts_ms, reply_ttl))
+        self.ping_result.add_route_server_series(series)
         return series
 
     # ------------------------------------------------------------------ #
@@ -204,6 +224,10 @@ class MiniScenario:
             prefix2as=prefix2as,
             alias_resolver=AliasResolver(self.world, miss_rate=0.0),
         )
+
+
+def _samples(rtts_ms: list[float], reply_ttl: int) -> tuple[PingSample, ...]:
+    return tuple(PingSample(rtt_ms=rtt, reply_ttl=reply_ttl) for rtt in rtts_ms)
 
 
 class SeedColocationRTTStep(ColocationRTTStep):
@@ -253,19 +277,25 @@ def build_scenario() -> MiniScenario:
     return MiniScenario(world=World(seed=1), dataset=ObservedDataset())
 
 
-def dual_city_scenario() -> MiniScenario:
+def dual_city_scenario(
+    *, record_min_capacity: bool = True, record_reseller_capacity: bool = True
+) -> MiniScenario:
     """A ready-made scenario with one IXP in Amsterdam and peers near and far.
 
     * AS 65001 — local peer, colocated in the Amsterdam IXP facility.
     * AS 65002 — remote peer in Frankfurt (long cable), ~360 km away.
     * AS 65003 — remote reseller customer in Rotterdam (same metro,
       fractional port).
+
+    The ``record_*`` flags keep the IXP's minimum port capacity or the
+    reseller customer's port capacity out of the observed dataset.
     """
     scenario = build_scenario()
     ams = scenario.add_facility("Amsterdam")
     fra = scenario.add_facility("Frankfurt")
     rot = scenario.add_facility("Rotterdam")
-    ixp = scenario.add_ixp("AMS-TEST", [ams], prefix="185.1.0.0/24")
+    ixp = scenario.add_ixp("AMS-TEST", [ams], prefix="185.1.0.0/24",
+                           record_min_capacity=record_min_capacity)
 
     scenario.add_as(65001, ams)
     local_router = scenario.add_router(65001, ams)
@@ -287,5 +317,6 @@ def dual_city_scenario() -> MiniScenario:
     scenario.add_membership(ixp, 65003, reseller_router, rot,
                             interface_ip="185.1.0.3",
                             connection=ConnectionKind.REMOTE_RESELLER,
-                            capacity=100, reseller_id="rsl-test")
+                            capacity=100, record_capacity=record_reseller_capacity,
+                            reseller_id="rsl-test")
     return scenario

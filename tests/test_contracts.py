@@ -2,7 +2,7 @@
 
 Three layers:
 
-* the **live tree** must be contract-clean across all four rule families
+* the **live tree** must be contract-clean across all three rule families
   (that is the whole point of the subsystem — every real violation the
   rules surfaced was fixed at the source);
 * **seeded-bug fixtures** — patched copies of the tree with one contract
@@ -28,7 +28,6 @@ from repro.contracts import (
     ContractCheckError,
     SourceTree,
     check_determinism,
-    check_mutation_discipline,
     check_readonly_outcomes,
     check_step_declarations,
     collect_violations,
@@ -162,73 +161,6 @@ class TestStepDeclarations:
 
     def test_clean_tree_has_no_step_declaration_findings(self):
         assert check_step_declarations(SourceTree(SRC_ROOT)) == []
-
-
-# --------------------------------------------------------------------- #
-# Rule 2: mutation discipline (seeded fixtures)
-# --------------------------------------------------------------------- #
-class TestMutationDiscipline:
-    def test_direct_dict_mutation_is_caught_with_file_and_line(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "experiments" / "_fixture_mutation.py"
-        fixture.write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
-            "\n"
-            "\n"
-            "def corrupt(dataset: ObservedDataset) -> None:\n"
-            '    dataset.as_facilities[65000] = {"FAC-1"}  # seeded-mutation\n',
-            encoding="utf-8",
-        )
-        violations = check_mutation_discipline(SourceTree(root))
-        assert len(violations) == 1
-        violation = violations[0]
-        assert violation.kind == "direct-mutation"
-        assert violation.detail == "as_facilities:subscript-assignment"
-        assert violation.context == "repro.experiments._fixture_mutation:corrupt"
-        assert violation.path.endswith("experiments/_fixture_mutation.py")
-        assert violation.line == _line_of(
-            root, "experiments/_fixture_mutation.py", "seeded-mutation"
-        )
-
-    def test_mutation_through_alias_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "experiments" / "_fixture_alias.py"
-        fixture.write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
-            "\n"
-            "\n"
-            "def corrupt(dataset: ObservedDataset) -> None:\n"
-            "    backing = dataset.ixp_facilities\n"
-            '    backing["ixp"] = set()  # seeded-alias-mutation\n',
-            encoding="utf-8",
-        )
-        violations = check_mutation_discipline(SourceTree(root))
-        assert [v.detail for v in violations] == [
-            "ixp_facilities:subscript-assignment-via-alias"
-        ]
-
-    def test_mutator_calls_and_local_containers_are_not_flagged(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "experiments" / "_fixture_clean.py"
-        fixture.write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
-            "\n"
-            "\n"
-            "def fine(dataset: ObservedDataset) -> dict:\n"
-            "    # Journalled mutator: allowed anywhere.\n"
-            '    dataset.add_as_facility(65000, "FAC-1")\n'
-            "    # A local container that merely *copies* versioned data.\n"
-            "    mine: dict = {}\n"
-            "    mine.update(dataset.as_facilities)\n"
-            '    mine["x"] = 1\n'
-            "    mine.clear()\n"
-            "    return mine\n",
-            encoding="utf-8",
-        )
-        assert check_mutation_discipline(SourceTree(root)) == []
-
-    def test_live_tree_has_no_mutation_findings(self):
-        assert check_mutation_discipline(SourceTree(SRC_ROOT)) == []
 
 
 # --------------------------------------------------------------------- #
@@ -403,7 +335,7 @@ class TestDeterminism:
 class TestWaivers:
     def test_waiver_requires_justification_comment(self, tmp_path):
         waiver_file = tmp_path / "waivers.txt"
-        waiver_file.write_text("mutation:direct-mutation:m:f\n", encoding="utf-8")
+        waiver_file.write_text("readonly:outcome-mutation:m:f\n", encoding="utf-8")
         with pytest.raises(ContractCheckError, match="no justification"):
             parse_waivers(waiver_file)
 
@@ -494,13 +426,13 @@ class TestCli:
 
     def test_cli_json_format_is_machine_readable(self, tmp_path):
         root = _copy_tree(tmp_path)
-        fixture = root / "experiments" / "_fixture_mutation.py"
+        fixture = root / "analysis" / "_fixture_readonly.py"
         fixture.write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
+            "from repro.core.engine import PipelineOutcome\n"
             "\n"
             "\n"
-            "def corrupt(dataset: ObservedDataset) -> None:\n"
-            "    dataset.interface_asn.clear()\n",
+            "def tamper(outcome: PipelineOutcome) -> None:\n"
+            "    outcome.crossings.clear()\n",
             encoding="utf-8",
         )
         completed = _cli("--root", str(root), "--no-waivers", "--format=json")
@@ -509,24 +441,24 @@ class TestCli:
         assert document["ok"] is False
         assert document["summary"]["violations"] == 1
         (violation,) = document["violations"]
-        assert violation["detail"] == "interface_asn:.clear()"
-        assert violation["key"].startswith("mutation:direct-mutation:")
+        assert violation["detail"] == "crossings:.clear()"
+        assert violation["key"].startswith("readonly:outcome-mutation:")
 
     def test_cli_github_format_emits_error_annotations(self, tmp_path):
         root = _copy_tree(tmp_path)
-        fixture = root / "experiments" / "_fixture_mutation.py"
+        fixture = root / "analysis" / "_fixture_readonly.py"
         fixture.write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
+            "from repro.core.engine import PipelineOutcome\n"
             "\n"
             "\n"
-            "def corrupt(dataset: ObservedDataset) -> None:\n"
-            "    del dataset.port_capacities[('a', 'b')]\n",
+            "def tamper(outcome: PipelineOutcome) -> None:\n"
+            "    del outcome.feasible[('a', 'b')]\n",
             encoding="utf-8",
         )
         completed = _cli("--root", str(root), "--no-waivers", "--format=github")
         assert completed.returncode == 1
         assert "::error file=" in completed.stdout
-        assert "port_capacities:del" in completed.stdout
+        assert "feasible:del" in completed.stdout
 
     def test_cli_exits_two_on_unparseable_tree(self, tmp_path):
         # A checker *crash* (exit 2) is distinct from findings (exit 1):
@@ -656,12 +588,12 @@ class TestCollect:
             "        if config.enable_step1_port_capacity and "
             "config.strong_remote_rtt_ms >= 0:",
         )
-        (root / "experiments" / "_fixture_mutation.py").write_text(
-            "from repro.datasources.merge import ObservedDataset\n"
+        (root / "core" / "_fixture_nondet.py").write_text(
+            "import time\n"
             "\n"
             "\n"
-            "def corrupt(dataset: ObservedDataset) -> None:\n"
-            "    dataset.as_facilities.clear()\n",
+            "def stamp() -> float:\n"
+            "    return time.time()\n",
             encoding="utf-8",
         )
         (root / "analysis" / "_fixture_readonly.py").write_text(
@@ -673,5 +605,5 @@ class TestCollect:
             encoding="utf-8",
         )
         violations = collect_violations(SourceTree(root))
-        assert {v.rule for v in violations} == {"step-decl", "mutation", "readonly"}
+        assert {v.rule for v in violations} == {"step-decl", "determinism", "readonly"}
         assert len(violations) == 3

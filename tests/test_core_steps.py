@@ -10,6 +10,7 @@ from repro.core.step3_colocation import ColocationRTTStep
 from repro.core.step4_multi_ixp import MultiIXPRouterKind, MultiIXPRouterStep
 from repro.core.step5_private_links import PrivateConnectivityStep
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
+from repro.measurement.results import PingCampaignResult
 from repro.measurement.vantage import VantagePointKind
 from repro.topology.entities import ConnectionKind
 from repro.traixroute.detector import IXPCrossing, PrivateAdjacency
@@ -36,16 +37,14 @@ class TestStep1PortCapacity:
         assert report.classification_of(IXP_ID, "185.1.0.2") is PeeringClassification.UNKNOWN
 
     def test_all_interfaces_registered_even_without_data(self):
-        scenario = dual_city_scenario()
-        scenario.dataset.min_physical_capacity.clear()
+        scenario = dual_city_scenario(record_min_capacity=False)
         report = InferenceReport()
         classified = PortCapacityStep(scenario.inputs()).run([IXP_ID], report)
         assert classified == 0
         assert len(report) == 3
 
     def test_missing_port_capacity_skipped(self):
-        scenario = dual_city_scenario()
-        del scenario.dataset.port_capacities[(IXP_ID, 65003)]
+        scenario = dual_city_scenario(record_reseller_capacity=False)
         report = InferenceReport()
         assert PortCapacityStep(scenario.inputs()).run([IXP_ID], report) == 0
 
@@ -142,10 +141,14 @@ class TestStep2RTT:
         scenario.add_ping_series(atlas, "185.1.0.2", [9.0, 9.4])
         scenario.add_ping_series(lg, "185.1.0.2", [9.0, 10.0])
 
+        recorded = scenario.ping_result
         winners = set()
-        for permutation in itertools.permutations(list(scenario.ping_result.series)):
-            scenario.ping_result.series[:] = permutation
-            scenario.ping_result.invalidate_caches()
+        for permutation in itertools.permutations(recorded.series):
+            scenario.ping_result = PingCampaignResult(
+                series=permutation,
+                route_server_series=recorded.route_server_series,
+                vantage_points=recorded.vantage_points,
+            )
             summary = RTTMeasurementStep(scenario.inputs()).run([IXP_ID])
             observation = summary.observation_for(IXP_ID, "185.1.0.2")
             winners.add((observation.vp_id, observation.rtt_min_ms, observation.rtt_lower_ms))
@@ -194,7 +197,7 @@ class TestStep3Colocation:
 
     def test_member_without_facility_data_stays_unknown(self):
         scenario, _ = _scenario_with_pings()
-        del scenario.dataset.as_facilities[65002]
+        scenario.set_as_footprint(65002, ())
         # At ~8 ms the ring still (barely) admits the Amsterdam facility, and
         # without colocation data for the member Step 3 must abstain — these
         # are exactly the cases handed over to Steps 4 and 5.
@@ -204,7 +207,7 @@ class TestStep3Colocation:
 
     def test_member_without_facility_data_and_feasible_ixp_stays_unknown(self):
         scenario, _ = _scenario_with_pings()
-        del scenario.dataset.as_facilities[65003]
+        scenario.set_as_footprint(65003, ())
         report, _ = self._run(scenario)
         # Rotterdam RTT (~1.3 ms) keeps the Amsterdam IXP facility feasible,
         # and with no member colocation data Step 3 must abstain.
@@ -216,7 +219,7 @@ class TestStep3Colocation:
         fra_facility = scenario.world.facilities["fac-002"]
         ixp = scenario.world.ixps[IXP_ID]
         ixp.facility_ids.add(fra_facility.facility_id)
-        scenario.dataset.ixp_facilities[IXP_ID].add(fra_facility.facility_id)
+        scenario.dataset.add_ixp_facility(IXP_ID, fra_facility.facility_id)
         report, _ = self._run(scenario)
         assert report.classification_of(IXP_ID, "185.1.0.2") is PeeringClassification.LOCAL
 
@@ -339,8 +342,8 @@ class TestStep5PrivateLinks:
         # Two neighbours colocated in the Amsterdam facility.
         for offset, asn in enumerate((65021, 65022)):
             scenario.add_as(asn, ams)
-        scenario.dataset.as_facilities[65021] = {ams.facility_id}
-        scenario.dataset.as_facilities[65022] = {ams.facility_id}
+        scenario.set_as_footprint(65021, {ams.facility_id})
+        scenario.set_as_footprint(65022, {ams.facility_id})
         adjacencies = [
             PrivateAdjacency(near_ip="5.0.0.1", near_asn=65020, far_ip="5.0.4.1",
                              far_asn=65021),
@@ -363,8 +366,8 @@ class TestStep5PrivateLinks:
         scenario, ixp, adjacencies = self._scenario()
         # Move both neighbours' observed presence to Warsaw.
         waw = scenario.add_facility("Warsaw")
-        scenario.dataset.as_facilities[65021] = {waw.facility_id}
-        scenario.dataset.as_facilities[65022] = {waw.facility_id}
+        scenario.set_as_footprint(65021, {waw.facility_id})
+        scenario.set_as_footprint(65022, {waw.facility_id})
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
         step = PrivateConnectivityStep(scenario.inputs())
@@ -398,8 +401,8 @@ class TestStep5PrivateLinks:
         big = {scenario.add_facility("Paris").facility_id for _ in range(4)}
         big |= {scenario.add_facility("Berlin").facility_id for _ in range(4)}
         footprint = big | {"fac-001"}
-        scenario.dataset.as_facilities[65021] = set(footprint)
-        scenario.dataset.as_facilities[65022] = set(footprint)
+        scenario.set_as_footprint(65021, footprint)
+        scenario.set_as_footprint(65022, footprint)
         config = InferenceConfig(max_coherent_vote_facilities=3)
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
@@ -414,32 +417,24 @@ class TestRTTSummaryIndex:
                               rtt_lower_ms=rtt, vp_id="vp-1")
 
     def test_observations_for_ixp_groups_by_ixp(self):
-        summary = RTTCampaignSummary()
-        summary.observations[("ixp-a", "185.1.0.1")] = self._obs("ixp-a", "185.1.0.1", 1.0)
-        summary.observations[("ixp-b", "185.2.0.1")] = self._obs("ixp-b", "185.2.0.1", 2.0)
+        summary = RTTCampaignSummary(observations={
+            ("ixp-a", "185.1.0.1"): self._obs("ixp-a", "185.1.0.1", 1.0),
+            ("ixp-b", "185.2.0.1"): self._obs("ixp-b", "185.2.0.1", 2.0),
+        })
         assert [o.interface_ip for o in summary.observations_for_ixp("ixp-a")] == ["185.1.0.1"]
         assert summary.observations_for_ixp("ixp-z") == []
 
     def test_index_refreshes_on_new_keys_and_sees_replacements(self):
-        summary = RTTCampaignSummary()
         key = ("ixp-a", "185.1.0.1")
-        summary.observations[key] = self._obs("ixp-a", "185.1.0.1", 5.0)
+        summary = RTTCampaignSummary(observations={
+            key: self._obs("ixp-a", "185.1.0.1", 5.0)})
         assert summary.observations_for_ixp("ixp-a")[0].rtt_min_ms == 5.0
-        # In-place replacement under an existing key stays visible because
-        # the index stores keys, not observation objects.
-        summary.observations[key] = self._obs("ixp-a", "185.1.0.1", 1.0)
+        # Replacement under an existing key stays visible because the index
+        # stores keys, not observation objects.
+        summary.merge_from(RTTCampaignSummary(observations={
+            key: self._obs("ixp-a", "185.1.0.1", 1.0)}))
         assert summary.observations_for_ixp("ixp-a")[0].rtt_min_ms == 1.0
-        # New keys trigger a rebuild via the size guard.
-        summary.observations[("ixp-a", "185.1.0.2")] = self._obs("ixp-a", "185.1.0.2", 3.0)
+        # New keys trigger a rebuild via the key-count token.
+        summary.merge_from(RTTCampaignSummary(observations={
+            ("ixp-a", "185.1.0.2"): self._obs("ixp-a", "185.1.0.2", 3.0)}))
         assert len(summary.observations_for_ixp("ixp-a")) == 2
-
-    def test_delete_and_insert_at_same_size_never_crashes(self):
-        summary = RTTCampaignSummary()
-        summary.observations[("ixp-a", "185.1.0.1")] = self._obs("ixp-a", "185.1.0.1", 1.0)
-        assert len(summary.observations_for_ixp("ixp-a")) == 1  # build the index
-        del summary.observations[("ixp-a", "185.1.0.1")]
-        summary.observations[("ixp-a", "185.1.0.2")] = self._obs("ixp-a", "185.1.0.2", 2.0)
-        # Same size: the stale index must degrade gracefully, not KeyError.
-        assert summary.observations_for_ixp("ixp-a") == []
-        summary.invalidate_caches()
-        assert [o.interface_ip for o in summary.observations_for_ixp("ixp-a")] == ["185.1.0.2"]

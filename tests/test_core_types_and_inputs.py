@@ -112,12 +112,6 @@ class TestInferenceReport:
         report.classify("ixp-a", "185.1.0.1", 1, PeeringClassification.REMOTE,
                         InferenceStep.PORT_CAPACITY)
         assert any(r.is_remote for r in report.results_for_ixp("ixp-a"))
-        # Key-set changes at unchanged size require invalidate_caches().
-        del report.results[("ixp-a", "185.1.0.2")]
-        report.ensure("ixp-b", "185.2.0.1", 3)
-        assert report.results_for_ixp("ixp-b") == []
-        report.invalidate_caches()
-        assert len(report.results_for_ixp("ixp-b")) == 1
 
 
 class TestInferenceInputs:

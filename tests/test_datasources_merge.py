@@ -86,15 +86,8 @@ class TestObservedDatasetQueries:
     def test_ixp_for_ip_index_refreshes_when_prefixes_are_added(self):
         dataset = ObservedDataset(ixp_prefixes={"185.0.0.0/8": "ixp-broad"})
         assert dataset.ixp_for_ip("185.1.0.77") == "ixp-broad"
-        dataset.ixp_prefixes["185.1.0.0/24"] = "ixp-lan"
+        dataset.set_ixp_prefix("185.1.0.0/24", "ixp-lan")
         assert dataset.ixp_for_ip("185.1.0.77") == "ixp-lan"
-
-    def test_invalidate_caches_picks_up_in_place_value_replacement(self):
-        dataset = ObservedDataset(ixp_prefixes={"185.1.0.0/24": "ixp-a"})
-        assert dataset.ixp_for_ip("185.1.0.77") == "ixp-a"
-        dataset.ixp_prefixes["185.1.0.0/24"] = "ixp-b"  # same size: needs explicit invalidation
-        dataset.invalidate_caches()
-        assert dataset.ixp_for_ip("185.1.0.77") == "ixp-b"
 
     def test_merge_produces_lpm_semantics_for_nested_lans(self):
         he = _snapshot(SourceName.HE, prefixes=[("185.0.0.0/8", "ixp-broad"),
@@ -117,8 +110,7 @@ class TestObservedDatasetQueries:
             interface_asn={"185.1.0.1": 1},
         )
         assert dataset.members_of_ixp("ixp-a") == {1}
-        dataset.interface_ixp["185.1.0.2"] = "ixp-a"
-        dataset.interface_asn["185.1.0.2"] = 2
+        dataset.set_interface("185.1.0.2", "ixp-a", 2)
         assert dataset.members_of_ixp("ixp-a") == {1, 2}
         assert dataset.interfaces_of_ixp("ixp-a") == {"185.1.0.1": 1, "185.1.0.2": 2}
 

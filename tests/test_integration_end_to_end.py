@@ -1,5 +1,6 @@
 """End-to-end integration tests on the tiny study (full chain, small scale)."""
 
+from collections.abc import Mapping
 
 from repro.core.types import PeeringClassification
 from repro.validation.metrics import evaluate_report
@@ -35,10 +36,15 @@ class TestTinyStudyEndToEnd:
         """The pipeline inputs contain only primitive observables."""
         dataset = tiny_study.dataset
         for value in (dataset.interface_asn, dataset.ixp_facilities, dataset.as_facilities):
-            assert isinstance(value, dict)
+            assert isinstance(value, Mapping)
         # Spot check: values are primitives / containers of primitives.
         some_ip = next(iter(dataset.interface_asn))
         assert isinstance(dataset.interface_asn[some_ip], int)
+        assert all(
+            isinstance(facility_id, str)
+            for footprint in dataset.as_facilities.values()
+            for facility_id in footprint
+        )
 
     def test_rerunning_pipeline_is_deterministic(self, tiny_study):
         from repro.core.pipeline import RemotePeeringPipeline

@@ -132,13 +132,13 @@ class TestPingCampaign:
 
 
 class TestPingResultIndexes:
-    def _result(self):
-        result = PingCampaignResult()
-        result.series.append(PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.1"))
-        result.series.append(PingSeries(vp_id="vp-2", ixp_id="ixp-a", target_ip="185.1.0.2"))
-        result.route_server_series.append(
-            PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250"))
-        return result
+    def _result(self, rs_samples=()):
+        return PingCampaignResult(
+            series=[PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.1"),
+                    PingSeries(vp_id="vp-2", ixp_id="ixp-a", target_ip="185.1.0.2")],
+            route_server_series=[PingSeries(vp_id="vp-1", ixp_id="ixp-a",
+                                            target_ip="185.1.0.250", samples=rs_samples)],
+        )
 
     def test_indexed_accessors_match_linear_semantics(self):
         result = self._result()
@@ -151,12 +151,12 @@ class TestPingResultIndexes:
     def test_route_server_retries_merge_into_one_population(self):
         from repro.measurement.results import PingSample
 
-        result = self._result()
+        result = self._result(rs_samples=(PingSample(rtt_ms=0.4, reply_ttl=63),))
         first = result.route_server_series[0]
-        first.samples = [PingSample(rtt_ms=0.4, reply_ttl=63)]
-        retry = PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250")
-        retry.samples = [PingSample(rtt_ms=0.2, reply_ttl=63), PingSample(rtt_ms=0.5, reply_ttl=63)]
-        result.route_server_series.append(retry)
+        retry = PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250",
+                           samples=(PingSample(rtt_ms=0.2, reply_ttl=63),
+                                    PingSample(rtt_ms=0.5, reply_ttl=63)))
+        result.add_route_server_series(retry)
         merged = result.route_server_series_for_vp("vp-1")
         # A VP's control samples are one population: a retried series must
         # not be silently ignored.
@@ -171,18 +171,18 @@ class TestPingResultIndexes:
 
         result = PingCampaignResult()
         dead = PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250")
-        result.route_server_series.append(dead)
+        result.add_route_server_series(dead)
         assert not result.route_server_series_for_vp("vp-1").responded
-        retry = PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250")
-        retry.samples = [PingSample(rtt_ms=0.3, reply_ttl=63)]
-        result.route_server_series.append(retry)
+        retry = PingSeries(vp_id="vp-1", ixp_id="ixp-a", target_ip="185.1.0.250",
+                           samples=(PingSample(rtt_ms=0.3, reply_ttl=63),))
+        result.add_route_server_series(retry)
         assert result.route_server_series_for_vp("vp-1").responded
 
     def test_indexes_refresh_after_appends(self):
         result = self._result()
         assert len(result.series_for_vp("vp-2")) == 1  # build the indexes
-        result.series.append(PingSeries(vp_id="vp-2", ixp_id="ixp-b", target_ip="185.2.0.1"))
-        result.route_server_series.append(
+        result.add_series(PingSeries(vp_id="vp-2", ixp_id="ixp-b", target_ip="185.2.0.1"))
+        result.add_route_server_series(
             PingSeries(vp_id="vp-2", ixp_id="ixp-b", target_ip="185.2.0.250"))
         assert len(result.series_for_vp("vp-2")) == 2
         assert [s.target_ip for s in result.series_for_ixp("ixp-b")] == ["185.2.0.1"]

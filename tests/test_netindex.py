@@ -179,11 +179,3 @@ class TestGenerationGuardedIndex:
         del backing["a"]
         backing["b"] = 2
         assert guard.get((1, len(backing)), lambda: dict(backing)) == {"b": 2}
-
-    def test_invalidate_drops_payload(self):
-        from repro.versioning import GenerationGuardedIndex
-        guard = GenerationGuardedIndex()
-        assert guard.get((0, 1), lambda: "payload") == "payload"
-        guard.invalidate()
-        assert not guard.is_built
-        assert guard.get((0, 1), lambda: "rebuilt") == "rebuilt"

@@ -9,14 +9,17 @@ reuse.
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ExperimentConfig
+from repro.contracts.accessors import GEO_ACCESSOR_DOMAINS
 from repro.core.engine import PipelineEngine
 from repro.core.inputs import InferenceInputs
 from repro.datasources.merge import (
@@ -26,13 +29,21 @@ from repro.datasources.merge import (
     ObservedDataset,
 )
 from repro.datasources.prefix2as import Prefix2ASMap
-from repro.geo.coordinates import offset_point
+from repro.geo.coordinates import GeoPoint, offset_point
 from repro.geo.distindex import GeoDistanceIndex
 from repro.netindex import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
+from repro.measurement.results import TracerouteCorpus
 from repro.study import RemotePeeringStudy
 from repro.versioning import Change, ChangeJournal, ChangeKind, Versioned
-from tests.detection_strategies import detection_inputs, edits, forwarding_path
-from tests.helpers import build_scenario
+from tests.detection_strategies import (
+    ASNS,
+    FACILITIES,
+    IXPS,
+    detection_inputs,
+    edits,
+    forwarding_path,
+)
+from tests.helpers import build_scenario, dual_city_scenario
 
 
 def _change(domain: str, key: object = "k") -> Change:
@@ -187,7 +198,7 @@ class TestDatasetMutators:
         assert dataset.ixp_for_ip("185.1.0.9") == "ixp-a"
         changed = dataset.set_ixp_prefix("185.1.0.0/24", "ixp-b")
         assert changed
-        # Same dict size, no invalidate_caches() — and yet:
+        # Same dict size, no manual reset — and yet:
         assert dataset.ixp_for_ip("185.1.0.9") == "ixp-b"
 
     def test_prefix_remap_patches_the_built_lan_view_incrementally(self):
@@ -215,26 +226,41 @@ class TestDatasetMutators:
         assert dataset.interfaces_of_ixp("ixp-a") == {"185.1.0.1": 65999}
         assert dataset.members_of_ixp("ixp-a") == {65999}
 
-    def test_direct_dict_mutation_keeps_the_legacy_contract(self):
+    def test_lan_prefix_spellings_share_one_key(self):
         dataset = ObservedDataset()
-        dataset.set_interface("185.1.0.1", "ixp-a", 65001)
-        assert dataset.members_of_ixp("ixp-a") == {65001}
-        # A raw poke at unchanged size is invisible (the legacy trap)...
-        dataset.interface_asn["185.1.0.1"] = 64000
-        assert dataset.members_of_ixp("ixp-a") == {65001}
-        # ...until the legacy escape hatch, now an opaque generation bump.
-        dataset.invalidate_caches()
-        assert dataset.members_of_ixp("ixp-a") == {64000}
+        assert dataset.set_ixp_prefix("2001:DB8::/32", "ixp-a")
+        assert dataset.set_ixp_prefix("2001:db8::/32", "ixp-b")
+        assert dict(dataset.ixp_prefixes) == {"2001:db8::/32": "ixp-b"}
+        assert [change.kind for change in dataset.journal.since(0)] == [
+            ChangeKind.ADD, ChangeKind.REPLACE]
+        assert dataset.ixp_for_ip("2001:db8::1") == "ixp-b"
 
-    def test_mutator_after_direct_poke_rebuilds_instead_of_patching_stale(self):
-        dataset = ObservedDataset(ixp_prefixes={"185.1.0.0/24": "ixp-a"})
-        assert dataset.ixp_for_ip("185.1.0.9") == "ixp-a"
-        # Direct grow (no generation bump), then a journalled re-map: the
-        # mutator must not stamp the stale view as fresh.
-        dataset.ixp_prefixes["185.2.0.0/24"] = "ixp-b"
-        dataset.set_ixp_prefix("185.1.0.0/24", "ixp-c")
-        assert dataset.ixp_for_ip("185.2.0.9") == "ixp-b"
-        assert dataset.ixp_for_ip("185.1.0.9") == "ixp-c"
+    def test_lan_prefix_removal_accepts_any_spelling(self):
+        dataset = ObservedDataset()
+        dataset.set_ixp_prefix("2001:DB8::/32", "ixp-a")
+        assert dataset.ixp_for_ip("2001:db8::1") == "ixp-a"
+        assert dataset.remove_ixp_prefix("2001:db8::/32")
+        assert dict(dataset.ixp_prefixes) == {}
+        assert dataset.ixp_for_ip("2001:db8::1") is None
+
+    def test_lan_prefix_with_host_bits_is_rejected_before_any_write(self):
+        from repro.exceptions import DataSourceError
+
+        with pytest.raises(DataSourceError):
+            ObservedDataset(ixp_prefixes={"10.0.0.1/8": "ixp-a"})
+        for built in (False, True):
+            dataset = ObservedDataset(ixp_prefixes={"10.0.0.0/8": "ixp-a"})
+            if built:
+                assert dataset.ixp_for_ip("10.0.0.1") == "ixp-a"
+            generation = dataset.generation
+            with pytest.raises(DataSourceError):
+                dataset.set_ixp_prefix("10.0.0.1/8", "ixp-b")
+            with pytest.raises(DataSourceError):
+                dataset.remove_ixp_prefix("10.0.0.1/8")
+            assert dataset.generation == generation
+            assert dataset.journal.since(0) == []
+            assert dict(dataset.ixp_prefixes) == {"10.0.0.0/8": "ixp-a"}
+            assert dataset.ixp_for_ip("10.0.0.1") == "ixp-a"
 
     def test_mutators_are_idempotent_without_generation_churn(self):
         dataset = ObservedDataset()
@@ -269,6 +295,121 @@ class TestDatasetMutators:
         assert dataset.domain_token(DOMAIN_INTERFACES) != interface_token
         assert dataset.domain_token(DOMAIN_IXP_PREFIXES) == prefix_token
         assert dataset.domain_token(DOMAIN_FACILITY_LOCATIONS) == location_token
+
+
+class TestOneWritePath:
+    """Public collections refuse writes: the mutators are the only writers.
+
+    Each test tries one write shape and checks that the container's version
+    (its generation, or a report's key count) and the answers of its derived
+    views are unchanged afterwards.
+    """
+
+    IXP = "ixp-ams-test"
+
+    def _dataset(self):
+        dataset = dual_city_scenario().dataset
+        index = GeoDistanceIndex(dataset)
+        return dataset, index, self._answers(dataset, index)
+
+    def _answers(self, dataset, index):
+        origin = dataset.facility_location("fac-001")
+        return (
+            dataset.generation,
+            dataset.interfaces_of_ixp(self.IXP),
+            dataset.members_of_ixp(self.IXP),
+            dataset.ixp_for_ip("185.1.0.2"),
+            dataset.ixp_ids(),
+            dataset.port_capacity(self.IXP, 65003),
+            index.ixp_profile(origin, self.IXP),
+            index.as_profile(origin, 65002),
+            index.majority_facility_vote(frozenset({65001, 65002, 65003})),
+        )
+
+    def test_subscript_assignment(self):
+        dataset, index, before = self._dataset()
+        with pytest.raises(TypeError):
+            dataset.interface_asn["185.1.0.2"] = 64000
+        assert self._answers(dataset, index) == before
+
+    def test_subscript_assignment_through_an_alias(self):
+        dataset, index, before = self._dataset()
+        backing = dataset.ixp_facilities
+        with pytest.raises(TypeError):
+            backing[self.IXP] = frozenset()
+        assert self._answers(dataset, index) == before
+
+    def test_subscript_deletion(self):
+        dataset, index, before = self._dataset()
+        with pytest.raises(TypeError):
+            del dataset.port_capacities[(self.IXP, 65003)]
+        assert self._answers(dataset, index) == before
+
+    def test_clear(self):
+        dataset, index, before = self._dataset()
+        with pytest.raises(AttributeError):
+            dataset.as_facilities.clear()
+        with pytest.raises(AttributeError):
+            dataset.interface_asn.clear()
+        assert self._answers(dataset, index) == before
+
+    def test_wholesale_rebind(self):
+        dataset, index, before = self._dataset()
+        with pytest.raises(AttributeError):
+            dataset.ixp_prefixes = {"185.1.0.0/24": "ixp-elsewhere"}
+        with pytest.raises(AttributeError):
+            dataset.customer_cone_sizes = {}
+        assert self._answers(dataset, index) == before
+
+    def test_add_to_a_footprint(self):
+        dataset, index, before = self._dataset()
+        with pytest.raises(AttributeError):
+            dataset.as_facilities[65002].add("fac-001")
+        with pytest.raises(AttributeError):
+            dataset.ixp_facilities[self.IXP].add("fac-002")
+        assert self._answers(dataset, index) == before
+
+    def test_append_to_paths_or_series(self):
+        scenario = dual_city_scenario()
+        vp = scenario.add_vantage_point(
+            scenario.world.ixps[self.IXP], scenario.world.facilities["fac-001"])
+        scenario.add_route_server_series(vp, [0.3])
+        scenario.add_ping_series(vp, "185.1.0.2", [8.2, 8.6])
+        ping = scenario.ping_result
+        corpus = TracerouteCorpus(paths=[forwarding_path(["10.1.0.9", "185.1.0.2"])])
+
+        def answers():
+            return (ping.generation, ping.series_for_ixp(self.IXP), ping.series,
+                    corpus.generation, corpus.paths, corpus.paths_from(65001))
+
+        before = answers()
+        with pytest.raises(AttributeError):
+            corpus.paths.append(forwarding_path(["10.2.0.9"]))
+        with pytest.raises(AttributeError):
+            ping.series.append(ping.series[0])
+        with pytest.raises(AttributeError):
+            ping.route_server_series.append(ping.route_server_series[0])
+        with pytest.raises(TypeError):
+            ping.vantage_points["vp-x"] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ping.series[0].samples = ()
+        assert answers() == before
+
+    def test_report_results_clear(self, tiny_study):
+        outcome = tiny_study.outcome
+        report, summary = outcome.report, outcome.rtt_summary
+
+        def answers():
+            return (len(report), report.results_for_ixp(outcome.ixp_ids[0]),
+                    len(summary.observations),
+                    summary.observations_for_ixp(outcome.ixp_ids[0]))
+
+        before = answers()
+        with pytest.raises(AttributeError):
+            report.results.clear()
+        with pytest.raises(TypeError):
+            summary.observations[("ixp", "ip")] = None
+        assert answers() == before
 
 
 class TestMergeJournal:
@@ -389,7 +530,7 @@ class TestGeoSelectiveEviction:
         dataset = scenario.dataset
         index = GeoDistanceIndex(dataset)
         index.facility_distance_km(ams1.location, fra.facility_id)
-        dataset.invalidate_caches()
+        dataset.bump_generation()
         index.facility_distance_km(ams1.location, ams2.facility_id)
         assert index.wholesale_invalidations == 1
         assert (ams1.location, fra.facility_id) not in index._point_km
@@ -405,16 +546,87 @@ class TestGeoSelectiveEviction:
         index.facility_distance_km(ams1.location, fra.facility_id)
         assert index.wholesale_invalidations == 1
 
-    def test_direct_mutation_still_requires_manual_invalidate(self):
-        scenario, ams1, ams2, fra, ixp = self._scenario()
-        dataset = scenario.dataset
+
+#: Facility coordinates the geometry oracle moves facilities between.
+GEO_POINTS = [
+    GeoPoint(52.37, 4.90),
+    GeoPoint(52.30, 4.94),
+    GeoPoint(50.11, 8.68),
+    GeoPoint(48.86, 2.35),
+]
+#: FACILITIES plus two more; "fac-4" starts without coordinates.
+GEO_FACILITIES = [*FACILITIES, "fac-3", "fac-4"]
+GEO_ORIGINS = [GeoPoint(52.0, 5.0), GeoPoint(50.0, 8.0)]
+GEO_RINGS = [(0.0, 300.0), (200.0, 1_000.0)]
+#: Arguments for every GeoDistanceIndex accessor the contracts tables name.
+GEO_ARGUMENTS = {
+    "facility_distance_km": list(product(GEO_ORIGINS, GEO_FACILITIES)),
+    "pair_distance_km": list(product(GEO_FACILITIES, GEO_FACILITIES)),
+    "ixp_profile": list(product(GEO_ORIGINS, IXPS)),
+    "as_profile": list(product(GEO_ORIGINS, ASNS)),
+    "feasible_ixp_facilities": [
+        (origin, ixp_id, *ring) for origin, ixp_id, ring in product(GEO_ORIGINS, IXPS, GEO_RINGS)
+    ],
+    "feasible_as_facilities": [
+        (origin, asn, *ring) for origin, asn, ring in product(GEO_ORIGINS, ASNS, GEO_RINGS)
+    ],
+    "ixp_pair_span_km": list(product(IXPS, IXPS)),
+    "as_ixp_span_km": list(product(ASNS, IXPS)),
+    "common_facility_span_km": list(product(ASNS, IXPS)),
+    "majority_facility_vote": [
+        (frozenset(voters),) for size in (1, 2, 3) for voters in combinations(ASNS, size)
+    ],
+}
+
+#: One journalled geometry edit: a dataset mutator name and its arguments.
+geo_edits = st.one_of(
+    st.tuples(
+        st.just("set_facility_location"),
+        st.tuples(st.sampled_from(GEO_FACILITIES), st.sampled_from(GEO_POINTS)),
+    ),
+    *(
+        st.tuples(
+            st.just(name),
+            st.tuples(st.sampled_from(owners), st.sampled_from(GEO_FACILITIES)),
+        )
+        for name, owners in (
+            ("add_ixp_facility", IXPS),
+            ("remove_ixp_facility", IXPS),
+            ("add_as_facility", ASNS),
+            ("remove_as_facility", ASNS),
+        )
+    ),
+)
+
+
+def _geo_answers(index: GeoDistanceIndex) -> dict[str, list[object]]:
+    return {
+        name: [getattr(index, name)(*args) for args in GEO_ARGUMENTS[name]]
+        for name in GEO_ACCESSOR_DOMAINS
+    }
+
+
+class TestGeoJournalOracle:
+    @given(
+        setup=st.lists(geo_edits, max_size=12),
+        steps=st.lists(geo_edits, min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_selective_eviction_matches_a_fresh_index(self, setup, steps):
+        """After every journalled edit, every memoised answer equals a
+        fresh index's, through selective eviction alone."""
+        assert set(GEO_ARGUMENTS) == set(GEO_ACCESSOR_DOMAINS)
+        dataset = ObservedDataset(facility_locations=dict(zip(GEO_FACILITIES, GEO_POINTS[:3])))
+        for name, args in setup:
+            getattr(dataset, name)(*args)
         index = GeoDistanceIndex(dataset)
-        before = index.facility_distance_km(ams1.location, fra.facility_id)
-        dataset.facility_locations[fra.facility_id] = offset_point(
-            fra.location, 40.0, 90.0)
-        assert index.facility_distance_km(ams1.location, fra.facility_id) == before
-        index.invalidate()
-        assert index.facility_distance_km(ams1.location, fra.facility_id) != before
+        _geo_answers(index)
+        applied = 0
+        for name, args in steps:
+            applied += getattr(dataset, name)(*args)
+            assert _geo_answers(index) == _geo_answers(GeoDistanceIndex(dataset))
+            assert index.incremental_evictions == applied
+            assert index.wholesale_invalidations == 0
 
 
 class TestCorpusDetectionIndex:
