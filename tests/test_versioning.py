@@ -932,6 +932,123 @@ class TestEngineCrossRevisionReuse:
         assert after["step5"][1] == before["step5"][1] + 1
 
 
+@pytest.fixture(scope="module")
+def oracle_study() -> RemotePeeringStudy:
+    """A private tiny study; the oracle edits copies of its inputs only."""
+    study = RemotePeeringStudy(ExperimentConfig.tiny(seed=23))
+    study.inputs  # build the dataset, campaigns and prefix map once
+    return study
+
+
+def _dataset_copy(dataset: ObservedDataset) -> ObservedDataset:
+    """A cold structural copy of the observed dataset's public tables."""
+    return ObservedDataset(
+        ixp_prefixes=dict(dataset.ixp_prefixes),
+        interface_ixp=dict(dataset.interface_ixp),
+        interface_asn=dict(dataset.interface_asn),
+        ixp_facilities={k: set(v) for k, v in dataset.ixp_facilities.items()},
+        as_facilities={k: set(v) for k, v in dataset.as_facilities.items()},
+        facility_locations=dict(dataset.facility_locations),
+        port_capacities=dict(dataset.port_capacities),
+        min_physical_capacity=dict(dataset.min_physical_capacity),
+        traffic_levels=dict(dataset.traffic_levels),
+        user_populations=dict(dataset.user_populations),
+        customer_cone_sizes=dict(dataset.customer_cone_sizes),
+        countries=dict(dataset.countries),
+    )
+
+
+def _prefix2as_copy(prefix2as: Prefix2ASMap) -> Prefix2ASMap:
+    copy = Prefix2ASMap()
+    for prefix, asn in prefix2as._prefixes.items():
+        copy.add(prefix, asn)
+    return copy
+
+
+def _engine_over(study, dataset, prefix2as) -> PipelineEngine:
+    """An engine with a fresh geo index over the study's campaigns."""
+    geo_index = GeoDistanceIndex(dataset)
+    inputs = InferenceInputs(
+        dataset=dataset,
+        ping_result=study.ping_result,
+        corpus=study.traceroute_corpus,
+        prefix2as=prefix2as,
+        alias_resolver=study.alias_resolver,
+        geo_index=geo_index,
+    )
+    return PipelineEngine(inputs, delay_model=study.delay_model, geo_index=geo_index)
+
+
+def _scenario_configs(base):
+    """Every fig. 9 ablation, fig. 11 tolerance and table 4 scenario."""
+    from repro.experiments import fig9, fig11, table4
+
+    return [
+        *(replace(base, **overrides) for _, overrides in fig9.ABLATION_SCENARIOS),
+        *(replace(base, feasible_facility_tolerance_km=km) for km in fig11.TOLERANCE_SWEEP_KM),
+        *(replace(base, **overrides) for _, overrides in table4.AGREEMENT_SCENARIOS),
+    ]
+
+
+def _assert_same_outcome(outcome, cold) -> None:
+    assert outcome.report == cold.report
+    assert list(outcome.report.results) == list(cold.report.results)
+    assert outcome.baseline_report == cold.baseline_report
+    assert list(outcome.baseline_report.results) == list(cold.baseline_report.results)
+    for table in ("observations", "usable_vps", "discarded_vps",
+                  "queried_per_vp", "responsive_per_vp"):
+        assert getattr(outcome.rtt_summary, table) == getattr(cold.rtt_summary, table)
+    assert outcome.feasible == cold.feasible
+    assert list(outcome.feasible) == list(cold.feasible)
+    assert outcome.crossings == cold.crossings
+    assert outcome.private_adjacencies == cold.private_adjacencies
+    assert [(r.asn, r.interface_ips, r.ixp_ids, r.kind) for r in outcome.multi_ixp_routers] \
+        == [(r.asn, r.interface_ips, r.ixp_ids, r.kind) for r in cold.multi_ixp_routers]
+
+
+class TestEngineOutcomeOracle:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_warm_engine_matches_a_cold_one(self, oracle_study, data):
+        """One engine, driven through drawn scenarios, studied-IXP subsets
+        and journalled edits, equals a cold engine over copies after every
+        run."""
+        study = oracle_study
+        dataset = _dataset_copy(study.dataset)
+        prefix2as = _prefix2as_copy(study.prefix2as)
+        engine = _engine_over(study, dataset, prefix2as)
+        configs = _scenario_configs(study.config.inference)
+        studied = list(study.studied_ixp_ids)
+        facilities = sorted(set().union(*(dataset.ixp_facilities[i] for i in studied)))
+        members = sorted(set().union(*(dataset.members_of_ixp(i) for i in studied)))
+        remappable = sorted(p for p, asn in prefix2as._prefixes.items() if asn in members)
+        for _ in range(data.draw(st.integers(1, 5), label="runs")):
+            edit = data.draw(st.sampled_from(
+                (None, "move", "add_as_facility", "remove_as_facility", "remap")), label="edit")
+            if edit == "move":
+                facility = data.draw(st.sampled_from(facilities))
+                distance_km = data.draw(st.sampled_from((5.0, 30.0, 150.0)))
+                moved = offset_point(dataset.facility_locations[facility], distance_km, 60.0)
+                dataset.set_facility_location(facility, moved)
+            elif edit == "add_as_facility":
+                dataset.add_as_facility(
+                    data.draw(st.sampled_from(members)), data.draw(st.sampled_from(facilities)))
+            elif edit == "remove_as_facility":
+                asn = data.draw(st.sampled_from(members))
+                held = sorted(dataset.as_facilities.get(asn, ()))
+                if held:
+                    dataset.remove_as_facility(asn, data.draw(st.sampled_from(held)))
+            elif edit == "remap":
+                prefix2as.add(
+                    data.draw(st.sampled_from(remappable)), data.draw(st.sampled_from(members)))
+            config = data.draw(st.sampled_from(configs), label="config")
+            ixp_ids = data.draw(
+                st.lists(st.sampled_from(studied), min_size=1, unique=True), label="ixp_ids")
+            outcome = engine.run(config, ixp_ids)
+            cold = _engine_over(study, _dataset_copy(dataset), _prefix2as_copy(prefix2as))
+            _assert_same_outcome(outcome, cold.run(config, ixp_ids))
+
+
 class TestConcurrentLazyCreation:
     """Build-once guarantees under a real thread pool (concurrency PR).
 
