@@ -11,12 +11,14 @@ from cache, and the prefix map absorbs the delta as an overlay patch instead
 of a rebuild.
 
 The test pins the incremental re-run at >=3x over rebuild-everything across
-three refresh rounds, and asserts the two paths produce bit-identical
-classifications in every round before their speed is compared.
+five refresh rounds, timed with the garbage collector off, and asserts the
+two paths produce bit-identical classifications in every round before their
+speed is compared.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -91,6 +93,23 @@ def _rebuild_everything(study: RemotePeeringStudy):
     return engine.run(study.config.inference, study.studied_ixp_ids)
 
 
+def _timed(run):
+    """``run()``'s result and wall time, collected first, collector off.
+
+    A full collection over the test session's live objects costs as much as
+    a whole incremental round; with the collector on, one lands in a timed
+    call, on whichever side it happens to fall.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run()
+        return result, time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def test_incremental_refresh_speedup_and_equivalence(refresh_study):
     """Journalled 1% prefix refresh: >=3x over rebuild-everything, bit-identical."""
     study = refresh_study
@@ -102,13 +121,12 @@ def test_incremental_refresh_speedup_and_equivalence(refresh_study):
         mutated = _mutate_prefixes(study, round_index)
         assert mutated >= 1
 
-        start = time.perf_counter()
-        incremental = study.engine.run(config, study.studied_ixp_ids)
-        incremental_elapsed += time.perf_counter() - start
+        incremental, elapsed = _timed(
+            lambda: study.engine.run(config, study.studied_ixp_ids))
+        incremental_elapsed += elapsed
 
-        start = time.perf_counter()
-        rebuilt = _rebuild_everything(study)
-        rebuild_elapsed += time.perf_counter() - start
+        rebuilt, elapsed = _timed(lambda: _rebuild_everything(study))
+        rebuild_elapsed += elapsed
 
         # The refresh must be invisible in the results: classifications are
         # bit-identical between the incremental and rebuild-everything paths.
