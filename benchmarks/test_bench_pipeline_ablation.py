@@ -11,12 +11,12 @@ called out in DESIGN.md) on identical, pre-computed measurement inputs:
 """
 
 from repro.config import InferenceConfig
-from repro.core.pipeline import RemotePeeringPipeline
+from repro.core.engine import PipelineEngine
 
 
 def _run(study, config: InferenceConfig):
-    pipeline = RemotePeeringPipeline(study.inputs, config, delay_model=study.delay_model)
-    return pipeline.run(study.studied_ixp_ids)
+    engine = PipelineEngine(study.inputs, delay_model=study.delay_model)
+    return engine.run(config, study.studied_ixp_ids)
 
 
 def test_bench_pipeline_full(run_once, study):

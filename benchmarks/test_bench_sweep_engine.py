@@ -16,7 +16,6 @@ import time
 from dataclasses import replace
 
 from repro.core.engine import PipelineEngine, SweepRunner
-from repro.core.pipeline import RemotePeeringPipeline
 
 #: A representative fig. 9-style sweep: the full methodology plus ablations
 #: and a baseline-threshold variant (5 scenarios, all sharing Steps 1-3).
@@ -33,8 +32,8 @@ def _sweep_configs(base):
 def _run_independent(study, configs):
     """Each scenario as its own pipeline execution (its own engine/cache)."""
     return [
-        RemotePeeringPipeline(study.inputs, config, delay_model=study.delay_model,
-                              geo_index=study.geo_index).run(study.studied_ixp_ids)
+        PipelineEngine(study.inputs, delay_model=study.delay_model,
+                       geo_index=study.geo_index).run(config, study.studied_ixp_ids)
         for config in configs
     ]
 

@@ -35,7 +35,7 @@ from repro.config import (
     GeneratorConfig,
     InferenceConfig,
 )
-from repro.core.pipeline import PipelineOutcome, RemotePeeringPipeline
+from repro.core.engine import PipelineOutcome
 from repro.core.types import (
     InferenceReport,
     InferenceResult,
@@ -55,7 +55,6 @@ __all__ = [
     "GeneratorConfig",
     "InferenceConfig",
     "PipelineOutcome",
-    "RemotePeeringPipeline",
     "InferenceReport",
     "InferenceResult",
     "InferenceStep",

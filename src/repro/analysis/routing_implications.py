@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import PipelineOutcome
+from repro.core.engine import PipelineOutcome
 from repro.core.types import PeeringClassification
 from repro.datasources.merge import ObservedDataset
 from repro.datasources.prefix2as import Prefix2ASMap

@@ -225,7 +225,6 @@ class CampaignConfig:
     remote_path_stretch: tuple[float, float] = (1.05, 1.6)
     local_path_stretch: tuple[float, float] = (1.0, 1.15)
     ttl_anomaly_rate: float = 0.02
-    traceroutes_per_asn_pair: int = 1
     traceroute_hop_loss_rate: float = 0.03
     traceroute_sources_per_ixp: int = 40
     traceroute_destinations_per_source: int = 35
@@ -250,7 +249,6 @@ class CampaignConfig:
         _require(1.0 <= low <= high, "remote_path_stretch must be an increasing pair >= 1")
         low, high = self.local_path_stretch
         _require(1.0 <= low <= high, "local_path_stretch must be an increasing pair >= 1")
-        _require(self.traceroutes_per_asn_pair >= 0, "traceroutes_per_asn_pair must be >= 0")
         _require(self.traceroute_sources_per_ixp >= 0, "traceroute_sources_per_ixp must be >= 0")
 
 
@@ -259,11 +257,9 @@ class InferenceConfig:
     """Thresholds and switches of the five-step inference pipeline."""
 
     rtt_baseline_threshold_ms: float = CASTRO_RTT_THRESHOLD_MS
-    strong_remote_rtt_ms: float = 2.0
     atlas_route_server_filter_ms: float = 1.0
     lg_rounding_adjustment_ms: float = 1.0
     feasible_facility_tolerance_km: float = 25.0
-    require_majority_for_private_voting: bool = True
     min_private_neighbours: int = 2
     max_coherent_vote_facilities: int = 6
     enable_step1_port_capacity: bool = True
@@ -273,7 +269,6 @@ class InferenceConfig:
 
     def __post_init__(self) -> None:
         _require(self.rtt_baseline_threshold_ms > 0, "rtt_baseline_threshold_ms must be positive")
-        _require(self.strong_remote_rtt_ms > 0, "strong_remote_rtt_ms must be positive")
         _require(
             self.atlas_route_server_filter_ms > 0, "atlas_route_server_filter_ms must be positive"
         )

@@ -31,18 +31,19 @@ class Violation:
     Attributes
     ----------
     rule:
-        The rule family: ``"step-decl"``, ``"mutation"`` or ``"readonly"``.
+        The rule family: ``"step-decl"``, ``"readonly"`` or
+        ``"determinism"``, or ``"dynamic"`` for the runtime cross-check.
     kind:
         The precise finding within the family (e.g.
-        ``"undeclared-config-read"`` or ``"direct-mutation"``).
+        ``"undeclared-config-read"`` or ``"outcome-mutation"``).
     path:
         File the finding anchors to, relative to the analyzed source root's
         repository (``src/repro/...`` when run from a checkout).
     line:
         1-indexed line of the offending access / declaration.
     context:
-        The scope the finding lives in — a step-graph node name for rule 1,
-        a ``module:qualname`` for rules 2 and 3.
+        The scope the finding lives in — a step-graph node name for rule 1
+        and the dynamic cross-check, a ``module:qualname`` for rules 3 and 5.
     detail:
         The offending name (config field, domain, input, mutated field or
         attribute), used in the waiver key.

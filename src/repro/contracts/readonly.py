@@ -2,13 +2,14 @@
 
 A :class:`repro.core.engine.PipelineOutcome` (and everything reachable from
 one — the inference report, the RTT summary, the feasibility/crossing maps)
-is produced once per cache key and then **shared**: the step-result cache
-replays the same objects into every later run with an unchanged key, and
-``RemotePeeringStudy.sweep`` memoizes whole outcome dictionaries.  A
-consumer that mutates one — an experiment annotating ``outcome.feasible``,
-an analysis popping entries out of a replayed report — corrupts every other
-consumer of the same key, in an order-dependent way that no single test
-sees.
+is **shared**: ``RemotePeeringStudy.outcome`` is computed once and read by
+every consumer of the study, and although each run (``.sweep()`` included)
+builds fresh outcome containers, the objects inside them — feasibility
+analyses, crossings, routers, evidence values — are the step-result
+cache's, handed to every later run with an unchanged key.  A consumer that
+mutates one — an experiment annotating ``outcome.feasible``, an analysis
+popping entries out of a replayed report — corrupts every other consumer of
+the same objects, in an order-dependent way that no single test sees.
 
 This rule therefore treats outcome values as tainted inside the consumer
 packages (``experiments``, ``analysis``, ``validation``) and flags any
@@ -17,7 +18,7 @@ through them.  Taint starts at
 
 * names annotated with an outcome type (:data:`READONLY_CLASSES`),
 * reads of an ``.outcome`` attribute or ``.sweep(...)`` call (the study's
-  memoized entry points),
+  entry points),
 
 and propagates through attribute access, subscripts, ``.values()`` /
 ``.items()`` / ``.get()`` and loop targets iterating a tainted expression.
@@ -107,7 +108,7 @@ class _FunctionScan:
             func = node.func
             if isinstance(func, ast.Attribute):
                 if func.attr == "sweep":
-                    return True  # memoized sweep outcomes are shared
+                    return True  # sweep outcomes hold cache-shared objects
                 if func.attr in _TRANSPARENT_CALLS:
                     return self._tainted_expr(func.value)
         if isinstance(node, ast.IfExp):
@@ -211,8 +212,8 @@ class _FunctionScan:
                 detail=f"{name}:{operation}",
                 message=(
                     f"mutation ({operation}) of {name!r}, which is reached from a "
-                    "replayed PipelineOutcome — outcomes are shared by the step "
-                    "cache and sweep memoization; copy the data before editing it"
+                    "replayed PipelineOutcome — outcomes share objects with the "
+                    "step cache and other runs; copy the data before editing it"
                 ),
             )
         )

@@ -17,8 +17,7 @@ combining, in order:
 :mod:`repro.core.baseline` implements the RTT-threshold-only state of the art
 (Castro et al.) used as the comparison baseline.  :mod:`repro.core.engine`
 executes the steps as a declared graph of fingerprint-keyed, cacheable nodes
-(the scenario-sweep hot path), and :mod:`repro.core.pipeline` is the
-single-configuration facade over it.
+(the scenario-sweep hot path) and returns each run's :class:`PipelineOutcome`.
 """
 
 from repro.core.types import (
@@ -37,12 +36,12 @@ from repro.core.baseline import RTTBaseline
 from repro.core.engine import (
     STEP_GRAPH,
     PipelineEngine,
+    PipelineOutcome,
     StepResultCache,
     StepScope,
     StepSpec,
     SweepRunner,
 )
-from repro.core.pipeline import PipelineOutcome, RemotePeeringPipeline
 
 __all__ = [
     "STEP_GRAPH",
@@ -68,5 +67,4 @@ __all__ = [
     "PrivateConnectivityStep",
     "RTTBaseline",
     "PipelineOutcome",
-    "RemotePeeringPipeline",
 ]

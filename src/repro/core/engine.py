@@ -33,8 +33,7 @@ so invalidation is transitive by construction, along *both* axes:
 
 * **configuration** — changing a Step 2 threshold re-keys Steps 2, 3, 4, 5
   and the baseline but leaves Step 1 and the traceroute observables
-  untouched; config fields no node declares (e.g. the analysis-only
-  ``strong_remote_rtt_ms``) never cause recomputation;
+  untouched;
 * **dataset revision** — the data version tokens are the generation stamps
   of the declared dataset domains (:meth:`ObservedDataset.domain_token`) and
   inputs-bundle members (:meth:`~repro.versioning.Versioned.version_token`).
@@ -47,13 +46,15 @@ so invalidation is transitive by construction, along *both* axes:
 Equivalence contract (pinned by ``tests/test_core_engine.py`` and
 ``tests/test_versioning.py``):
 
-1. **Bit-identical reports** — a node's cached result is the *replayable
-   delta* of ``ensure``/``classify`` calls the step made.  The final report
-   is a pure function of the call sequence, and the engine replays the
-   per-step deltas in exactly the monolithic order (Step 1 per IXP, Step 3
-   per IXP, Step 4, Step 5), so the assembled
-   :class:`~repro.core.types.InferenceReport` equals the monolith's —
-   including insertion order.
+1. **Bit-identical reports** — each run keeps one
+   :class:`~repro.core.types.InferenceReport` and visits the report-writing
+   nodes in the monolithic order (Step 1 per IXP, Step 3 per IXP, Step 4,
+   Step 5).  On a miss the step runs on that report while its
+   ``ensure``/``classify`` calls are recorded: the *replayable delta* the
+   cache stores.  On a hit the stored delta is replayed into the report.
+   A report is a pure function of its call sequence, and a per-IXP step
+   reads and writes only its own IXP's results, so either way the report
+   equals the monolith's — including insertion order.
 2. **Revision consistency** — the inputs' public collections are read-only
    views, so every revision goes through a journal-emitting dataset mutator
    or a recording campaign mutator, and each moves a generation: the version
@@ -70,10 +71,10 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
 grows with the distinct step keys an engine's runs create (configurations,
 studied IXP sets and dataset revisions) until ``cache.clear()``.
 
-Execution is serial: :meth:`PipelineEngine.run` computes each studied IXP's
-per-IXP chain in ``ixp_ids`` order, then the global nodes.  The per-IXP layer
-is a small share of a realistic run (the global traceroute node dominates),
-so the engine starts no threads or processes of its own.
+Execution is serial: :meth:`PipelineEngine.run` visits the nodes one at a
+time, the per-IXP ones in ``ixp_ids`` order.  The per-IXP layer is a small
+share of a realistic run (the global traceroute node dominates), so the
+engine starts no threads or processes of its own.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Any, Callable, NamedTuple, Sequence, cast
+from typing import Any, Callable, Sequence, TypeVar, cast
 
 from repro.config import InferenceConfig, config_fingerprint
 from repro.datasources.merge import (
@@ -118,6 +119,8 @@ _DeltaRecord = tuple[Any, ...]
 _Delta = tuple[_DeltaRecord, ...]
 #: The feasibility analyses Step 3 contributes, keyed by (IXP, interface).
 _FeasibleMap = dict[tuple[str, str], FeasibleFacilityAnalysis]
+#: What a report-writing node returns besides its writes to the report.
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -292,8 +295,8 @@ class CacheStats:
 class StepResultCache:
     """Shared store of step-node results keyed by fingerprint.
 
-    The cache is safe to share across configurations, pipeline facades,
-    sweep runs and journalled dataset revisions over *one* inputs bundle:
+    The cache is safe to share across configurations, sweep runs and
+    journalled dataset revisions over *one* inputs bundle:
     the key of every entry already encodes everything that may legally
     influence the result (declared config fields, the version tokens of the
     declared data, and upstream keys), so a hit is a proof of reusability.
@@ -325,7 +328,7 @@ class StepResultCache:
             return self._entries.setdefault(key, value)
 
     def clear(self) -> None:
-        """Drop every entry (required if the inputs were mutated directly)."""
+        """Drop every entry and every hit/miss count."""
         with self._lock:
             self._entries.clear()
             self.stats.clear()
@@ -338,24 +341,25 @@ class StepResultCache:
 # Replayable report deltas
 # --------------------------------------------------------------------- #
 class _RecordingReport(InferenceReport):
-    """An :class:`InferenceReport` that logs mutating calls for replay.
+    """A view of a run's report that logs the mutating calls made through it.
 
-    The report's final state is a pure function of its ``ensure``/``classify``
-    call sequence, so recording a step's calls (after replaying its
-    prerequisites) captures exactly that step's contribution, and replaying
-    the recorded deltas in monolithic step order rebuilds a bit-identical
-    report.
+    The view shares the report's results and key indexes, so a step run
+    through it reads and writes the run's report itself, while ``log``
+    collects the step's ``ensure``/``classify`` calls.  A report's state is
+    a pure function of its call sequence, so the log is exactly the step's
+    contribution: replaying it into a report in the same state reproduces
+    the step's writes.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.log: list[_DeltaRecord] | None = None
-
-    def start_recording(self) -> None:
-        self.log = []
+    def __init__(self, report: InferenceReport) -> None:
+        # No super().__init__(): that would start an empty report.
+        self._results = report._results
+        self._as_index = report._as_index
+        self._ixp_index = report._ixp_index
+        self.log: list[_DeltaRecord] = []
 
     def ensure(self, ixp_id: str, interface_ip: str, asn: int) -> InferenceResult:
-        if self.log is not None and (ixp_id, interface_ip) not in self._results:
+        if (ixp_id, interface_ip) not in self._results:
             self.log.append(("ensure", ixp_id, interface_ip, asn))
         return super().ensure(ixp_id, interface_ip, asn)
 
@@ -370,9 +374,8 @@ class _RecordingReport(InferenceReport):
         *,
         overwrite: bool = False,
     ) -> InferenceResult:
-        if self.log is not None:
-            self.log.append(("classify", ixp_id, interface_ip, asn, classification,
-                             step, dict(evidence) if evidence else None, overwrite))
+        self.log.append(("classify", ixp_id, interface_ip, asn, classification,
+                         step, dict(evidence) if evidence else None, overwrite))
         return super().classify(ixp_id, interface_ip, asn, classification, step,
                                 evidence, overwrite=overwrite)
 
@@ -472,16 +475,6 @@ class _KeyResolver:
         return digest
 
 
-class _PerIXPResults(NamedTuple):
-    """The cached results of one IXP's per-IXP node chain."""
-
-    step1_delta: _Delta
-    summary: RTTCampaignSummary
-    step3_delta: _Delta
-    feasible: _FeasibleMap
-    baseline_delta: _Delta
-
-
 # --------------------------------------------------------------------- #
 # The engine
 # --------------------------------------------------------------------- #
@@ -491,16 +484,15 @@ class PipelineEngine:
     One engine (hence one :class:`StepResultCache`, one
     :class:`GeoDistanceIndex`, one :class:`DelayModel`) serves every
     configuration run over the same inputs; :class:`SweepRunner` and
-    :class:`~repro.core.pipeline.RemotePeeringPipeline` are thin layers on
-    top of :meth:`run`.
+    :attr:`repro.study.RemotePeeringStudy.outcome` are thin layers on top of
+    :meth:`run`.
 
-    :meth:`run` is serial: it computes each studied IXP's per-IXP chain
-    (Steps 1-3 and the baseline) in ``ixp_ids`` order, then the global
-    nodes, then replays the deltas into the outcome.  A failing step raises
-    on its first attempt; a pure computation that raised once would raise
-    again.  The engine starts no threads; the shared cache and the lazily
-    created corpus-detection index are lock-guarded for callers that share
-    one engine across threads.
+    :meth:`run` is serial and builds one report: Step 1 for each studied IXP
+    in ``ixp_ids`` order, then Steps 2 and 3 and the baseline for each, then
+    the global nodes.  A failing step raises on its first attempt; a pure
+    computation that raised once would raise again.  The engine starts no
+    threads; the shared cache and the lazily created corpus-detection index
+    are lock-guarded for callers that share one engine across threads.
     """
 
     def __init__(
@@ -540,49 +532,41 @@ class PipelineEngine:
         resolver = _KeyResolver(config, ixp_ids, self.inputs)
         cache = self.cache
 
-        per_ixp = [self._per_ixp_chain(config, ixp_id, resolver) for ixp_id in ixp_ids]
+        # The report-writing nodes go in the monolithic order (Step 1 per
+        # IXP, Step 3 per IXP, Step 4, Step 5), so the report is
+        # bit-identical to the seed single-pass pipeline's.
+        report = InferenceReport()
+        for ixp_id in ixp_ids:
+            self._write(report, "step1", resolver.key("step1", ixp_id),
+                        lambda view: self._compute_step1(config, ixp_id, view))
+
+        baseline = InferenceReport()
+        rtt_summary = RTTCampaignSummary()
+        feasible: _FeasibleMap = {}
+        for ixp_id in ixp_ids:
+            summary = cast(RTTCampaignSummary, cache.get_or_compute(
+                "step2", resolver.key("step2", ixp_id),
+                lambda: self._compute_step2(config, ixp_id)))
+            rtt_summary.merge_from(summary)
+            feasible.update(self._write(
+                report, "step3", resolver.key("step3", ixp_id),
+                lambda view: self._compute_step3(config, ixp_id, view, summary)))
+            _replay(baseline, cast("_Delta", cache.get_or_compute(
+                "baseline", resolver.key("baseline", ixp_id),
+                lambda: self._compute_baseline(config, ixp_id, summary))))
 
         crossings, adjacencies = cast(
             "tuple[list[IXPCrossing], list[PrivateAdjacency]]",
             cache.get_or_compute(
                 "traceroute", resolver.key("traceroute"),
                 self._compute_traceroute))
-
-        step1_deltas = [results.step1_delta for results in per_ixp]
-        step3_deltas = [results.step3_delta for results in per_ixp]
-        feasible: _FeasibleMap = {}
-        for results in per_ixp:
-            feasible.update(results.feasible)
-
-        step4_delta, routers = cast(
-            "tuple[_Delta, list[MultiIXPRouter]]",
-            cache.get_or_compute(
-                "step4", resolver.key("step4"),
-                lambda: self._compute_step4(config, ixp_ids, step1_deltas,
-                                            step3_deltas, crossings)))
-        step5_delta = cast("_Delta", cache.get_or_compute(
-            "step5", resolver.key("step5"),
-            lambda: self._compute_step5(config, ixp_ids, step1_deltas,
-                                        step3_deltas, step4_delta,
-                                        adjacencies, routers, feasible)))
-
-        # Assembly: replay the deltas in the monolithic step order, so the
-        # final report is bit-identical to the seed single-pass pipeline.
-        report = InferenceReport()
-        for delta in step1_deltas:
-            _replay(report, delta)
-        for delta in step3_deltas:
-            _replay(report, delta)
-        _replay(report, step4_delta)
-        _replay(report, step5_delta)
-
-        baseline = InferenceReport()
-        for results in per_ixp:
-            _replay(baseline, results.baseline_delta)
-
-        rtt_summary = RTTCampaignSummary()
-        for results in per_ixp:
-            rtt_summary.merge_from(results.summary)
+        routers = self._write(
+            report, "step4", resolver.key("step4"),
+            lambda view: self._compute_step4(config, ixp_ids, view, crossings))
+        self._write(
+            report, "step5", resolver.key("step5"),
+            lambda view: self._compute_step5(config, ixp_ids, view, adjacencies,
+                                             routers, feasible))
 
         return PipelineOutcome(
             ixp_ids=list(ixp_ids),
@@ -595,32 +579,41 @@ class PipelineEngine:
             multi_ixp_routers=list(routers),
         )
 
-    # ------------------------------------------------------------------ #
-    # Per-IXP chains (Steps 1-3 + baseline)
-    # ------------------------------------------------------------------ #
-    def _per_ixp_chain(
-        self, config: InferenceConfig, ixp_id: str, resolver: _KeyResolver
-    ) -> _PerIXPResults:
-        cache = self.cache
-        step1 = cast("_Delta", cache.get_or_compute(
-            "step1", resolver.key("step1", ixp_id),
-            lambda: self._compute_step1(config, ixp_id)))
-        summary = cast(RTTCampaignSummary, cache.get_or_compute(
-            "step2", resolver.key("step2", ixp_id),
-            lambda: self._compute_step2(config, ixp_id)))
-        step3_delta, feasible = cast("tuple[_Delta, _FeasibleMap]", cache.get_or_compute(
-            "step3", resolver.key("step3", ixp_id),
-            lambda: self._compute_step3(config, ixp_id, step1, summary)))
-        baseline = cast("_Delta", cache.get_or_compute(
-            "baseline", resolver.key("baseline", ixp_id),
-            lambda: self._compute_baseline(config, ixp_id, summary)))
-        return _PerIXPResults(step1_delta=step1, summary=summary,
-                              step3_delta=step3_delta, feasible=feasible,
-                              baseline_delta=baseline)
+    def _write(
+        self,
+        report: InferenceReport,
+        label: str,
+        key: str,
+        step: Callable[[InferenceReport], _T],
+    ) -> _T:
+        """Bring one report-writing node's writes into the run's report.
 
-    def _compute_step1(self, config: InferenceConfig, ixp_id: str) -> _Delta:
-        report = _RecordingReport()
-        report.start_recording()
+        On a miss, ``step`` runs on ``report`` through a recording view, and
+        the recorded delta is cached with the step's return value.  On a
+        hit, the cached delta is replayed into ``report``.  Either way the
+        step's return value comes back.
+        """
+        computed = False
+
+        def compute() -> tuple[_Delta, _T]:
+            nonlocal computed
+            computed = True
+            view = _RecordingReport(report)
+            result = step(view)
+            return tuple(view.log), result
+
+        delta, result = cast(
+            "tuple[_Delta, _T]", self.cache.get_or_compute(label, key, compute))
+        if not computed:
+            _replay(report, delta)
+        return result
+
+    # ------------------------------------------------------------------ #
+    # Per-IXP nodes (Steps 1-3 + baseline)
+    # ------------------------------------------------------------------ #
+    def _compute_step1(
+        self, config: InferenceConfig, ixp_id: str, report: InferenceReport
+    ) -> None:
         if config.enable_step1_port_capacity:
             PortCapacityStep(self.inputs).run([ixp_id], report)
         else:
@@ -628,7 +621,6 @@ class PipelineEngine:
             # off (the monolith's _register_all branch).
             for interface_ip, asn in self.inputs.dataset.interfaces_of_ixp(ixp_id).items():
                 report.ensure(ixp_id, interface_ip, asn)
-        return tuple(report.log or ())
 
     def _compute_step2(self, config: InferenceConfig, ixp_id: str) -> RTTCampaignSummary:
         return RTTMeasurementStep(self.inputs, config).run([ixp_id])
@@ -637,18 +629,14 @@ class PipelineEngine:
         self,
         config: InferenceConfig,
         ixp_id: str,
-        step1_delta: _Delta,
+        report: InferenceReport,
         summary: RTTCampaignSummary,
-    ) -> tuple[_Delta, _FeasibleMap]:
-        report = _RecordingReport()
-        _replay(report, step1_delta)
-        analyses: _FeasibleMap = {}
-        report.start_recording()
+    ) -> _FeasibleMap:
         if config.enable_step3_colocation_rtt:
             step3 = ColocationRTTStep(self.inputs, config, self.delay_model,
                                       geo_index=self.geo_index)
-            analyses = step3.run([ixp_id], report, summary)
-        return tuple(report.log or ()), analyses
+            return step3.run([ixp_id], report, summary)
+        return {}
 
     def _compute_baseline(
         self, config: InferenceConfig, ixp_id: str, summary: RTTCampaignSummary
@@ -673,44 +661,26 @@ class PipelineEngine:
         self,
         config: InferenceConfig,
         ixp_ids: tuple[str, ...],
-        step1_deltas: list[_Delta],
-        step3_deltas: list[_Delta],
+        report: InferenceReport,
         crossings: list[IXPCrossing],
-    ) -> tuple[_Delta, list[MultiIXPRouter]]:
-        report = _RecordingReport()
-        for delta in step1_deltas:
-            _replay(report, delta)
-        for delta in step3_deltas:
-            _replay(report, delta)
-        routers: list[MultiIXPRouter] = []
-        report.start_recording()
+    ) -> list[MultiIXPRouter]:
         if config.enable_step4_multi_ixp:
             step4 = MultiIXPRouterStep(self.inputs, config, geo_index=self.geo_index)
-            routers = step4.run(list(ixp_ids), report, crossings)
-        return tuple(report.log or ()), routers
+            return step4.run(list(ixp_ids), report, crossings)
+        return []
 
     def _compute_step5(
         self,
         config: InferenceConfig,
         ixp_ids: tuple[str, ...],
-        step1_deltas: list[_Delta],
-        step3_deltas: list[_Delta],
-        step4_delta: _Delta,
+        report: InferenceReport,
         adjacencies: list[PrivateAdjacency],
         routers: list[MultiIXPRouter],
         feasible: _FeasibleMap,
-    ) -> _Delta:
-        report = _RecordingReport()
-        for delta in step1_deltas:
-            _replay(report, delta)
-        for delta in step3_deltas:
-            _replay(report, delta)
-        _replay(report, step4_delta)
-        report.start_recording()
+    ) -> None:
         if config.enable_step5_private_links:
             step5 = PrivateConnectivityStep(self.inputs, config, geo_index=self.geo_index)
             step5.run(list(ixp_ids), report, adjacencies, routers, feasible)
-        return tuple(report.log or ())
 
 
 class SweepRunner:
@@ -719,7 +689,7 @@ class SweepRunner:
     Every scenario reuses every step result whose fingerprint key is
     unchanged — a fig. 9-style ablation that only toggles Step 4 reuses
     Steps 1-3, the traceroute observables and the baseline verbatim, paying
-    only for Step 4/5 and outcome assembly.
+    only for Steps 4/5 and the replay of the reused deltas.
     """
 
     def __init__(self, engine: PipelineEngine) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.pipeline import PipelineOutcome
+from repro.core.engine import PipelineOutcome
 from repro.experiments.base import ExperimentResult
 from repro.study import RemotePeeringStudy
 from repro.validation.metrics import evaluate_report

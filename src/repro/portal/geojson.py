@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.pipeline import PipelineOutcome
+from repro.core.engine import PipelineOutcome
 from repro.datasources.merge import ObservedDataset
 from repro.exceptions import ReproError
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.pipeline import PipelineOutcome
+from repro.core.engine import PipelineOutcome
 from repro.datasources.merge import ObservedDataset
 from repro.exceptions import ReproError
 

@@ -22,9 +22,8 @@ from collections.abc import Sequence
 
 from repro.alias.midar import AliasResolver
 from repro.config import ExperimentConfig, InferenceConfig
-from repro.core.engine import PipelineEngine, SweepRunner
+from repro.core.engine import PipelineEngine, PipelineOutcome, SweepRunner
 from repro.core.inputs import InferenceInputs
-from repro.core.pipeline import PipelineOutcome, RemotePeeringPipeline
 from repro.datasources.merge import MergeStatistics, ObservedDataset, build_observed_dataset
 from repro.datasources.prefix2as import Prefix2ASMap, Prefix2ASSource
 from repro.geo.delay_model import DelayModel
@@ -165,10 +164,10 @@ class RemotePeeringStudy:
         """The shared step-graph engine (one step-result cache per study).
 
         Everything that reruns the pipeline on this study — the cached
-        :attr:`outcome`, :meth:`sweep`, ad-hoc facades built with
-        ``engine=study.engine`` — shares this engine, so any step whose
-        declared config fields are unchanged between runs is reused from its
-        cache instead of recomputed.
+        :attr:`outcome`, :meth:`sweep`, ad-hoc ``study.engine.run`` calls —
+        shares this engine, so any step whose declared config fields are
+        unchanged between runs is reused from its cache instead of
+        recomputed.
         """
         return PipelineEngine(
             self.inputs, delay_model=self.delay_model, geo_index=self.geo_index)
@@ -176,10 +175,7 @@ class RemotePeeringStudy:
     @cached_property
     def outcome(self) -> PipelineOutcome:
         """The result of running the full pipeline on the studied IXPs."""
-        pipeline = RemotePeeringPipeline(
-            self.inputs, self.config.inference, delay_model=self.delay_model,
-            geo_index=self.geo_index, engine=self.engine)
-        return pipeline.run(self.studied_ixp_ids)
+        return self.engine.run(self.config.inference, self.studied_ixp_ids)
 
     def sweep(
         self,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.pipeline import PipelineOutcome
+from repro.core.engine import PipelineOutcome
 from repro.core.types import InferenceStep
 from repro.validation.dataset import ValidationDataset
 from repro.validation.metrics import ValidationMetrics, evaluate_report

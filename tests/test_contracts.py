@@ -105,7 +105,7 @@ class TestStepDeclarations:
             "core/engine.py",
             "        if config.enable_step1_port_capacity:",
             "        if config.enable_step1_port_capacity and "
-            "config.strong_remote_rtt_ms >= 0:  # seeded-config-read",
+            "config.rtt_baseline_threshold_ms >= 0:  # seeded-config-read",
         )
         violations = check_step_declarations(SourceTree(root))
         matching = [
@@ -115,11 +115,11 @@ class TestStepDeclarations:
         ]
         assert len(matching) == 1
         violation = matching[0]
-        assert violation.detail == "strong_remote_rtt_ms"
+        assert violation.detail == "rtt_baseline_threshold_ms"
         assert violation.path.endswith("core/engine.py")
         assert violation.line == _line_of(root, "core/engine.py", "seeded-config-read")
         assert violation.key == (
-            "step-decl:undeclared-config-read:step1:strong_remote_rtt_ms"
+            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms"
         )
 
     def test_undeclared_domain_read_is_caught_with_file_and_line(self, tmp_path):
@@ -127,13 +127,10 @@ class TestStepDeclarations:
         _patch(
             root,
             "core/engine.py",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
-            "        report = _RecordingReport()",
-            "    def _compute_step1(self, config: InferenceConfig, ixp_id: str)"
-            " -> _Delta:\n"
+            "    ) -> None:\n        if config.enable_step1_port_capacity:",
+            "    ) -> None:\n"
             "        self.inputs.dataset.facility_location('FAC-1')  # seeded-domain\n"
-            "        report = _RecordingReport()",
+            "        if config.enable_step1_port_capacity:",
         )
         violations = check_step_declarations(SourceTree(root))
         matching = [
@@ -152,11 +149,11 @@ class TestStepDeclarations:
             root,
             "core/engine.py",
             'config_fields=("enable_step1_port_capacity",),',
-            'config_fields=("enable_step1_port_capacity", "strong_remote_rtt_ms"),',
+            'config_fields=("enable_step1_port_capacity", "rtt_baseline_threshold_ms"),',
         )
         violations = check_step_declarations(SourceTree(root))
         matching = [v for v in violations if v.kind == "unused-config-field"]
-        assert [v.detail for v in matching] == ["strong_remote_rtt_ms"]
+        assert [v.detail for v in matching] == ["rtt_baseline_threshold_ms"]
         assert matching[0].context == "step1"
 
     def test_clean_tree_has_no_step_declaration_findings(self):
@@ -361,18 +358,18 @@ class TestWaivers:
             "core/engine.py",
             "        if config.enable_step1_port_capacity:",
             "        if config.enable_step1_port_capacity and "
-            "config.strong_remote_rtt_ms >= 0:",
+            "config.rtt_baseline_threshold_ms >= 0:",
         )
         waiver_file = tmp_path / "waivers.txt"
         waiver_file.write_text(
             "# Seeded for the self-test; the read is deliberate.\n"
-            "step-decl:undeclared-config-read:step1:strong_remote_rtt_ms\n",
+            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms\n",
             encoding="utf-8",
         )
         report = run_all(root, waiver_file)
         assert report.ok
         assert [v.key for v in report.waived] == [
-            "step-decl:undeclared-config-read:step1:strong_remote_rtt_ms"
+            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms"
         ]
         assert report.unused_waivers == []
 
@@ -398,17 +395,15 @@ class TestCli:
                 "core/engine.py",
                 "        if config.enable_step1_port_capacity:",
                 "        if config.enable_step1_port_capacity and "
-                "config.strong_remote_rtt_ms >= 0:",
+                "config.rtt_baseline_threshold_ms >= 0:",
             ),
             (
                 "domain",
                 "core/engine.py",
-                "    def _compute_step1(self, config: InferenceConfig, "
-                "ixp_id: str) -> _Delta:\n        report = _RecordingReport()",
-                "    def _compute_step1(self, config: InferenceConfig, "
-                "ixp_id: str) -> _Delta:\n"
+                "    ) -> None:\n        if config.enable_step1_port_capacity:",
+                "    ) -> None:\n"
                 "        self.inputs.dataset.facility_location('F')\n"
-                "        report = _RecordingReport()",
+                "        if config.enable_step1_port_capacity:",
             ),
         ):
             root = _copy_tree(tmp_path / name)
@@ -536,7 +531,7 @@ class TestDynamicCrossCheck:
         self, tmp_path, tiny_study, monkeypatch
     ):
         # One seeded bug — Step 5 reading the undeclared
-        # strong_remote_rtt_ms — expressed twice: as a source patch for the
+        # rtt_baseline_threshold_ms — expressed twice: as a source patch for the
         # static rule, and as a runtime monkeypatch for the dynamic check.
         root = _copy_tree(tmp_path)
         _patch(
@@ -544,19 +539,19 @@ class TestDynamicCrossCheck:
             "core/engine.py",
             "        if config.enable_step5_private_links:",
             "        if config.enable_step5_private_links and "
-            "config.strong_remote_rtt_ms >= 0:",
+            "config.rtt_baseline_threshold_ms >= 0:",
         )
         static = [
             v
             for v in check_step_declarations(SourceTree(root))
             if v.kind == "undeclared-config-read" and v.context == "step5"
         ]
-        assert [v.detail for v in static] == ["strong_remote_rtt_ms"]
+        assert [v.detail for v in static] == ["rtt_baseline_threshold_ms"]
 
         original_run = PrivateConnectivityStep.run
 
         def leaky_run(self, *args, **kwargs):
-            _ = self.config.strong_remote_rtt_ms  # the same undeclared read
+            _ = self.config.rtt_baseline_threshold_ms  # the same undeclared read
             return original_run(self, *args, **kwargs)
 
         monkeypatch.setattr(PrivateConnectivityStep, "run", leaky_run)
@@ -570,7 +565,7 @@ class TestDynamicCrossCheck:
             for v in check.violations
             if v.kind == "undeclared-config-read" and v.context == "step5"
         ]
-        assert [v.detail for v in dynamic] == ["strong_remote_rtt_ms"]
+        assert [v.detail for v in dynamic] == ["rtt_baseline_threshold_ms"]
         # The recording proxies observe without perturbing the computation.
         assert check.bit_identical
 
@@ -586,7 +581,7 @@ class TestCollect:
             "core/engine.py",
             "        if config.enable_step1_port_capacity:",
             "        if config.enable_step1_port_capacity and "
-            "config.strong_remote_rtt_ms >= 0:",
+            "config.rtt_baseline_threshold_ms >= 0:",
         )
         (root / "core" / "_fixture_nondet.py").write_text(
             "import time\n"

@@ -20,7 +20,6 @@ from repro.core.engine import (
     StepScope,
     SweepRunner,
 )
-from repro.core.pipeline import RemotePeeringPipeline
 from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTMeasurementStep
 from repro.core.step3_colocation import ColocationRTTStep
@@ -107,7 +106,7 @@ class TestEngineEquivalence:
         scenario = _scenario_with_vp()
         inputs = scenario.inputs()
         config = InferenceConfig()
-        outcome = RemotePeeringPipeline(inputs, config).run([IXP_ID])
+        outcome = PipelineEngine(inputs).run(config, [IXP_ID])
         reference = _monolithic_run(inputs, config, [IXP_ID])
         _assert_equivalent(outcome, reference)
         assert outcome.report.inferred(), "equivalence must cover real classifications"
@@ -123,7 +122,7 @@ class TestEngineEquivalence:
         scenario = _scenario_with_vp()
         inputs = scenario.inputs()
         config = replace(InferenceConfig(), **overrides)
-        outcome = RemotePeeringPipeline(inputs, config).run([IXP_ID])
+        outcome = PipelineEngine(inputs).run(config, [IXP_ID])
         reference = _monolithic_run(inputs, config, [IXP_ID])
         _assert_equivalent(outcome, reference)
 
@@ -179,7 +178,7 @@ class TestConfigFingerprint:
 
     def test_order_independent(self):
         config = InferenceConfig()
-        fields = ("strong_remote_rtt_ms", "rtt_baseline_threshold_ms")
+        fields = ("min_private_neighbours", "rtt_baseline_threshold_ms")
         assert config_fingerprint(config, fields) == config_fingerprint(
             config, tuple(reversed(fields)))
 
@@ -226,20 +225,6 @@ class TestCacheStaleness:
         for label in ("step1", "step2", "step3", "baseline", "traceroute", "step4"):
             assert after[label] == before[label], f"{label} must be reused"
         assert after["step5"] == before["step5"] + 1
-
-    def test_undeclared_field_change_reuses_everything(self, engine, tiny_study):
-        from dataclasses import replace
-        config = tiny_study.config.inference
-        ixp_ids = tiny_study.studied_ixp_ids
-        reference = engine.run(config, ixp_ids)
-        before = self._misses(engine)
-
-        # strong_remote_rtt_ms is an analysis-only knob no step declares (or
-        # reads): the whole run must come from the cache.
-        changed = replace(config, strong_remote_rtt_ms=7.5)
-        outcome = engine.run(changed, ixp_ids)
-        assert self._misses(engine) == before
-        assert outcome.report == reference.report
 
     def test_upstream_change_invalidates_dependents(self, engine, tiny_study):
         from dataclasses import replace
@@ -306,12 +291,6 @@ class TestEngineValidation:
     def test_empty_ixp_list_rejected(self, tiny_study):
         with pytest.raises(InferenceError):
             tiny_study.engine.run(tiny_study.config.inference, [])
-
-    def test_foreign_engine_rejected_by_facade(self, tiny_study):
-        scenario = _scenario_with_vp()
-        foreign = PipelineEngine(scenario.inputs())
-        with pytest.raises(InferenceError):
-            RemotePeeringPipeline(tiny_study.inputs, engine=foreign)
 
     def test_foreign_geo_index_rejected(self, tiny_study):
         scenario = _scenario_with_vp()

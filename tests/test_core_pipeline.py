@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import InferenceConfig
-from repro.core.pipeline import RemotePeeringPipeline
+from repro.core.engine import PipelineEngine
 from repro.core.types import InferenceStep, PeeringClassification
 from repro.exceptions import InferenceError
 
@@ -26,7 +26,7 @@ def _scenario_with_vp():
 class TestPipelineOnScenario:
     def test_all_interfaces_classified_correctly(self):
         scenario = _scenario_with_vp()
-        outcome = RemotePeeringPipeline(scenario.inputs()).run([IXP_ID])
+        outcome = PipelineEngine(scenario.inputs()).run(InferenceConfig(), [IXP_ID])
         report = outcome.report
         assert report.classification_of(IXP_ID, "185.1.0.1") is PeeringClassification.LOCAL
         assert report.classification_of(IXP_ID, "185.1.0.2") is PeeringClassification.REMOTE
@@ -35,20 +35,20 @@ class TestPipelineOnScenario:
 
     def test_step_attribution(self):
         scenario = _scenario_with_vp()
-        outcome = RemotePeeringPipeline(scenario.inputs()).run([IXP_ID])
+        outcome = PipelineEngine(scenario.inputs()).run(InferenceConfig(), [IXP_ID])
         assert outcome.report.result_for(IXP_ID, "185.1.0.3").step is InferenceStep.PORT_CAPACITY
         assert outcome.report.result_for(IXP_ID, "185.1.0.2").step is InferenceStep.RTT_COLOCATION
 
     def test_baseline_report_produced(self):
         scenario = _scenario_with_vp()
-        outcome = RemotePeeringPipeline(scenario.inputs()).run([IXP_ID])
+        outcome = PipelineEngine(scenario.inputs()).run(InferenceConfig(), [IXP_ID])
         assert outcome.baseline_report.classification_of(IXP_ID, "185.1.0.2") is \
             PeeringClassification.LOCAL  # 8 ms < 10 ms threshold
 
     def test_empty_ixp_list_rejected(self):
         scenario = _scenario_with_vp()
         with pytest.raises(InferenceError):
-            RemotePeeringPipeline(scenario.inputs()).run([])
+            PipelineEngine(scenario.inputs()).run(InferenceConfig(), [])
 
     def test_steps_can_be_disabled(self):
         scenario = _scenario_with_vp()
@@ -56,13 +56,13 @@ class TestPipelineOnScenario:
                                  enable_step3_colocation_rtt=False,
                                  enable_step4_multi_ixp=False,
                                  enable_step5_private_links=False)
-        outcome = RemotePeeringPipeline(scenario.inputs(), config).run([IXP_ID])
+        outcome = PipelineEngine(scenario.inputs()).run(config, [IXP_ID])
         assert outcome.report.coverage() == 0.0
         assert len(outcome.report) == 3
 
     def test_remote_share_helper(self):
         scenario = _scenario_with_vp()
-        outcome = RemotePeeringPipeline(scenario.inputs()).run([IXP_ID])
+        outcome = PipelineEngine(scenario.inputs()).run(InferenceConfig(), [IXP_ID])
         assert outcome.remote_share(IXP_ID) == pytest.approx(2 / 3)
 
 

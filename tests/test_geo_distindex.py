@@ -136,7 +136,7 @@ class TestDistanceProfile:
 
 class TestStalenessContract:
     def test_foreign_index_rejected_at_every_injection_point(self):
-        from repro.core.pipeline import RemotePeeringPipeline
+        from repro.core.engine import PipelineEngine
         from repro.core.step4_multi_ixp import MultiIXPRouterStep
         from repro.exceptions import InferenceError
 
@@ -154,7 +154,7 @@ class TestStalenessContract:
                 geo_index=foreign,
             )
         with pytest.raises(InferenceError):
-            RemotePeeringPipeline(inputs, geo_index=foreign)
+            PipelineEngine(inputs, geo_index=foreign)
         with pytest.raises(InferenceError):
             ColocationRTTStep(inputs, geo_index=foreign)
         with pytest.raises(InferenceError):

@@ -47,11 +47,11 @@ class TestTinyStudyEndToEnd:
         )
 
     def test_rerunning_pipeline_is_deterministic(self, tiny_study):
-        from repro.core.pipeline import RemotePeeringPipeline
-        first = RemotePeeringPipeline(tiny_study.inputs, tiny_study.config.inference).run(
-            tiny_study.studied_ixp_ids)
-        second = RemotePeeringPipeline(tiny_study.inputs, tiny_study.config.inference).run(
-            tiny_study.studied_ixp_ids)
+        from repro.core.engine import PipelineEngine
+        first = PipelineEngine(tiny_study.inputs).run(
+            tiny_study.config.inference, tiny_study.studied_ixp_ids)
+        second = PipelineEngine(tiny_study.inputs).run(
+            tiny_study.config.inference, tiny_study.studied_ixp_ids)
         assert {
             key: result.classification for key, result in first.report.results.items()
         } == {
