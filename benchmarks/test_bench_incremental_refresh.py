@@ -26,10 +26,9 @@ import pytest
 from repro.config import ExperimentConfig
 from repro.core.engine import PipelineEngine
 from repro.core.inputs import InferenceInputs
-from repro.datasources.merge import ObservedDataset
-from repro.datasources.prefix2as import Prefix2ASMap
 from repro.geo.distindex import GeoDistanceIndex
 from repro.study import RemotePeeringStudy
+from tests.helpers import dataset_copy, prefix2as_copy
 
 #: Fraction of routed prefixes each refresh round re-maps.
 MUTATION_FRACTION = 0.01
@@ -57,35 +56,14 @@ def _mutate_prefixes(study: RemotePeeringStudy, round_index: int) -> int:
     return len(victims)
 
 
-def _dataset_copy(dataset: ObservedDataset) -> ObservedDataset:
-    """A cold structural copy (benchmark isolation for the rebuild side)."""
-    return ObservedDataset(
-        ixp_prefixes=dict(dataset.ixp_prefixes),
-        interface_ixp=dict(dataset.interface_ixp),
-        interface_asn=dict(dataset.interface_asn),
-        ixp_facilities={k: set(v) for k, v in dataset.ixp_facilities.items()},
-        as_facilities={k: set(v) for k, v in dataset.as_facilities.items()},
-        facility_locations=dict(dataset.facility_locations),
-        port_capacities=dict(dataset.port_capacities),
-        min_physical_capacity=dict(dataset.min_physical_capacity),
-        traffic_levels=dict(dataset.traffic_levels),
-        user_populations=dict(dataset.user_populations),
-        customer_cone_sizes=dict(dataset.customer_cone_sizes),
-        countries=dict(dataset.countries),
-    )
-
-
 def _rebuild_everything(study: RemotePeeringStudy):
     """The pre-versioning refresh path: every cache torn down and rebuilt."""
-    dataset = _dataset_copy(study.dataset)
-    prefix2as = Prefix2ASMap()
-    for prefix, asn in study.prefix2as._prefixes.items():
-        prefix2as.add(prefix, asn)
+    dataset = dataset_copy(study.dataset)
     inputs = InferenceInputs(
         dataset=dataset,
         ping_result=study.ping_result,
         corpus=study.traceroute_corpus,
-        prefix2as=prefix2as,
+        prefix2as=prefix2as_copy(study.prefix2as),
         alias_resolver=study.alias_resolver,
         geo_index=GeoDistanceIndex(dataset),
     )

@@ -320,3 +320,29 @@ def dual_city_scenario(
                             capacity=100, record_capacity=record_reseller_capacity,
                             reseller_id="rsl-test")
     return scenario
+
+
+def dataset_copy(dataset: ObservedDataset) -> ObservedDataset:
+    """A cold structural copy of an observed dataset's public tables."""
+    return ObservedDataset(
+        ixp_prefixes=dict(dataset.ixp_prefixes),
+        interface_ixp=dict(dataset.interface_ixp),
+        interface_asn=dict(dataset.interface_asn),
+        ixp_facilities={k: set(v) for k, v in dataset.ixp_facilities.items()},
+        as_facilities={k: set(v) for k, v in dataset.as_facilities.items()},
+        facility_locations=dict(dataset.facility_locations),
+        port_capacities=dict(dataset.port_capacities),
+        min_physical_capacity=dict(dataset.min_physical_capacity),
+        traffic_levels=dict(dataset.traffic_levels),
+        user_populations=dict(dataset.user_populations),
+        customer_cone_sizes=dict(dataset.customer_cone_sizes),
+        countries=dict(dataset.countries),
+    )
+
+
+def prefix2as_copy(prefix2as: Prefix2ASMap) -> Prefix2ASMap:
+    """A cold copy of a prefix map, filled through its public ``add``."""
+    copy = Prefix2ASMap()
+    for prefix, asn in prefix2as._prefixes.items():
+        copy.add(prefix, asn)
+    return copy

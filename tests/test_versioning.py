@@ -43,7 +43,7 @@ from tests.detection_strategies import (
     edits,
     forwarding_path,
 )
-from tests.helpers import build_scenario, dual_city_scenario
+from tests.helpers import build_scenario, dataset_copy, dual_city_scenario, prefix2as_copy
 
 
 def _change(domain: str, key: object = "k") -> Change:
@@ -853,20 +853,23 @@ def _stats_snapshot(engine: PipelineEngine) -> dict[str, tuple[int, int]]:
     }
 
 
-def _fresh_outcome(study: RemotePeeringStudy):
-    """Rebuild everything from the current dataset state (the reference)."""
-    prefix2as = Prefix2ASMap()
-    for prefix, asn in study.prefix2as._prefixes.items():
-        prefix2as.add(prefix, asn)
+def _engine_over(study, dataset, prefix2as) -> PipelineEngine:
+    """An engine with a fresh geo index over the study's campaigns."""
+    geo_index = GeoDistanceIndex(dataset)
     inputs = InferenceInputs(
-        dataset=study.dataset,
+        dataset=dataset,
         ping_result=study.ping_result,
         corpus=study.traceroute_corpus,
         prefix2as=prefix2as,
         alias_resolver=study.alias_resolver,
-        geo_index=GeoDistanceIndex(study.dataset),
+        geo_index=geo_index,
     )
-    engine = PipelineEngine(inputs, delay_model=study.delay_model)
+    return PipelineEngine(inputs, delay_model=study.delay_model, geo_index=geo_index)
+
+
+def _fresh_outcome(study: RemotePeeringStudy):
+    """Rebuild everything from the current dataset state (the reference)."""
+    engine = _engine_over(study, study.dataset, prefix2as_copy(study.prefix2as))
     return engine.run(study.config.inference, study.studied_ixp_ids)
 
 
@@ -940,45 +943,6 @@ def oracle_study() -> RemotePeeringStudy:
     return study
 
 
-def _dataset_copy(dataset: ObservedDataset) -> ObservedDataset:
-    """A cold structural copy of the observed dataset's public tables."""
-    return ObservedDataset(
-        ixp_prefixes=dict(dataset.ixp_prefixes),
-        interface_ixp=dict(dataset.interface_ixp),
-        interface_asn=dict(dataset.interface_asn),
-        ixp_facilities={k: set(v) for k, v in dataset.ixp_facilities.items()},
-        as_facilities={k: set(v) for k, v in dataset.as_facilities.items()},
-        facility_locations=dict(dataset.facility_locations),
-        port_capacities=dict(dataset.port_capacities),
-        min_physical_capacity=dict(dataset.min_physical_capacity),
-        traffic_levels=dict(dataset.traffic_levels),
-        user_populations=dict(dataset.user_populations),
-        customer_cone_sizes=dict(dataset.customer_cone_sizes),
-        countries=dict(dataset.countries),
-    )
-
-
-def _prefix2as_copy(prefix2as: Prefix2ASMap) -> Prefix2ASMap:
-    copy = Prefix2ASMap()
-    for prefix, asn in prefix2as._prefixes.items():
-        copy.add(prefix, asn)
-    return copy
-
-
-def _engine_over(study, dataset, prefix2as) -> PipelineEngine:
-    """An engine with a fresh geo index over the study's campaigns."""
-    geo_index = GeoDistanceIndex(dataset)
-    inputs = InferenceInputs(
-        dataset=dataset,
-        ping_result=study.ping_result,
-        corpus=study.traceroute_corpus,
-        prefix2as=prefix2as,
-        alias_resolver=study.alias_resolver,
-        geo_index=geo_index,
-    )
-    return PipelineEngine(inputs, delay_model=study.delay_model, geo_index=geo_index)
-
-
 def _scenario_configs(base):
     """Every fig. 9 ablation, fig. 11 tolerance and table 4 scenario."""
     from repro.experiments import fig9, fig11, table4
@@ -1014,8 +978,8 @@ class TestEngineOutcomeOracle:
         and journalled edits, equals a cold engine over copies after every
         run."""
         study = oracle_study
-        dataset = _dataset_copy(study.dataset)
-        prefix2as = _prefix2as_copy(study.prefix2as)
+        dataset = dataset_copy(study.dataset)
+        prefix2as = prefix2as_copy(study.prefix2as)
         engine = _engine_over(study, dataset, prefix2as)
         configs = _scenario_configs(study.config.inference)
         studied = list(study.studied_ixp_ids)
@@ -1045,7 +1009,7 @@ class TestEngineOutcomeOracle:
             ixp_ids = data.draw(
                 st.lists(st.sampled_from(studied), min_size=1, unique=True), label="ixp_ids")
             outcome = engine.run(config, ixp_ids)
-            cold = _engine_over(study, _dataset_copy(dataset), _prefix2as_copy(prefix2as))
+            cold = _engine_over(study, dataset_copy(dataset), prefix2as_copy(prefix2as))
             _assert_same_outcome(outcome, cold.run(config, ixp_ids))
 
 
