@@ -18,8 +18,8 @@ import time
 from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTMeasurementStep
 from repro.core.step3_colocation import ColocationRTTStep
-from repro.core.step4_multi_ixp import MultiIXPRouter, MultiIXPRouterStep
-from repro.core.types import InferenceReport, InferenceResult
+from repro.core.step4_multi_ixp import MultiIXPRouterStep
+from repro.core.types import InferenceReport
 from repro.geo.coordinates import geodesic_distance_km
 from repro.geo.delay_model import DelayModel
 from repro.geo.distindex import GeoDistanceIndex
@@ -110,13 +110,11 @@ def _prepared_inputs(study):
 
 
 def _fresh_report(template: InferenceReport) -> InferenceReport:
-    """A fresh report carrying the Step 1 classifications of the template."""
-    return InferenceReport(results={
-        key: InferenceResult(
-            ixp_id=r.ixp_id, interface_ip=r.interface_ip, asn=r.asn,
-            classification=r.classification, step=r.step, evidence=dict(r.evidence))
-        for key, r in template.results.items()
-    })
+    """A fresh report carrying the Step 1 classifications of the template.
+
+    The records are immutable, so the fresh report shares them.
+    """
+    return InferenceReport(template.results)
 
 
 def _run_geometry_steps(study, prepared, *, indexed: bool, runs: int = SWEEP_RUNS,
@@ -147,10 +145,7 @@ def _run_geometry_steps(study, prepared, *, indexed: bool, runs: int = SWEEP_RUN
             step3 = SeedColocationRTTStep(inputs, config, DelayModel())
             step4 = _SeedMultiIXPRouterStep(inputs, config)
         feasible = step3.run(ixp_ids, report, rtt_summary)
-        run_routers = [MultiIXPRouter(asn=r.asn, interface_ips=r.interface_ips,
-                                      ixp_ids=r.ixp_ids) for r in routers]
-        for router in run_routers:
-            step4._classify_router(router, studied, report)
+        run_routers = [step4._classify_router(router, studied, report) for router in routers]
         outcomes.append((report, feasible, run_routers))
     return outcomes
 

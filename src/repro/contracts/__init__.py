@@ -1,6 +1,6 @@
 """Static contract checker for the reproduction pipeline.
 
-Three rule families police the contracts the runtime machinery relies on
+Two rule families police the contracts the runtime machinery relies on
 but cannot itself see:
 
 1. **Step-declaration completeness** (:mod:`repro.contracts.stepdecl`) —
@@ -8,9 +8,6 @@ but cannot itself see:
    fields, dataset domains and versioned inputs it declares; the
    declarations feed the step-result cache keys, so an undeclared read is a
    stale-cache bug and an unused declaration is a spurious invalidation.
-3. **Read-only outcomes** (:mod:`repro.contracts.readonly`) — replayed
-   :class:`~repro.core.engine.PipelineOutcome` values are shared by the
-   cache and must not be mutated by experiment/analysis/validation code.
 5. **Determinism** (:mod:`repro.contracts.determinism`) — the modules the
    engine executes must not depend on wall-clock time, hidden RNG state,
    set iteration order, ``id()`` keys or thread completion order; a cache
@@ -18,10 +15,11 @@ but cannot itself see:
    bit-identical.
 
 The numbers are stable names the docs refer to.  There is no rule 4 (the
-lock-discipline rule went with the thread executor) and no rule 2 (mutation
-discipline): the dataset, campaign and result containers expose read-only
-collections, so the runtime refuses the direct writes rule 2 used to
-approximate over the AST.
+lock-discipline rule went with the thread executor), no rule 2 (mutation
+discipline) and no rule 3 (read-only outcomes): the input and result
+containers expose read-only collections and everything reachable from a
+:class:`~repro.core.engine.PipelineOutcome` is immutable, so the runtime
+refuses the writes those rules approximated over the AST.
 
 Run it three ways: ``python -m repro.contracts`` (the CLI, wired into CI),
 ``tests/test_contracts.py`` (tier-1, over the live tree and over seeded-bug
@@ -43,7 +41,6 @@ from repro.contracts.model import (
     parse_waivers,
 )
 from repro.contracts.determinism import check_determinism
-from repro.contracts.readonly import check_readonly_outcomes
 from repro.contracts.stepdecl import check_step_declarations
 from repro.contracts.tree import SourceTree
 
@@ -55,7 +52,6 @@ __all__ = [
     "Waiver",
     "apply_waivers",
     "check_determinism",
-    "check_readonly_outcomes",
     "check_step_declarations",
     "collect_violations",
     "parse_waivers",
@@ -64,10 +60,9 @@ __all__ = [
 
 
 def collect_violations(tree: SourceTree) -> list[Violation]:
-    """All three rule families over one tree, in a stable order."""
+    """Both rule families over one tree, in a stable order."""
     violations: list[Violation] = []
     violations.extend(check_step_declarations(tree))
-    violations.extend(check_readonly_outcomes(tree))
     violations.extend(check_determinism(tree))
     return violations
 

@@ -31,11 +31,11 @@ class Violation:
     Attributes
     ----------
     rule:
-        The rule family: ``"step-decl"``, ``"readonly"`` or
-        ``"determinism"``, or ``"dynamic"`` for the runtime cross-check.
+        The rule family: ``"step-decl"`` or ``"determinism"``, or
+        ``"dynamic"`` for the runtime cross-check.
     kind:
         The precise finding within the family (e.g.
-        ``"undeclared-config-read"`` or ``"outcome-mutation"``).
+        ``"undeclared-config-read"`` or ``"nondeterministic-call"``).
     path:
         File the finding anchors to, relative to the analyzed source root's
         repository (``src/repro/...`` when run from a checkout).
@@ -43,10 +43,10 @@ class Violation:
         1-indexed line of the offending access / declaration.
     context:
         The scope the finding lives in — a step-graph node name for rule 1
-        and the dynamic cross-check, a ``module:qualname`` for rules 3 and 5.
+        and the dynamic cross-check, a ``module:qualname`` for rule 5.
     detail:
-        The offending name (config field, domain, input, mutated field or
-        attribute), used in the waiver key.
+        The offending name (config field, domain, input, call or shape),
+        used in the waiver key.
     message:
         Human-readable, self-contained description.
     """

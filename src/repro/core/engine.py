@@ -38,7 +38,7 @@ so invalidation is transitive by construction, along *both* axes:
   of the declared dataset domains (:meth:`ObservedDataset.domain_token`) and
   inputs-bundle members (:meth:`~repro.versioning.Versioned.version_token`).
   A journalled mutation re-keys exactly the nodes whose declared data it
-  touches: moving a facility re-keys Steps 3-5 but replays Steps 1-2, the
+  touches: moving a facility re-keys Steps 3-5 but reuses Steps 1-2, the
   traceroute observables and the baseline from cache; re-mapping a routed
   prefix re-keys the traceroute observables (and Steps 4-5 through them)
   while the whole per-IXP layer stays cached.
@@ -49,23 +49,26 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
 1. **Bit-identical reports** — each run keeps one
    :class:`~repro.core.types.InferenceReport` and visits the report-writing
    nodes in the monolithic order (Step 1 per IXP, Step 3 per IXP, Step 4,
-   Step 5).  On a miss the step runs on that report while its
-   ``ensure``/``classify`` calls are recorded: the *replayable delta* the
-   cache stores.  On a hit the stored delta is replayed into the report.
-   A report is a pure function of its call sequence, and a per-IXP step
-   reads and writes only its own IXP's results, so either way the report
+   Step 5).  On a miss the step runs on that report while the records it
+   stores are collected: its *delta*, the final record of every key it
+   wrote, in first-write order, which the cache keeps.  On a hit the delta
+   is inserted into the report with one ordered dict update: a new key is
+   appended and an existing key keeps its place, exactly where the step's
+   ``ensure``/``classify`` calls put it.  The key is the proof that the
+   report held the same records when the step last ran (a per-IXP step
+   reads and writes only its own IXP's results), so either way the report
    equals the monolith's — including insertion order.
 2. **Revision consistency** — the inputs' public collections are read-only
    views, so every revision goes through a journal-emitting dataset mutator
    or a recording campaign mutator, and each moves a generation: the version
    tokens in every key guarantee a hit is proof of reusability, with no
    manual invalidation anywhere.
-3. **Shared immutables** — outcome containers (lists, dicts) are fresh per
-   run, but the objects inside (crossings, adjacencies, routers, feasibility
-   analyses, evidence values) are shared with the cache and between runs
-   that hit the same keys; consumers must treat them as read-only, exactly
-   as they already had to treat `PipelineOutcome` fields under the shared
-   ``GeoDistanceIndex``.
+3. **Shared immutables** — a :class:`PipelineOutcome` is frozen, its
+   collections are tuples and read-only mappings, and everything inside
+   (report records and their evidence, feasibility analyses, crossings,
+   adjacencies, routers) is immutable.  So the cache hands the same objects
+   to every run that hits the same keys, and the runtime refuses any write
+   through an outcome that could reach them.
 
 :class:`StepResultCache` is unbounded: it keeps every result it stores, so it
 grows with the distinct step keys an engine's runs create (configurations,
@@ -81,9 +84,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from threading import Lock
-from typing import Any, Callable, Sequence, TypeVar, cast
+from types import MappingProxyType
+from typing import Callable, Sequence, TypeVar, cast
 
 from repro.config import InferenceConfig, config_fingerprint
 from repro.datasources.merge import (
@@ -101,40 +106,38 @@ from repro.core.step2_rtt import RTTCampaignSummary, RTTMeasurementStep
 from repro.core.step3_colocation import ColocationRTTStep, FeasibleFacilityAnalysis
 from repro.core.step4_multi_ixp import MultiIXPRouter, MultiIXPRouterStep
 from repro.core.step5_private_links import PrivateConnectivityStep
-from repro.core.types import (
-    InferenceReport,
-    InferenceResult,
-    InferenceStep,
-    PeeringClassification,
-)
+from repro.core.types import InferenceReport, InferenceResult
 from repro.exceptions import InferenceError
 from repro.geo.delay_model import DelayModel
 from repro.geo.distindex import GeoDistanceIndex
 from repro.traixroute.detector import CorpusDetectionIndex, IXPCrossing, PrivateAdjacency
 
-#: One recorded ``ensure``/``classify`` call — heterogeneous by design (the
-#: records exist only to be replayed, never inspected field by field).
-_DeltaRecord = tuple[Any, ...]
-#: A step's replayable contribution: its ordered tuple of recorded calls.
-_Delta = tuple[_DeltaRecord, ...]
+#: A node's contribution to a report: the final record of every key it
+#: wrote, in first-write order.
+_Delta = Mapping[tuple[str, str], InferenceResult]
 #: The feasibility analyses Step 3 contributes, keyed by (IXP, interface).
 _FeasibleMap = dict[tuple[str, str], FeasibleFacilityAnalysis]
 #: What a report-writing node returns besides its writes to the report.
 _T = TypeVar("_T")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineOutcome:
-    """Everything a pipeline run produced."""
+    """Everything a pipeline run produced.
 
-    ixp_ids: list[str]
+    Frozen, with tuple and read-only mapping fields: the crossings,
+    adjacencies and routers are the step cache's own tuples, and every
+    object inside is immutable (equivalence contract 3).
+    """
+
+    ixp_ids: tuple[str, ...]
     report: InferenceReport
     baseline_report: InferenceReport
     rtt_summary: RTTCampaignSummary
-    feasible: dict[tuple[str, str], FeasibleFacilityAnalysis] = field(default_factory=dict)
-    crossings: list[IXPCrossing] = field(default_factory=list)
-    private_adjacencies: list[PrivateAdjacency] = field(default_factory=list)
-    multi_ixp_routers: list[MultiIXPRouter] = field(default_factory=list)
+    feasible: Mapping[tuple[str, str], FeasibleFacilityAnalysis]
+    crossings: tuple[IXPCrossing, ...]
+    private_adjacencies: tuple[PrivateAdjacency, ...]
+    multi_ixp_routers: tuple[MultiIXPRouter, ...]
 
     def remote_share(self, ixp_id: str | None = None) -> float:
         """Fraction of inferred interfaces classified remote."""
@@ -338,17 +341,15 @@ class StepResultCache:
 
 
 # --------------------------------------------------------------------- #
-# Replayable report deltas
+# Report deltas
 # --------------------------------------------------------------------- #
 class _RecordingReport(InferenceReport):
-    """A view of a run's report that logs the mutating calls made through it.
+    """A view of a run's report that collects the records stored through it.
 
     The view shares the report's results and key indexes, so a step run
-    through it reads and writes the run's report itself, while ``log``
-    collects the step's ``ensure``/``classify`` calls.  A report's state is
-    a pure function of its call sequence, so the log is exactly the step's
-    contribution: replaying it into a report in the same state reproduces
-    the step's writes.
+    through it reads and writes the run's report itself, while ``written``
+    keeps the last record stored under each key, in first-write order: the
+    step's delta.
     """
 
     def __init__(self, report: InferenceReport) -> None:
@@ -356,51 +357,11 @@ class _RecordingReport(InferenceReport):
         self._results = report._results
         self._as_index = report._as_index
         self._ixp_index = report._ixp_index
-        self.log: list[_DeltaRecord] = []
+        self.written: dict[tuple[str, str], InferenceResult] = {}
 
-    def ensure(self, ixp_id: str, interface_ip: str, asn: int) -> InferenceResult:
-        if (ixp_id, interface_ip) not in self._results:
-            self.log.append(("ensure", ixp_id, interface_ip, asn))
-        return super().ensure(ixp_id, interface_ip, asn)
-
-    def classify(
-        self,
-        ixp_id: str,
-        interface_ip: str,
-        asn: int,
-        classification: PeeringClassification,
-        step: InferenceStep,
-        evidence: dict[str, object] | None = None,
-        *,
-        overwrite: bool = False,
-    ) -> InferenceResult:
-        self.log.append(("classify", ixp_id, interface_ip, asn, classification,
-                         step, dict(evidence) if evidence else None, overwrite))
-        return super().classify(ixp_id, interface_ip, asn, classification, step,
-                                evidence, overwrite=overwrite)
-
-
-def _replay(report: InferenceReport, delta: _Delta) -> None:
-    """Apply one recorded delta to a report, with fresh evidence dicts."""
-    for record in delta:
-        if record[0] == "ensure":
-            report.ensure(record[1], record[2], record[3])
-        else:
-            _, ixp_id, interface_ip, asn, classification, step, evidence, overwrite = record
-            report.classify(ixp_id, interface_ip, asn, classification, step,
-                            dict(evidence) if evidence else None, overwrite=overwrite)
-
-
-def _report_as_delta(report: InferenceReport) -> _Delta:
-    """A standalone report (the baseline's) rendered as a replayable delta."""
-    log: list[_DeltaRecord] = []
-    for (ixp_id, interface_ip), result in report.results.items():
-        log.append(("ensure", ixp_id, interface_ip, result.asn))
-        if result.is_inferred:
-            log.append(("classify", ixp_id, interface_ip, result.asn,
-                        result.classification, result.step,
-                        dict(result.evidence) or None, False))
-    return tuple(log)
+    def _store(self, key: tuple[str, str], result: InferenceResult) -> InferenceResult:
+        self.written[key] = result
+        return super()._store(key, result)
 
 
 # --------------------------------------------------------------------- #
@@ -551,12 +512,12 @@ class PipelineEngine:
             feasible.update(self._write(
                 report, "step3", resolver.key("step3", ixp_id),
                 lambda view: self._compute_step3(config, ixp_id, view, summary)))
-            _replay(baseline, cast("_Delta", cache.get_or_compute(
+            baseline._results.update(cast(_Delta, cache.get_or_compute(
                 "baseline", resolver.key("baseline", ixp_id),
                 lambda: self._compute_baseline(config, ixp_id, summary))))
 
         crossings, adjacencies = cast(
-            "tuple[list[IXPCrossing], list[PrivateAdjacency]]",
+            "tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]",
             cache.get_or_compute(
                 "traceroute", resolver.key("traceroute"),
                 self._compute_traceroute))
@@ -569,14 +530,14 @@ class PipelineEngine:
                                              routers, feasible))
 
         return PipelineOutcome(
-            ixp_ids=list(ixp_ids),
+            ixp_ids=ixp_ids,
             report=report,
             baseline_report=baseline,
             rtt_summary=rtt_summary,
-            feasible=feasible,
-            crossings=list(crossings),
-            private_adjacencies=list(adjacencies),
-            multi_ixp_routers=list(routers),
+            feasible=MappingProxyType(feasible),
+            crossings=crossings,
+            private_adjacencies=adjacencies,
+            multi_ixp_routers=routers,
         )
 
     def _write(
@@ -589,9 +550,9 @@ class PipelineEngine:
         """Bring one report-writing node's writes into the run's report.
 
         On a miss, ``step`` runs on ``report`` through a recording view, and
-        the recorded delta is cached with the step's return value.  On a
-        hit, the cached delta is replayed into ``report``.  Either way the
-        step's return value comes back.
+        the records it stored are cached with the step's return value.  On a
+        hit, those shared records are inserted into ``report`` in one
+        ordered update.  Either way the step's return value comes back.
         """
         computed = False
 
@@ -600,12 +561,12 @@ class PipelineEngine:
             computed = True
             view = _RecordingReport(report)
             result = step(view)
-            return tuple(view.log), result
+            return view.written, result
 
         delta, result = cast(
             "tuple[_Delta, _T]", self.cache.get_or_compute(label, key, compute))
         if not computed:
-            _replay(report, delta)
+            report._results.update(delta)
         return result
 
     # ------------------------------------------------------------------ #
@@ -641,13 +602,15 @@ class PipelineEngine:
     def _compute_baseline(
         self, config: InferenceConfig, ixp_id: str, summary: RTTCampaignSummary
     ) -> _Delta:
-        report = RTTBaseline(self.inputs, config).run([ixp_id], summary)
-        return _report_as_delta(report)
+        # A standalone report: every record in it is the baseline's delta.
+        return dict(RTTBaseline(self.inputs, config).run([ixp_id], summary).results)
 
     # ------------------------------------------------------------------ #
     # Global nodes (traceroute observables, Steps 4-5)
     # ------------------------------------------------------------------ #
-    def _compute_traceroute(self) -> tuple[list[IXPCrossing], list[PrivateAdjacency]]:
+    def _compute_traceroute(
+        self,
+    ) -> tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]:
         if self._corpus_detection is None:
             # Double-checked lazy creation: two concurrent runs must share
             # one incrementally maintained index, not race two into place.
@@ -655,27 +618,28 @@ class PipelineEngine:
                 if self._corpus_detection is None:
                     self._corpus_detection = CorpusDetectionIndex(
                         self.inputs.dataset, self.inputs.prefix2as, self.inputs.corpus)
-        return self._corpus_detection.results()
+        crossings, adjacencies = self._corpus_detection.results()
+        return tuple(crossings), tuple(adjacencies)
 
     def _compute_step4(
         self,
         config: InferenceConfig,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
-        crossings: list[IXPCrossing],
-    ) -> list[MultiIXPRouter]:
+        crossings: tuple[IXPCrossing, ...],
+    ) -> tuple[MultiIXPRouter, ...]:
         if config.enable_step4_multi_ixp:
             step4 = MultiIXPRouterStep(self.inputs, config, geo_index=self.geo_index)
-            return step4.run(list(ixp_ids), report, crossings)
-        return []
+            return tuple(step4.run(list(ixp_ids), report, crossings))
+        return ()
 
     def _compute_step5(
         self,
         config: InferenceConfig,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
-        adjacencies: list[PrivateAdjacency],
-        routers: list[MultiIXPRouter],
+        adjacencies: tuple[PrivateAdjacency, ...],
+        routers: tuple[MultiIXPRouter, ...],
         feasible: _FeasibleMap,
     ) -> None:
         if config.enable_step5_private_links:
@@ -689,7 +653,7 @@ class SweepRunner:
     Every scenario reuses every step result whose fingerprint key is
     unchanged — a fig. 9-style ablation that only toggles Step 4 reuses
     Steps 1-3, the traceroute observables and the baseline verbatim, paying
-    only for Steps 4/5 and the replay of the reused deltas.
+    only for Steps 4/5 and one dict update per reused delta.
     """
 
     def __init__(self, engine: PipelineEngine) -> None:

@@ -35,7 +35,7 @@ class InferenceInputs:
     step-graph engine folds the version tokens of each step's declared data
     into its cache keys, so one bundle (and one engine) survives every
     dataset and campaign revision — steps whose declared inputs are
-    untouched replay from cache.
+    untouched are served from cache.
     """
 
     dataset: ObservedDataset

@@ -34,16 +34,20 @@ from repro.geo.delay_model import DelayModel, FeasibleRing
 from repro.geo.distindex import GeoDistanceIndex
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibleFacilityAnalysis:
-    """The geometric evidence Step 3 derived for one interface."""
+    """The geometric evidence Step 3 derived for one interface.
+
+    Frozen, with frozenset facility sets: the step cache shares one
+    analysis with every outcome whose run hits the same Step 3 key.
+    """
 
     ixp_id: str
     interface_ip: str
     asn: int
     ring: FeasibleRing
-    feasible_ixp_facilities: set[str] = field(default_factory=set)
-    feasible_member_facilities: set[str] = field(default_factory=set)
+    feasible_ixp_facilities: frozenset[str] = frozenset()
+    feasible_member_facilities: frozenset[str] = frozenset()
     member_has_facility_data: bool = False
     classification: PeeringClassification = PeeringClassification.UNKNOWN
 
@@ -111,7 +115,8 @@ class ColocationRTTStep:
                         "rtt_min_ms": observation.rtt_min_ms,
                         "feasible_ring_km": (analysis.ring.min_distance_km,
                                              analysis.ring.max_distance_km),
-                        "feasible_ixp_facilities": sorted(analysis.feasible_ixp_facilities),
+                        "feasible_ixp_facilities": tuple(
+                            sorted(analysis.feasible_ixp_facilities)),
                         "vp_id": observation.vp_id,
                     },
                 )
@@ -134,29 +139,29 @@ class ColocationRTTStep:
         )
         min_km = ring.min_distance_km - tolerance
         max_km = ring.max_distance_km + tolerance
-        analysis = FeasibleFacilityAnalysis(
+        feasible_ixp = index.feasible_ixp_facilities(vp_location, ixp_id, min_km, max_km)
+        feasible_member = index.feasible_as_facilities(vp_location, asn, min_km, max_km)
+        return FeasibleFacilityAnalysis(
             ixp_id=ixp_id,
             interface_ip=interface_ip,
             asn=asn,
             ring=ring,
-            feasible_ixp_facilities=index.feasible_ixp_facilities(
-                vp_location, ixp_id, min_km, max_km),
-            feasible_member_facilities=index.feasible_as_facilities(
-                vp_location, asn, min_km, max_km),
+            feasible_ixp_facilities=feasible_ixp,
+            feasible_member_facilities=feasible_member,
             member_has_facility_data=self.inputs.dataset.has_facility_data_for_as(asn),
+            classification=self._classify(feasible_ixp, feasible_member),
         )
-        analysis.classification = self._classify(analysis)
-        return analysis
 
     @staticmethod
-    def _classify(analysis: FeasibleFacilityAnalysis) -> PeeringClassification:
-        if not analysis.feasible_ixp_facilities:
+    def _classify(
+        feasible_ixp: frozenset[str], feasible_member: frozenset[str]
+    ) -> PeeringClassification:
+        if not feasible_ixp:
             # No facility of the IXP is compatible with the measured RTT.
             return PeeringClassification.REMOTE
-        overlap = analysis.feasible_ixp_facilities & analysis.feasible_member_facilities
-        if overlap:
+        if feasible_ixp & feasible_member:
             return PeeringClassification.LOCAL
-        if analysis.feasible_member_facilities:
+        if feasible_member:
             # The member is observed only at feasible facilities where the IXP
             # has no switching fabric.
             return PeeringClassification.REMOTE

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.config import InferenceConfig
@@ -43,9 +44,13 @@ class MultiIXPRouterKind(enum.Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiIXPRouter:
-    """One router observed to connect to several IXPs."""
+    """One router observed to connect to several IXPs.
+
+    Frozen: Step 4 returns a classified copy of each identified router, and
+    the step cache shares it with every outcome that hits the same key.
+    """
 
     asn: int
     interface_ips: frozenset[str]
@@ -82,19 +87,19 @@ class MultiIXPRouterStep:
         self,
         ixp_ids: list[str],
         report: InferenceReport,
-        crossings: list[IXPCrossing],
+        crossings: Sequence[IXPCrossing],
     ) -> list[MultiIXPRouter]:
-        """Apply the step; returns the multi-IXP routers it identified."""
-        routers = self.identify_routers(crossings)
+        """Apply the step; returns the multi-IXP routers it identified, classified."""
         studied = set(ixp_ids)
-        for router in routers:
+        return [
             self._classify_router(router, studied, report)
-        return routers
+            for router in self.identify_routers(crossings)
+        ]
 
     # ------------------------------------------------------------------ #
     # Router identification
     # ------------------------------------------------------------------ #
-    def identify_routers(self, crossings: list[IXPCrossing]) -> list[MultiIXPRouter]:
+    def identify_routers(self, crossings: Sequence[IXPCrossing]) -> list[MultiIXPRouter]:
         """Alias-resolve the entry interfaces seen before IXP hops.
 
         Only ASes observed at more than one IXP are worth resolving (the
@@ -133,7 +138,8 @@ class MultiIXPRouterStep:
     # ------------------------------------------------------------------ #
     def _classify_router(
         self, router: MultiIXPRouter, studied: set[str], report: InferenceReport
-    ) -> None:
+    ) -> MultiIXPRouter:
+        """The router with its kind, once that kind's classifications are written."""
         involved = sorted(router.ixp_ids)
         prior: dict[str, PeeringClassification] = {}
         for ixp_id in involved:
@@ -150,35 +156,36 @@ class MultiIXPRouterStep:
         local_anchors = [i for i, c in prior.items() if c is PeeringClassification.LOCAL]
         remote_anchors = [i for i, c in prior.items() if c is PeeringClassification.REMOTE]
 
+        kind = MultiIXPRouterKind.UNCLASSIFIED
+        # (IXPs, classification) pairs to propagate, in order.
+        writes: list[tuple[list[str], PeeringClassification]] = []
         if local_anchors:
-            if self._all_share_a_facility(involved):
-                router.kind = MultiIXPRouterKind.LOCAL
-                self._propagate(router, involved, PeeringClassification.LOCAL, studied, report)
-                return
             anchor = local_anchors[0]
-            remotes = self._hybrid_remote_subset(router.asn, anchor, involved)
-            if remotes:
-                router.kind = MultiIXPRouterKind.HYBRID
-                self._propagate(router, remotes, PeeringClassification.REMOTE, studied, report)
-                self._propagate(router, [anchor], PeeringClassification.LOCAL, studied, report)
-                return
-            router.kind = MultiIXPRouterKind.LOCAL if len(local_anchors) == len(involved) \
-                else MultiIXPRouterKind.UNCLASSIFIED
-            return
-
-        if remote_anchors:
+            if self._all_share_a_facility(involved):
+                kind = MultiIXPRouterKind.LOCAL
+                writes = [(involved, PeeringClassification.LOCAL)]
+            else:
+                remotes = self._hybrid_remote_subset(router.asn, anchor, involved)
+                if remotes:
+                    kind = MultiIXPRouterKind.HYBRID
+                    writes = [(remotes, PeeringClassification.REMOTE),
+                              ([anchor], PeeringClassification.LOCAL)]
+                elif len(local_anchors) == len(involved):
+                    kind = MultiIXPRouterKind.LOCAL
+        elif remote_anchors:
             anchor = remote_anchors[0]
             if self._all_share_a_facility(involved) or self._remote_condition_b(
                 router.asn, anchor, involved
             ):
-                router.kind = MultiIXPRouterKind.REMOTE
-                self._propagate(router, involved, PeeringClassification.REMOTE, studied, report)
-                return
-            router.kind = MultiIXPRouterKind.REMOTE if len(remote_anchors) == len(involved) \
-                else MultiIXPRouterKind.UNCLASSIFIED
-            return
+                kind = MultiIXPRouterKind.REMOTE
+                writes = [(involved, PeeringClassification.REMOTE)]
+            elif len(remote_anchors) == len(involved):
+                kind = MultiIXPRouterKind.REMOTE
 
-        router.kind = MultiIXPRouterKind.UNCLASSIFIED
+        classified = MultiIXPRouter(router.asn, router.interface_ips, router.ixp_ids, kind)
+        for ixp_ids, classification in writes:
+            self._propagate(classified, ixp_ids, classification, studied, report)
+        return classified
 
     def _propagate(
         self,
@@ -189,6 +196,11 @@ class MultiIXPRouterStep:
         report: InferenceReport,
     ) -> None:
         dataset = self.inputs.dataset
+        evidence = {
+            "multi_ixp_router_interfaces": tuple(sorted(router.interface_ips)),
+            "involved_ixps": tuple(sorted(router.ixp_ids)),
+            "router_kind": router.kind.value,
+        }
         for ixp_id in ixp_ids:
             if ixp_id not in studied:
                 continue
@@ -201,11 +213,7 @@ class MultiIXPRouterStep:
                     asn,
                     classification,
                     InferenceStep.MULTI_IXP_ROUTER,
-                    evidence={
-                        "multi_ixp_router_interfaces": sorted(router.interface_ips),
-                        "involved_ixps": sorted(router.ixp_ids),
-                        "router_kind": router.kind.value,
-                    },
+                    evidence=evidence,
                 )
 
     # ------------------------------------------------------------------ #

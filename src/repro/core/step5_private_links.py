@@ -16,6 +16,7 @@ router lives in, in the spirit of Constrained Facility Search:
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
 from repro.config import InferenceConfig
@@ -52,9 +53,9 @@ class PrivateConnectivityStep:
         self,
         ixp_ids: list[str],
         report: InferenceReport,
-        adjacencies: list[PrivateAdjacency],
-        multi_ixp_routers: list[MultiIXPRouter],
-        feasible: dict[tuple[str, str], FeasibleFacilityAnalysis],
+        adjacencies: Sequence[PrivateAdjacency],
+        multi_ixp_routers: Sequence[MultiIXPRouter],
+        feasible: Mapping[tuple[str, str], FeasibleFacilityAnalysis],
     ) -> int:
         """Apply the heuristic to every still-unknown interface.
 
@@ -105,9 +106,9 @@ class PrivateConnectivityStep:
                     classification,
                     InferenceStep.PRIVATE_CONNECTIVITY,
                     evidence={
-                        "private_neighbours": sorted(neighbours),
-                        "common_facilities": sorted(common),
-                        "feasible_ixp_facilities": sorted(ixp_feasible),
+                        "private_neighbours": tuple(sorted(neighbours)),
+                        "common_facilities": tuple(sorted(common)),
+                        "feasible_ixp_facilities": tuple(sorted(ixp_feasible)),
                     },
                 )
                 classified += 1
@@ -116,8 +117,8 @@ class PrivateConnectivityStep:
     # ------------------------------------------------------------------ #
     def _interfaces_per_asn(
         self,
-        adjacencies: list[PrivateAdjacency],
-        multi_ixp_routers: list[MultiIXPRouter],
+        adjacencies: Sequence[PrivateAdjacency],
+        multi_ixp_routers: Sequence[MultiIXPRouter],
     ) -> dict[int, set[str]]:
         """Candidate interfaces per AS: private-link ends plus multi-IXP routers."""
         interfaces: dict[int, set[str]] = defaultdict(set)
@@ -130,7 +131,7 @@ class PrivateConnectivityStep:
 
     @staticmethod
     def _adjacency_index(
-        adjacencies: list[PrivateAdjacency],
+        adjacencies: Sequence[PrivateAdjacency],
     ) -> dict[str, set[int]]:
         """Map each interface to the ASes it is privately adjacent to."""
         index: dict[str, set[int]] = defaultdict(set)
@@ -168,23 +169,23 @@ class PrivateConnectivityStep:
         neighbours.discard(asn)
         return neighbours
 
-    def _common_facilities(self, neighbours: set[int]) -> set[str]:
+    def _common_facilities(self, neighbours: set[int]) -> frozenset[str]:
         """Facilities shared by the majority of the neighbours with data.
 
         When no facility reaches a strict majority the neighbour set is
         geographically incoherent and no vote is cast — Step 5 then simply
         makes no inference for this member.
         """
-        return set(self.geo_index.majority_facility_vote(frozenset(neighbours)))
+        return self.geo_index.majority_facility_vote(frozenset(neighbours))
 
     def _feasible_ixp_facilities(
         self,
         ixp_id: str,
         interface_ip: str,
-        feasible: dict[tuple[str, str], FeasibleFacilityAnalysis],
-    ) -> set[str]:
+        feasible: Mapping[tuple[str, str], FeasibleFacilityAnalysis],
+    ) -> Set[str]:
         """Step 3's feasible facilities when available, otherwise all of them."""
         analysis = feasible.get((ixp_id, interface_ip))
         if analysis is not None and analysis.feasible_ixp_facilities:
-            return set(analysis.feasible_ixp_facilities)
+            return analysis.feasible_ixp_facilities
         return self.inputs.dataset.facilities_of_ixp(ixp_id)

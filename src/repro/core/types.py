@@ -5,8 +5,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.exceptions import InferenceError
 from repro.versioning import GenerationGuardedIndex
@@ -30,9 +30,15 @@ class InferenceStep(enum.Enum):
     RTT_BASELINE = "rtt-baseline"
 
 
-@dataclass
-class InferenceResult:
+#: The evidence of a record that has none (read-only, so one is shared).
+_NO_EVIDENCE: Mapping[str, object] = MappingProxyType({})
+
+
+class InferenceResult(NamedTuple):
     """Classification of one (IXP, member interface) pair.
+
+    Immutable, so one record can be shared by the step cache, every report
+    that holds it and every outcome built from those reports.
 
     Attributes
     ----------
@@ -45,7 +51,8 @@ class InferenceResult:
         unknown).
     evidence:
         Step-specific details (RTT, feasible facilities, router ids, votes...)
-        kept for reporting and debugging.
+        kept for reporting and debugging: a read-only mapping whose values
+        are immutable (numbers, strings and tuples).
     """
 
     ixp_id: str
@@ -53,7 +60,7 @@ class InferenceResult:
     asn: int
     classification: PeeringClassification = PeeringClassification.UNKNOWN
     step: InferenceStep | None = None
-    evidence: dict[str, object] = field(default_factory=dict)
+    evidence: Mapping[str, object] = _NO_EVIDENCE
 
     @property
     def is_inferred(self) -> bool:
@@ -76,8 +83,8 @@ class InferenceReport:
     (:class:`~repro.versioning.GenerationGuardedIndex`): Step 4 queries the
     ASN index once per (router, IXP) combination and sweep reporting
     queries the IXP index once per (scenario, IXP), which on a corpus is far
-    too hot for a linear scan.  The indexes store keys, so in-place
-    reclassification stays visible without a rebuild.
+    too hot for a linear scan.  The indexes store keys, so a replaced record
+    stays visible without a rebuild.
     """
 
     def __init__(
@@ -105,10 +112,10 @@ class InferenceReport:
     def ensure(self, ixp_id: str, interface_ip: str, asn: int) -> InferenceResult:
         """Get (or create as UNKNOWN) the result for one interface."""
         key = (ixp_id, interface_ip)
-        results = self._results
-        if key not in results:
-            results[key] = InferenceResult(ixp_id=ixp_id, interface_ip=interface_ip, asn=asn)
-        return results[key]
+        result = self._results.get(key)
+        if result is None:
+            result = self._store(key, InferenceResult(ixp_id, interface_ip, asn))
+        return result
 
     def classify(
         self,
@@ -117,20 +124,32 @@ class InferenceReport:
         asn: int,
         classification: PeeringClassification,
         step: InferenceStep,
-        evidence: dict[str, object] | None = None,
-        *,
-        overwrite: bool = False,
+        evidence: Mapping[str, object] | None = None,
     ) -> InferenceResult:
-        """Record a classification; earlier steps win unless ``overwrite``."""
+        """Record a classification; the first classification of an interface wins.
+
+        The interface's record is replaced, never changed in place, so a
+        record handed out earlier keeps its value.  An interface already
+        tracked keeps its ASN.
+        """
         if classification is PeeringClassification.UNKNOWN:
             raise InferenceError("classify() must not be called with UNKNOWN")
-        result = self.ensure(ixp_id, interface_ip, asn)
-        if result.is_inferred and not overwrite:
-            return result
-        result.classification = classification
-        result.step = step
-        if evidence:
-            result.evidence.update(evidence)
+        key = (ixp_id, interface_ip)
+        result = self._results.get(key)
+        if result is not None:
+            if result.classification is not PeeringClassification.UNKNOWN:
+                return result
+            asn = result.asn
+        return self._store(key, InferenceResult(
+            ixp_id, interface_ip, asn, classification, step,
+            MappingProxyType(dict(evidence)) if evidence else _NO_EVIDENCE))
+
+    def _store(self, key: tuple[str, str], result: InferenceResult) -> InferenceResult:
+        """The one place a record enters the report.
+
+        A new key is appended; an existing key keeps its place.
+        """
+        self._results[key] = result
         return result
 
     # ------------------------------------------------------------------ #

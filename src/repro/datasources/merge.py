@@ -15,10 +15,10 @@ and has one write path: its public tables are read-only views, so every
 mutation goes through a journal-emitting mutator
 (:meth:`ObservedDataset.set_ixp_prefix`, :meth:`~ObservedDataset.set_interface`,
 the colocation/capacity/location/attribute setters).  Each records a typed
-:class:`~repro.versioning.Change` under one of the :data:`DATASET_DOMAINS`,
-bumps the matching domain generation, and patches the derived indexes
-incrementally where possible — so continuous feed refreshes re-key exactly
-the consumers they can affect instead of tearing every cache down.
+:class:`~repro.versioning.Change` under one of the :data:`DATASET_DOMAINS`
+and bumps the matching domain generation — so continuous feed refreshes
+re-key exactly the consumers they can affect instead of tearing every cache
+down.
 :class:`DatasetMerger` itself writes through these mutators, resolving each
 key to its preferred value before writing, so a merge journals exactly one
 ``ADD`` record per key; :func:`build_observed_dataset` adds the CAIDA cone
@@ -36,7 +36,7 @@ from types import MappingProxyType
 from repro.datasources.records import SourceName, SourceSnapshot
 from repro.exceptions import DataSourceError
 from repro.geo.coordinates import GeoPoint
-from repro.netindex import LPMDeltaView, LPMIndex, apply_lpm_delta
+from repro.netindex import LPMIndex
 from repro.topology.entities import TrafficLevel
 from repro.versioning import Change, ChangeKind, GenerationGuardedIndex, Versioned
 
@@ -173,9 +173,9 @@ class ObservedDataset(Versioned):
     The hot lookups (:meth:`ixp_for_ip`, :meth:`interfaces_of_ixp`,
     :meth:`members_of_ixp`) are served from lazily built indexes guarded by
     domain generations (:class:`~repro.versioning.GenerationGuardedIndex`),
-    and a LAN prefix re-map is patched straight into the built LAN LPM, so
-    every mutation is visible immediately, in-place replacement at unchanged
-    size included.  LAN prefixes are keyed by their canonical spelling
+    each rebuilt on the first lookup after its domain moves, so every
+    mutation is visible immediately, in-place replacement at unchanged size
+    included.  LAN prefixes are keyed by their canonical spelling
     (``str(ipaddress.ip_network(prefix))``), as in
     :class:`~repro.datasources.prefix2as.Prefix2ASMap`.
     """
@@ -210,9 +210,9 @@ class ObservedDataset(Versioned):
         self._customer_cone_sizes = dict(customer_cone_sizes)
         self._countries = dict(countries)
         # Derived lookup indexes.  The LAN LPM state is one atomically
-        # swapped (token, view) tuple so a reader never observes a fresh
-        # token with a stale view.
-        self._lan_state: tuple[int, LPMIndex | LPMDeltaView] | None = None
+        # swapped (token, index) tuple so a reader never observes a fresh
+        # token with a stale index.
+        self._lan_state: tuple[int, LPMIndex[str]] | None = None
         self._ixp_views: GenerationGuardedIndex[dict[str, dict[str, int]]] = (
             GenerationGuardedIndex())
         self._ixp_members: dict[str, set[int]] = {}
@@ -301,8 +301,7 @@ class ObservedDataset(Versioned):
     def set_ixp_prefix(self, prefix: str, ixp_id: str) -> bool:
         """Register (or re-map) one peering-LAN prefix; True if anything changed.
 
-        A re-map is patched straight into the built LAN LPM view (or
-        compacts it past the overlay threshold); no full teardown.
+        The LAN LPM rebuilds on the next lookup.
         """
         key = _canonical_prefix(prefix)
         old = self._ixp_prefixes.get(key)
@@ -310,24 +309,17 @@ class ObservedDataset(Versioned):
             return False
         kind = ChangeKind.ADD if key not in self._ixp_prefixes else ChangeKind.REPLACE
         self._ixp_prefixes[key] = ixp_id
-        generation = self.record_change(
-            Change(kind, DOMAIN_IXP_PREFIXES, key, old, ixp_id))
-        state = self._lan_state
-        if state is not None:
-            patched = apply_lpm_delta(state[1], key, ixp_id)
-            # None signals compaction: the next lookup rebuilds.
-            self._lan_state = None if patched is None else (generation, patched)
+        self.record_change(Change(kind, DOMAIN_IXP_PREFIXES, key, old, ixp_id))
         return True
 
     def remove_ixp_prefix(self, prefix: str) -> bool:
-        """Drop one peering-LAN prefix; the LAN LPM rebuilds on next lookup."""
+        """Drop one peering-LAN prefix; the LAN LPM rebuilds on the next lookup."""
         key = _canonical_prefix(prefix)
         if key not in self._ixp_prefixes:
             return False
         old = self._ixp_prefixes.pop(key)
         self.record_change(
             Change(ChangeKind.REMOVE, DOMAIN_IXP_PREFIXES, key, old, None))
-        self._lan_state = None
         return True
 
     def set_interface(self, ip: str, ixp_id: str, asn: int) -> bool:
@@ -684,14 +676,11 @@ class DatasetMerger:
                 dataset.set_attribute(attribute, key, value)
 
 
-def build_observed_dataset(
-    world,
-    noise=None,
-    *,
-    include_caida: bool = True,
-    include_apnic: bool = True,
-) -> tuple[ObservedDataset, MergeStatistics]:
+def build_observed_dataset(world, noise=None) -> tuple[ObservedDataset, MergeStatistics]:
     """Convenience helper: snapshot every source and merge them.
+
+    The CAIDA customer cones and APNIC user populations (analysis-only
+    attributes) are attached to the merged dataset.
 
     Parameters
     ----------
@@ -699,9 +688,6 @@ def build_observed_dataset(
         The ground-truth :class:`~repro.topology.world.World`.
     noise:
         Optional :class:`~repro.config.DataSourceNoiseConfig`.
-    include_caida / include_apnic:
-        Whether to attach customer cones and user populations (analysis-only
-        attributes) to the observed dataset.
     """
     from repro.datasources.apnic import APNICSource
     from repro.datasources.caida import CAIDASource
@@ -719,10 +705,8 @@ def build_observed_dataset(
         InflectSource(world, noise).snapshot(),
     ]
     dataset, statistics = DatasetMerger(snapshots).merge()
-    if include_caida:
-        for asn, size in CAIDASource(world, noise).snapshot().cone_sizes.items():
-            dataset.set_attribute("customer_cone_sizes", asn, size)
-    if include_apnic:
-        for asn, population in APNICSource(world, noise).snapshot().items():
-            dataset.set_attribute("user_populations", asn, population)
+    for asn, size in CAIDASource(world, noise).snapshot().cone_sizes.items():
+        dataset.set_attribute("customer_cone_sizes", asn, size)
+    for asn, population in APNICSource(world, noise).snapshot().items():
+        dataset.set_attribute("user_populations", asn, population)
     return dataset, statistics

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 
-from repro.netindex import LPMDeltaView, LPMIndex, apply_lpm_delta
+from repro.netindex import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
 from repro.topology.world import World
 from repro.versioning import Change, ChangeKind, Versioned
 
@@ -71,11 +71,14 @@ class Prefix2ASMap(Versioned):
         view = self._view
         if view is None:
             return
-        patched = apply_lpm_delta(view, key, asn)
-        # None signals compaction: the next lookup rebuilds the full table.
-        self._view = patched
-        if patched is not None:
-            self.incremental_patches += 1
+        if isinstance(view, LPMIndex):
+            view = LPMDeltaView(view)
+        if view.delta_size >= DELTA_COMPACTION_THRESHOLD:
+            # Compact: the next lookup rebuilds the full table.
+            self._view = None
+            return
+        self._view = view.patched(key, asn)
+        self.incremental_patches += 1
 
     def remove(self, prefix: str) -> bool:
         """Drop one prefix; returns whether it was registered.

@@ -85,11 +85,11 @@ class DistanceProfile:
     distances: tuple[float, ...]
     facility_ids: tuple[str, ...]
 
-    def within(self, min_km: float, max_km: float) -> set[str]:
+    def within(self, min_km: float, max_km: float) -> frozenset[str]:
         """Facilities whose distance lies in ``[min_km, max_km]`` (inclusive)."""
         lo = bisect_left(self.distances, min_km)
         hi = bisect_right(self.distances, max_km)
-        return set(self.facility_ids[lo:hi])
+        return frozenset(self.facility_ids[lo:hi])
 
     def __len__(self) -> int:
         return len(self.facility_ids)
@@ -332,13 +332,13 @@ class GeoDistanceIndex:
 
     def feasible_ixp_facilities(
         self, point: GeoPoint, ixp_id: str, min_km: float, max_km: float
-    ) -> set[str]:
+    ) -> frozenset[str]:
         """IXP facilities whose distance from ``point`` lies in the ring."""
         return self.ixp_profile(point, ixp_id).within(min_km, max_km)
 
     def feasible_as_facilities(
         self, point: GeoPoint, asn: int, min_km: float, max_km: float
-    ) -> set[str]:
+    ) -> frozenset[str]:
         """Member-AS facilities whose distance from ``point`` lies in the ring."""
         return self.as_profile(point, asn).within(min_km, max_km)
 

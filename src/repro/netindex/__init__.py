@@ -13,7 +13,7 @@ ranges instead of re-parsing every prefix on every probe.
 :class:`~repro.netindex.lpm.LPMDeltaView` is the incremental companion: a
 frozen index plus a small add/replace overlay, compacted into a full rebuild
 past :data:`~repro.netindex.lpm.DELTA_COMPACTION_THRESHOLD`, so journalled
-dataset refreshes patch the LPM path instead of tearing it down.  See
+prefix-map refreshes patch the LPM path instead of tearing it down.  See
 :mod:`repro.netindex.lpm` for the data-structure details and the invariants
 consumers rely on.
 
@@ -23,16 +23,10 @@ result containers now guard their derived views with
 :class:`repro.versioning.GenerationGuardedIndex` tokens instead.
 """
 
-from repro.netindex.lpm import (
-    DELTA_COMPACTION_THRESHOLD,
-    LPMDeltaView,
-    LPMIndex,
-    apply_lpm_delta,
-)
+from repro.netindex.lpm import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
 
 __all__ = [
     "DELTA_COMPACTION_THRESHOLD",
     "LPMDeltaView",
     "LPMIndex",
-    "apply_lpm_delta",
 ]

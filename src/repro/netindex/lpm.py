@@ -27,8 +27,7 @@ Invariants consumers rely on:
    that mutate their prefix sets rebuild the index, or wrap it in an
    :class:`LPMDeltaView` — a small add/replace overlay consulted alongside
    the frozen interval array, compacted into a full rebuild past a threshold
-   (see :class:`repro.datasources.prefix2as.Prefix2ASMap` and
-   :meth:`repro.datasources.merge.ObservedDataset.ixp_for_ip`).
+   (see :class:`repro.datasources.prefix2as.Prefix2ASMap`).
 
 Both IPv4 and IPv6 prefixes are supported; each version gets its own table.
 """
@@ -284,23 +283,3 @@ class LPMDeltaView(Generic[V]):
         with self._lock:
             self._memo[ip] = match
         return match
-
-
-def apply_lpm_delta(
-    view: LPMIndex[V] | LPMDeltaView[V], prefix: str, value: V
-) -> LPMDeltaView[V] | None:
-    """One add/replace patch on a built LPM view, or ``None`` to compact.
-
-    The single implementation of the owner-side delta contract shared by
-    :class:`repro.datasources.prefix2as.Prefix2ASMap` and the
-    :meth:`~repro.datasources.merge.ObservedDataset.set_ixp_prefix` LAN
-    index: wrap a bare :class:`LPMIndex` into a view on the first patch, and
-    signal compaction (return ``None``; the caller drops its view and lazily
-    rebuilds from the authoritative dict) once the overlay has reached
-    :data:`DELTA_COMPACTION_THRESHOLD` patches *before* this one.
-    """
-    if isinstance(view, LPMIndex):
-        view = LPMDeltaView(view)
-    if view.delta_size >= DELTA_COMPACTION_THRESHOLD:
-        return None
-    return view.patched(prefix, value)

@@ -259,17 +259,18 @@ class SeedColocationRTTStep(ColocationRTTStep):
 
         ixp_facilities = dataset.facilities_of_ixp(ixp_id)
         member_facilities = dataset.facilities_of_as(asn)
-        analysis = FeasibleFacilityAnalysis(
+        feasible_ixp = frozenset(f for f in ixp_facilities if feasible(f))
+        feasible_member = frozenset(f for f in member_facilities if feasible(f))
+        return FeasibleFacilityAnalysis(
             ixp_id=ixp_id,
             interface_ip=interface_ip,
             asn=asn,
             ring=ring,
-            feasible_ixp_facilities={f for f in ixp_facilities if feasible(f)},
-            feasible_member_facilities={f for f in member_facilities if feasible(f)},
+            feasible_ixp_facilities=feasible_ixp,
+            feasible_member_facilities=feasible_member,
             member_has_facility_data=bool(member_facilities),
+            classification=self._classify(feasible_ixp, feasible_member),
         )
-        analysis.classification = self._classify(analysis)
-        return analysis
 
 
 def build_scenario() -> MiniScenario:

@@ -2,7 +2,7 @@
 
 Three layers:
 
-* the **live tree** must be contract-clean across all three rule families
+* the **live tree** must be contract-clean across both rule families
   (that is the whole point of the subsystem — every real violation the
   rules surfaced was fixed at the source);
 * **seeded-bug fixtures** — patched copies of the tree with one contract
@@ -28,7 +28,6 @@ from repro.contracts import (
     ContractCheckError,
     SourceTree,
     check_determinism,
-    check_readonly_outcomes,
     check_step_declarations,
     collect_violations,
     parse_waivers,
@@ -161,67 +160,6 @@ class TestStepDeclarations:
 
 
 # --------------------------------------------------------------------- #
-# Rule 3: read-only outcomes (seeded fixtures)
-# --------------------------------------------------------------------- #
-class TestReadonlyOutcomes:
-    def test_outcome_mutation_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "analysis" / "_fixture_readonly.py"
-        fixture.write_text(
-            "from repro.core.engine import PipelineOutcome\n"
-            "\n"
-            "\n"
-            "def tamper(outcome: PipelineOutcome) -> None:\n"
-            "    outcome.crossings.append(None)  # seeded-readonly-append\n"
-            '    outcome.feasible["x"] = None  # seeded-readonly-setitem\n',
-            encoding="utf-8",
-        )
-        violations = check_readonly_outcomes(SourceTree(root))
-        assert sorted(v.detail for v in violations) == [
-            "crossings:.append()",
-            "feasible:element-assignment",
-        ]
-        assert {v.kind for v in violations} == {"outcome-mutation"}
-        assert violations[0].line == _line_of(
-            root, "analysis/_fixture_readonly.py", "seeded-readonly-append"
-        )
-
-    def test_taint_propagates_through_sweep_and_loops(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "analysis" / "_fixture_sweep.py"
-        fixture.write_text(
-            "def tamper(study) -> None:\n"
-            "    outcomes = study.sweep([])\n"
-            "    for outcome in outcomes.values():\n"
-            "        outcome.report.results.clear()  # seeded-sweep-mutation\n",
-            encoding="utf-8",
-        )
-        violations = check_readonly_outcomes(SourceTree(root))
-        assert [v.detail for v in violations] == ["results:.clear()"]
-
-    def test_fresh_local_objects_are_not_flagged(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        fixture = root / "analysis" / "_fixture_clean.py"
-        fixture.write_text(
-            "from repro.core.engine import PipelineOutcome\n"
-            "\n"
-            "\n"
-            "def summarise(outcome: PipelineOutcome) -> dict:\n"
-            "    counts: dict = {}\n"
-            "    for crossing in outcome.crossings:\n"
-            "        counts[crossing.ixp_id] = counts.get(crossing.ixp_id, 0) + 1\n"
-            "    ordered = sorted(counts)\n"
-            "    counts.update({'total': len(ordered)})\n"
-            "    return counts\n",
-            encoding="utf-8",
-        )
-        assert check_readonly_outcomes(SourceTree(root)) == []
-
-    def test_live_tree_has_no_readonly_findings(self):
-        assert check_readonly_outcomes(SourceTree(SRC_ROOT)) == []
-
-
-# --------------------------------------------------------------------- #
 # Rule 5: determinism lint (seeded fixtures)
 # --------------------------------------------------------------------- #
 class TestDeterminism:
@@ -332,7 +270,9 @@ class TestDeterminism:
 class TestWaivers:
     def test_waiver_requires_justification_comment(self, tmp_path):
         waiver_file = tmp_path / "waivers.txt"
-        waiver_file.write_text("readonly:outcome-mutation:m:f\n", encoding="utf-8")
+        waiver_file.write_text(
+            "determinism:nondeterministic-call:m:time.time\n", encoding="utf-8"
+        )
         with pytest.raises(ContractCheckError, match="no justification"):
             parse_waivers(waiver_file)
 
@@ -421,13 +361,13 @@ class TestCli:
 
     def test_cli_json_format_is_machine_readable(self, tmp_path):
         root = _copy_tree(tmp_path)
-        fixture = root / "analysis" / "_fixture_readonly.py"
+        fixture = root / "core" / "_fixture_nondet.py"
         fixture.write_text(
-            "from repro.core.engine import PipelineOutcome\n"
+            "import time\n"
             "\n"
             "\n"
-            "def tamper(outcome: PipelineOutcome) -> None:\n"
-            "    outcome.crossings.clear()\n",
+            "def stamp() -> float:\n"
+            "    return time.time()\n",
             encoding="utf-8",
         )
         completed = _cli("--root", str(root), "--no-waivers", "--format=json")
@@ -436,24 +376,24 @@ class TestCli:
         assert document["ok"] is False
         assert document["summary"]["violations"] == 1
         (violation,) = document["violations"]
-        assert violation["detail"] == "crossings:.clear()"
-        assert violation["key"].startswith("readonly:outcome-mutation:")
+        assert violation["detail"] == "time.time"
+        assert violation["key"].startswith("determinism:nondeterministic-call:")
 
     def test_cli_github_format_emits_error_annotations(self, tmp_path):
         root = _copy_tree(tmp_path)
-        fixture = root / "analysis" / "_fixture_readonly.py"
+        fixture = root / "core" / "_fixture_nondet.py"
         fixture.write_text(
-            "from repro.core.engine import PipelineOutcome\n"
-            "\n"
-            "\n"
-            "def tamper(outcome: PipelineOutcome) -> None:\n"
-            "    del outcome.feasible[('a', 'b')]\n",
+            "def order() -> list:\n"
+            "    out = []\n"
+            "    for value in {3, 1, 2}:\n"
+            "        out.append(value)\n"
+            "    return out\n",
             encoding="utf-8",
         )
         completed = _cli("--root", str(root), "--no-waivers", "--format=github")
         assert completed.returncode == 1
         assert "::error file=" in completed.stdout
-        assert "feasible:del" in completed.stdout
+        assert "unordered-iteration:" in completed.stdout
 
     def test_cli_exits_two_on_unparseable_tree(self, tmp_path):
         # A checker *crash* (exit 2) is distinct from findings (exit 1):
@@ -575,6 +515,7 @@ class TestDynamicCrossCheck:
 # --------------------------------------------------------------------- #
 class TestCollect:
     def test_collect_violations_merges_all_three_rules(self, tmp_path):
+        # Three seeded findings from the two rule families, merged in order.
         root = _copy_tree(tmp_path)
         _patch(
             root,
@@ -591,14 +532,17 @@ class TestCollect:
             "    return time.time()\n",
             encoding="utf-8",
         )
-        (root / "analysis" / "_fixture_readonly.py").write_text(
-            "from repro.core.engine import PipelineOutcome\n"
+        (root / "geo" / "_fixture_nondet.py").write_text(
+            "import random\n"
             "\n"
             "\n"
-            "def tamper(outcome: PipelineOutcome) -> None:\n"
-            "    outcome.crossings.append(None)\n",
+            "def jitter() -> float:\n"
+            "    return random.random()\n",
             encoding="utf-8",
         )
         violations = collect_violations(SourceTree(root))
-        assert {v.rule for v in violations} == {"step-decl", "determinism", "readonly"}
-        assert len(violations) == 3
+        assert [v.rule for v in violations] == [
+            "step-decl",
+            "determinism",
+            "determinism",
+        ]

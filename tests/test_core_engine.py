@@ -84,8 +84,8 @@ def _assert_equivalent(outcome, reference) -> None:
         assert analysis.feasible_ixp_facilities == expected.feasible_ixp_facilities
         assert analysis.feasible_member_facilities == expected.feasible_member_facilities
         assert analysis.classification is expected.classification
-    assert outcome.crossings == crossings
-    assert outcome.private_adjacencies == adjacencies
+    assert list(outcome.crossings) == crossings
+    assert list(outcome.private_adjacencies) == adjacencies
     assert [(r.asn, r.interface_ips, r.ixp_ids, r.kind) for r in outcome.multi_ixp_routers] \
         == [(r.asn, r.interface_ips, r.ixp_ids, r.kind) for r in routers]
 

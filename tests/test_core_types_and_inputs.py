@@ -38,14 +38,6 @@ class TestInferenceReport:
                         InferenceStep.RTT_COLOCATION)
         assert report.classification_of("ixp-a", "185.1.0.1") is PeeringClassification.REMOTE
 
-    def test_overwrite_flag(self):
-        report = InferenceReport()
-        report.classify("ixp-a", "185.1.0.1", 65001, PeeringClassification.REMOTE,
-                        InferenceStep.PORT_CAPACITY)
-        report.classify("ixp-a", "185.1.0.1", 65001, PeeringClassification.LOCAL,
-                        InferenceStep.RTT_COLOCATION, overwrite=True)
-        assert report.classification_of("ixp-a", "185.1.0.1") is PeeringClassification.LOCAL
-
     def test_classify_unknown_rejected(self):
         report = InferenceReport()
         with pytest.raises(InferenceError):
@@ -108,7 +100,7 @@ class TestInferenceReport:
         # Growth is detected by the size guard without an explicit reset.
         report.ensure("ixp-a", "185.1.0.2", 2)
         assert len(report.results_for_ixp("ixp-a")) == 2
-        # In-place reclassification stays visible (the index stores keys).
+        # A replaced record stays visible (the index stores keys).
         report.classify("ixp-a", "185.1.0.1", 1, PeeringClassification.REMOTE,
                         InferenceStep.PORT_CAPACITY)
         assert any(r.is_remote for r in report.results_for_ixp("ixp-a"))

@@ -171,11 +171,6 @@ class TestBuildObservedDataset:
         assert dataset.customer_cone_sizes
         assert dataset.user_populations
 
-    def test_attributes_can_be_skipped(self, tiny_world):
-        dataset, _ = build_observed_dataset(tiny_world, include_caida=False,
-                                            include_apnic=False)
-        assert not dataset.customer_cone_sizes
-
     def test_inflect_corrects_coordinates(self, tiny_world):
         from repro.geo.coordinates import geodesic_distance_km
         noise = DataSourceNoiseConfig(facility_coordinate_error_rate=1.0,

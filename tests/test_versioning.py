@@ -22,6 +22,8 @@ from repro.config import ExperimentConfig
 from repro.contracts.accessors import GEO_ACCESSOR_DOMAINS
 from repro.core.engine import PipelineEngine
 from repro.core.inputs import InferenceInputs
+from repro.core.step4_multi_ixp import MultiIXPRouterKind
+from repro.core.types import InferenceStep, PeeringClassification
 from repro.datasources.merge import (
     DOMAIN_FACILITY_LOCATIONS,
     DOMAIN_INTERFACES,
@@ -200,15 +202,6 @@ class TestDatasetMutators:
         assert changed
         # Same dict size, no manual reset — and yet:
         assert dataset.ixp_for_ip("185.1.0.9") == "ixp-b"
-
-    def test_prefix_remap_patches_the_built_lan_view_incrementally(self):
-        dataset = ObservedDataset(
-            ixp_prefixes={"185.1.0.0/24": "ixp-a", "185.2.0.0/24": "ixp-b"})
-        assert dataset.ixp_for_ip("185.2.0.9") == "ixp-b"
-        dataset.set_ixp_prefix("185.1.0.0/24", "ixp-c")
-        assert dataset.ixp_for_ip("185.1.0.9") == "ixp-c"
-        state = dataset._lan_state
-        assert state is not None and isinstance(state[1], LPMDeltaView)
 
     def test_prefix_removal_rebuilds_lan_view(self):
         dataset = ObservedDataset(
@@ -1011,6 +1004,83 @@ class TestEngineOutcomeOracle:
             outcome = engine.run(config, ixp_ids)
             cold = _engine_over(study, dataset_copy(dataset), prefix2as_copy(prefix2as))
             _assert_same_outcome(outcome, cold.run(config, ixp_ids))
+
+
+@pytest.fixture(scope="module")
+def readonly_study() -> RemotePeeringStudy:
+    """A private tiny study whose outcomes the refused-write tests poke."""
+    study = RemotePeeringStudy(ExperimentConfig.tiny(seed=29))
+    study.outcome  # fill the engine's cache
+    return study
+
+
+class TestReadOnlyOutcome:
+    """Everything reachable from an outcome refuses writes.
+
+    The step cache shares the records, analyses, crossings and routers of
+    an outcome with every run that hits the same keys.  Each test tries one
+    family of write shapes through the study's outcome, each write on its
+    own; afterwards a rerun of the study's engine, every node a cache hit,
+    must still equal a cold engine's outcome over copies of the inputs.
+    """
+
+    def _outcome(self, study):
+        return study.engine.run(study.config.inference, study.studied_ixp_ids)
+
+    def _assert_cache_intact(self, study) -> None:
+        before = _stats_snapshot(study.engine)
+        outcome = self._outcome(study)
+        after = _stats_snapshot(study.engine)
+        assert {label: misses for label, (_, misses) in after.items()} == {
+            label: misses for label, (_, misses) in before.items()}
+        cold = _engine_over(study, dataset_copy(study.dataset), prefix2as_copy(study.prefix2as))
+        _assert_same_outcome(outcome, cold.run(study.config.inference, study.studied_ixp_ids))
+
+    def _classified(self, outcome, step):
+        return next(r for r in outcome.report.results.values() if r.step is step)
+
+    def _analysis(self, outcome):
+        return next(a for a in outcome.feasible.values() if a.feasible_ixp_facilities)
+
+    def test_attribute_assignment(self, readonly_study):
+        outcome = self._outcome(readonly_study)
+        result = self._classified(outcome, InferenceStep.RTT_COLOCATION)
+        with pytest.raises(AttributeError):
+            outcome.crossings = ()
+        with pytest.raises(AttributeError):
+            result.classification = PeeringClassification.UNKNOWN
+        with pytest.raises(AttributeError):
+            self._analysis(outcome).classification = PeeringClassification.UNKNOWN
+        with pytest.raises(AttributeError):
+            outcome.multi_ixp_routers[0].kind = MultiIXPRouterKind.UNCLASSIFIED
+        self._assert_cache_intact(readonly_study)
+
+    def test_item_assignment_and_deletion(self, readonly_study):
+        outcome = self._outcome(readonly_study)
+        key, analysis = next(iter(outcome.feasible.items()))
+        evidence = self._classified(outcome, InferenceStep.MULTI_IXP_ROUTER).evidence
+        with pytest.raises(TypeError):
+            outcome.feasible[key] = analysis
+        with pytest.raises(TypeError):
+            del outcome.feasible[key]
+        with pytest.raises(TypeError):
+            evidence["router_kind"] = "local"
+        with pytest.raises(TypeError):
+            del evidence["involved_ixps"]
+        self._assert_cache_intact(readonly_study)
+
+    def test_mutating_methods(self, readonly_study):
+        outcome = self._outcome(readonly_study)
+        evidence = self._classified(outcome, InferenceStep.PRIVATE_CONNECTIVITY).evidence
+        with pytest.raises(AttributeError):
+            outcome.crossings.append(outcome.crossings[0])
+        with pytest.raises(AttributeError):
+            outcome.crossings.clear()
+        with pytest.raises(AttributeError):
+            self._analysis(outcome).feasible_ixp_facilities.add("fac-elsewhere")
+        with pytest.raises(AttributeError):
+            evidence.update(common_facilities=())
+        self._assert_cache_intact(readonly_study)
 
 
 class TestConcurrentLazyCreation:
