@@ -17,6 +17,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import ExperimentConfig
 from repro.contracts.accessors import GEO_ACCESSOR_DOMAINS
@@ -190,6 +191,110 @@ class TestPrefix2ASIncremental:
         token = mapping.version_token()
         mapping.add("172.16.0.0/12", 65100)
         assert mapping.version_token() != token
+
+
+#: Nested IPv4 and IPv6 prefixes: default routes, host routes and the top of
+#: each address space.
+_NESTED_PREFIXES = (
+    "0.0.0.0/0",
+    "10.0.0.0/8",
+    "10.1.0.0/16",
+    "10.1.2.0/24",
+    "10.1.2.128/25",
+    "10.1.2.7/32",
+    "10.1.3.0/32",
+    "172.16.0.0/12",
+    "255.255.255.0/24",
+    "255.255.255.255/32",
+    "::/0",
+    "2001:db8::/32",
+    "2001:db8:1::/48",
+    "2001:db8:1::/64",
+    "2001:db8:1::1/128",
+    "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ff00/120",
+    "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+)
+#: Seventy sibling /24s inside 172.16.0.0/12, so one bulk add is a large
+#: batch of edits between two builds.
+_SIBLING_PREFIXES = tuple(f"172.16.{index}.0/24" for index in range(70))
+_PREFIX_POOL = _NESTED_PREFIXES + _SIBLING_PREFIXES
+#: The ASN extremes: a lookup that tests its answer for truth loses AS 0.
+_POOL_ASNS = (0, 1, 64512, 2**32 - 1)
+
+
+def _edge_probes() -> dict[str, list[str]]:
+    """Each pool prefix's first and last address and their outer neighbours,
+    mapped to the pool prefixes containing it, longest first."""
+    networks = [ipaddress.ip_network(prefix) for prefix in _PREFIX_POOL]
+    addresses = set()
+    for network in networks:
+        first, last = int(network.network_address), int(network.broadcast_address)
+        for numeric in (first - 1, first, last, last + 1):
+            if 0 <= numeric < 2**network.max_prefixlen:
+                addresses.add(type(network.network_address)(numeric))
+    longest_first = sorted(networks, key=lambda network: -network.prefixlen)
+    return {
+        str(address): [str(network) for network in longest_first if address in network]
+        for address in addresses
+    }
+
+
+_EDGE_PROBES = _edge_probes()
+
+
+class PrefixMapMachine(RuleBasedStateMachine):
+    """One ``Prefix2ASMap`` under journalled add, replace and remove, checked
+    after every step against a model dict and a cold map."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mapping = Prefix2ASMap()
+        self.model: dict[str, int] = {}
+
+    @rule(prefix=st.sampled_from(_PREFIX_POOL), asn=st.sampled_from(_POOL_ASNS))
+    def add(self, prefix, asn):
+        self.mapping.add(prefix, asn)
+        self.model[prefix] = asn
+
+    @rule(prefix=st.sampled_from(_PREFIX_POOL))
+    def remove(self, prefix):
+        assert self.mapping.remove(prefix) == (prefix in self.model)
+        self.model.pop(prefix, None)
+
+    @rule(first=st.integers(0, len(_POOL_ASNS) - 1), stride=st.integers(0, 1))
+    def bulk_add(self, first, stride):
+        """Every sibling at once; stride 0 gives adjacent siblings one ASN."""
+        for offset, prefix in enumerate(_SIBLING_PREFIXES):
+            asn = _POOL_ASNS[(first + stride * offset) % len(_POOL_ASNS)]
+            self.mapping.add(prefix, asn)
+            self.model[prefix] = asn
+
+    @rule(prefix=st.sampled_from(_PREFIX_POOL), offset=st.integers(0, 2**16))
+    def probe(self, prefix, offset):
+        """An address inside a pool prefix, against a containment scan."""
+        network = ipaddress.ip_network(prefix)
+        address = network[offset % network.num_addresses]
+        covering = [key for key in self.model if address in ipaddress.ip_network(key)]
+        longest = max(covering, key=lambda key: ipaddress.ip_network(key).prefixlen, default=None)
+        expected = None if longest is None else self.model[longest]
+        assert self.mapping.lookup(str(address)) == expected
+
+    @invariant()
+    def answers_match_brute_force_and_a_cold_map(self):
+        assert self.mapping._prefixes == self.model
+        cold = Prefix2ASMap()
+        for prefix, asn in self.model.items():
+            cold.add(prefix, asn)
+        for address, covering in _EDGE_PROBES.items():
+            expected = next((self.model[key] for key in covering if key in self.model), None)
+            assert self.mapping.lookup(address) == expected, address
+            assert cold.lookup(address) == expected, address
+
+
+TestPrefixMapOracle = PrefixMapMachine.TestCase
+TestPrefixMapOracle.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
 
 
 class TestDatasetMutators:
