@@ -36,7 +36,7 @@ from types import MappingProxyType
 from repro.datasources.records import SourceName, SourceSnapshot
 from repro.exceptions import DataSourceError
 from repro.geo.coordinates import GeoPoint
-from repro.netindex import LPMIndex
+from repro.netindex import LPMIndex, parse_prefix
 from repro.topology.entities import TrafficLevel
 from repro.versioning import Change, ChangeKind, GenerationGuardedIndex, Versioned
 
@@ -209,16 +209,13 @@ class ObservedDataset(Versioned):
         self._user_populations = dict(user_populations)
         self._customer_cone_sizes = dict(customer_cone_sizes)
         self._countries = dict(countries)
-        # Derived lookup indexes.  The LAN LPM state is one atomically
-        # swapped (token, index) tuple so a reader never observes a fresh
-        # token with a stale index.
-        self._lan_state: tuple[int, LPMIndex[str]] | None = None
+        # Derived lookup indexes, each rebuilt when its domain generation moves.
+        self._lan_index: GenerationGuardedIndex[LPMIndex[str]] = GenerationGuardedIndex()
         self._ixp_views: GenerationGuardedIndex[dict[str, dict[str, int]]] = (
             GenerationGuardedIndex())
         self._ixp_members: dict[str, set[int]] = {}
-        # Serialises the lazy builds/fills of the derived state above when
-        # concurrent caller threads read the dataset (mutators stay
-        # single-threaded by contract).
+        # Serialises fills of the member memo when concurrent caller threads
+        # read the dataset (mutators stay single-threaded by contract).
         self._view_lock = Lock()
 
     # ------------------------------------------------------------------ #
@@ -499,17 +496,14 @@ class ObservedDataset(Versioned):
         misclassified addresses whenever a more-specific LAN nested inside a
         broader registered prefix.
         """
-        token = self.domain_generation(DOMAIN_IXP_PREFIXES)
-        state = self._lan_state
-        if state is None or state[0] != token:
-            # Double-checked build: concurrent caller threads must neither
-            # build the LPM twice nor publish a stale (token, view) pair.
-            with self._view_lock:
-                state = self._lan_state
-                if state is None or state[0] != token:
-                    state = (token, LPMIndex(self._ixp_prefixes))
-                    self._lan_state = state
-        return state[1].lookup(ip)
+        index = self._lan_index.get(
+            self.domain_generation(DOMAIN_IXP_PREFIXES), self._build_lan_index)
+        return index.lookup(ip)
+
+    def _build_lan_index(self) -> LPMIndex[str]:
+        return LPMIndex(
+            (parse_prefix(prefix), ixp_id)
+            for prefix, ixp_id in self._ixp_prefixes.items())
 
     # ------------------------------------------------------------------ #
     # Colocation lookups

@@ -10,20 +10,17 @@ memoisation of repeated probes).
 The map is **generation-stamped** (:class:`~repro.versioning.Versioned`):
 every mutation bumps its generation, which the step-graph engine folds into
 its cache keys so cached step results survive exactly the revisions that
-cannot affect them.  Small post-build deltas — a feed refresh re-mapping a
-handful of prefixes — are served through an incremental
-:class:`~repro.netindex.LPMDeltaView` overlay instead of a full interval
-rebuild; the overlay is compacted into a fresh index past
-:data:`~repro.netindex.DELTA_COMPACTION_THRESHOLD` patches, and removals
-always rebuild (the flattened table cannot un-shadow a dropped range).
+cannot affect them.  Each prefix is parsed once, when it is added; the index
+is rebuilt from those parsed triples on the first lookup after any change.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
+from typing import ClassVar
 
-from repro.netindex import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
+from repro.netindex import LPMIndex, ParsedPrefix
 from repro.topology.world import World
 from repro.versioning import Change, ChangeKind, Versioned
 
@@ -33,24 +30,25 @@ DOMAIN_PREFIXES = "prefixes"
 
 @dataclass
 class Prefix2ASMap(Versioned):
-    """Longest-prefix-match IP-to-AS mapping with an incremental delta path.
+    """Longest-prefix-match IP-to-AS mapping.
 
-    Prefixes are accumulated with :meth:`add`; the backing
-    :class:`~repro.netindex.LPMIndex` is (re)built lazily on the first lookup
-    after a bulk mutation, so bulk loading stays cheap and the steady-state
-    lookup path is a memoised binary search.  Mutations *after* the index was
-    built patch it through an :class:`~repro.netindex.LPMDeltaView` overlay
-    (keeping the warm base memo) until the overlay outgrows its compaction
-    threshold; :attr:`incremental_patches` and :attr:`full_rebuilds` account
-    which path served each revision.
+    Prefixes enter only through :meth:`add`, which parses each one once and
+    keeps its ``(version, network int, length)`` triple beside the canonical
+    prefix.  The backing :class:`~repro.netindex.LPMIndex` is rebuilt from
+    those triples on the first lookup after any add, replace or remove, so
+    bulk loading stays cheap and the steady-state lookup path is a memoised
+    binary search.  :attr:`full_rebuilds` counts the builds.
     """
 
-    _prefixes: dict[str, int] = field(default_factory=dict)
-    _view: LPMIndex | LPMDeltaView | None = field(
+    _prefixes: dict[str, int] = field(default_factory=dict, init=False)
+    _parsed: dict[str, ParsedPrefix] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _index: LPMIndex[int] | None = field(
         default=None, init=False, repr=False, compare=False)
-    #: How many post-build mutations were absorbed as overlay patches.
-    incremental_patches: int = field(default=0, init=False, repr=False, compare=False)
-    #: How many times the full interval table was (re)built.
+    #: Overlay patches absorbed without a rebuild; always 0, since every
+    #: change rebuilds.  Kept because perfbench reports it.
+    incremental_patches: ClassVar[int] = 0
+    #: How many times the index was (re)built.
     full_rebuilds: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(self, prefix: str, asn: int) -> None:
@@ -67,41 +65,31 @@ class Prefix2ASMap(Versioned):
             return
         kind = ChangeKind.ADD if key not in self._prefixes else ChangeKind.REPLACE
         self._prefixes[key] = asn
+        self._parsed[key] = (
+            network.version, int(network.network_address), network.prefixlen)
         self.record_change(Change(kind, DOMAIN_PREFIXES, key, old, asn))
-        view = self._view
-        if view is None:
-            return
-        if isinstance(view, LPMIndex):
-            view = LPMDeltaView(view)
-        if view.delta_size >= DELTA_COMPACTION_THRESHOLD:
-            # Compact: the next lookup rebuilds the full table.
-            self._view = None
-            return
-        self._view = view.patched(key, asn)
-        self.incremental_patches += 1
+        self._index = None
 
     def remove(self, prefix: str) -> bool:
-        """Drop one prefix; returns whether it was registered.
-
-        Removal cannot be patched incrementally (the flattened interval table
-        no longer knows which outer prefix inherits the range), so the next
-        lookup rebuilds the index.
-        """
+        """Drop one prefix; returns whether it was registered."""
         key = str(ipaddress.ip_network(prefix))
         if key not in self._prefixes:
             return False
         old = self._prefixes.pop(key)
+        del self._parsed[key]
         self.record_change(Change(ChangeKind.REMOVE, DOMAIN_PREFIXES, key, old, None))
-        self._view = None
+        self._index = None
         return True
 
     def lookup(self, ip: str) -> int | None:
         """Return the ASN originating the longest matching prefix, if any."""
-        view = self._view
-        if view is None:
-            view = self._view = LPMIndex(self._prefixes)
+        index = self._index
+        if index is None:
+            parsed = self._parsed
+            index = self._index = LPMIndex(
+                (parsed[key], asn) for key, asn in self._prefixes.items())
             self.full_rebuilds += 1
-        return view.lookup(ip)
+        return index.lookup(ip)
 
     def __len__(self) -> int:
         return len(self._prefixes)

@@ -33,7 +33,7 @@ from repro.config import require_fraction
 from repro.exceptions import RoutingError
 from repro.geo.delay_model import DelayModel
 from repro.geo.worldindex import WorldDistanceIndex
-from repro.netindex import LPMIndex
+from repro.netindex import LPMIndex, parse_prefix
 from repro.routing.bgp import ASGraph, EdgeRealization, RealizationKind, RouteSelector
 from repro.topology.entities import InterfaceKind, IXPMembership, Router
 from repro.topology.world import World
@@ -162,7 +162,9 @@ class ForwardingSimulator:
     def _asn_for_destination(self, destination_ip: str) -> int:
         """Origin AS of the longest routed prefix holding the address."""
         if self._routed_index is None:
-            self._routed_index = LPMIndex(self.world.routed_prefixes)
+            self._routed_index = LPMIndex(
+                (parse_prefix(prefix), asn)
+                for prefix, asn in self.world.routed_prefixes.items())
         asn = self._routed_index.lookup(destination_ip)
         if asn is None:
             raise RoutingError(

@@ -16,13 +16,12 @@ which is the raw material of Step 5 (private-connectivity localisation).
 it keeps the per-path detection results of one corpus and, when the dataset's
 LAN prefixes or the prefix2as map change through their journal-emitting
 mutators, re-detects **only the paths whose hops fall under a changed
-prefix** — the detection analogue of the LPM delta overlay and the
-geo-distance index's selective eviction.  The index interns every hop
-address into an integer id once, when a path is appended, and a full scan
-applies both rules to the whole id array in one numpy pass (the per-path
-:class:`CrossingDetector` loop when numpy is absent).  Appended paths are
-therefore treated as immutable: their hop ids are a snapshot taken when they
-are interned.
+prefix** — the detection analogue of the geo-distance index's selective
+eviction.  The index interns every hop address into an integer id once, when
+a path is appended, and a full scan applies both rules to the whole id array
+in one numpy pass (the per-path :class:`CrossingDetector` loop when numpy is
+absent).  Appended paths are therefore treated as immutable: their hop ids
+are a snapshot taken when they are interned.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from repro.datasources.merge import (
 )
 from repro.datasources.prefix2as import DOMAIN_PREFIXES, Prefix2ASMap
 from repro.measurement.results import TracerouteCorpus
+from repro.netindex import parse_prefix
 from repro.routing.forwarding import ForwardingPath
 
 #: Changed prefixes beyond which a selective re-detection stops being cheaper
@@ -598,11 +598,9 @@ class CorpusDetectionIndex:
         # for a whole bucket is then one shift and one set lookup per IP.
         buckets: dict[tuple[int, int], set[int]] = {}
         for prefix in prefixes:
-            network = ipaddress.ip_network(prefix)
-            shift = network.max_prefixlen - network.prefixlen
-            buckets.setdefault((network.version, shift), set()).add(
-                int(network.network_address) >> shift
-            )
+            version, network, prefixlen = parse_prefix(prefix)
+            shift = (32 if version == 4 else 128) - prefixlen
+            buckets.setdefault((version, shift), set()).add(network >> shift)
         affected: set[str] = set()
         parsed = self._parsed_ips
         for ip in set(detector._ixp_memo) | set(detector._asn_memo):

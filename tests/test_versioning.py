@@ -1,10 +1,10 @@
 """Tests for the generation-stamped dataset-versioning layer.
 
-Covers the :mod:`repro.versioning` primitives, the incremental LPM delta
-path, the journal-emitting dataset mutators (including the historical
-size-guard trap: in-place replacement at unchanged size), the selective
-eviction of the geodesic-distance index and the engine's cross-revision step
-reuse.
+Covers the :mod:`repro.versioning` primitives, the prefix map's rebuild on
+change (with a stateful oracle), the journal-emitting dataset mutators
+(including the historical size-guard trap: in-place replacement at unchanged
+size), the selective eviction of the geodesic-distance index and the engine's
+cross-revision step reuse.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.datasources.merge import (
 from repro.datasources.prefix2as import Prefix2ASMap
 from repro.geo.coordinates import GeoPoint, offset_point
 from repro.geo.distindex import GeoDistanceIndex
-from repro.netindex import DELTA_COMPACTION_THRESHOLD, LPMDeltaView, LPMIndex
 from repro.measurement.results import TracerouteCorpus
 from repro.study import RemotePeeringStudy
 from repro.versioning import Change, ChangeJournal, ChangeKind, Versioned
@@ -108,41 +107,6 @@ class TestVersionedMixin:
         assert container.journal.since(1) is None
 
 
-class TestLPMDeltaView:
-    def test_overlay_matches_full_rebuild(self):
-        entries = {"10.0.0.0/8": "outer", "10.1.0.0/16": "mid"}
-        view = LPMDeltaView(LPMIndex(entries))
-        patched = dict(entries)
-        for prefix, value in [
-            ("10.1.2.0/24", "inner"),      # more specific than every base match
-            ("10.0.0.0/8", "outer-v2"),    # same-prefix re-registration
-            ("10.1.2.7/32", "host"),       # host route through the overlay
-            ("11.0.0.0/8", "novel"),       # previously unmatched space
-        ]:
-            view = view.patched(prefix, value)
-            patched[prefix] = value
-        reference = LPMIndex(patched)
-        for ip in [
-            "10.1.2.7", "10.1.2.9", "10.1.3.9", "10.2.0.1",
-            "11.5.5.5", "12.0.0.1",
-        ]:
-            assert view.lookup(ip) == reference.lookup(ip), ip
-
-    def test_more_specific_base_match_beats_shorter_overlay_patch(self):
-        view = LPMDeltaView(LPMIndex({"10.1.0.0/16": "mid"}))
-        view = view.patched("10.0.0.0/8", "outer")
-        assert view.lookup("10.1.0.1") == "mid"
-        assert view.lookup("10.2.0.1") == "outer"
-
-    def test_lookup_match_reports_prefixlen(self):
-        index = LPMIndex({"10.0.0.0/8": "outer", "10.1.0.0/16": "mid",
-                          "10.1.1.1/32": "host"})
-        assert index.lookup_match("10.2.0.1") == ("outer", 8)
-        assert index.lookup_match("10.1.0.1") == ("mid", 16)
-        assert index.lookup_match("10.1.1.1") == ("host", 32)
-        assert index.lookup_match("11.0.0.1") is None
-
-
 class TestPrefix2ASIncremental:
     def _filled(self) -> Prefix2ASMap:
         mapping = Prefix2ASMap()
@@ -151,15 +115,14 @@ class TestPrefix2ASIncremental:
         mapping.add("192.0.2.0/24", 65002)
         return mapping
 
-    def test_post_build_add_is_patched_not_rebuilt(self):
+    def test_post_build_add_is_visible_after_a_rebuild(self):
         mapping = self._filled()
         assert mapping.lookup("10.1.0.1") == 65001
         assert mapping.full_rebuilds == 1
         mapping.add("10.1.2.0/24", 65009)
         assert mapping.lookup("10.1.2.1") == 65009
         assert mapping.lookup("10.1.3.1") == 65001
-        assert mapping.incremental_patches == 1
-        assert mapping.full_rebuilds == 1, "the delta must not rebuild the table"
+        assert mapping.full_rebuilds == 2, "one rebuild serves every lookup after the add"
 
     def test_generation_bumps_on_real_changes_only(self):
         mapping = self._filled()
@@ -177,16 +140,7 @@ class TestPrefix2ASIncremental:
         assert mapping.full_rebuilds == 2
         assert not mapping.remove("10.1.0.0/16")
 
-    def test_overlay_compacts_past_threshold(self):
-        mapping = self._filled()
-        mapping.lookup("10.0.0.1")
-        for index in range(DELTA_COMPACTION_THRESHOLD + 1):
-            mapping.add(f"172.16.{index}.0/24", 65100 + index)
-        assert mapping.lookup("172.16.0.1") == 65100
-        assert mapping.full_rebuilds == 2, "the overlay must compact into a rebuild"
-        assert mapping.incremental_patches == DELTA_COMPACTION_THRESHOLD
-
-    def test_version_token_tracks_generation_and_size(self):
+    def test_version_token_tracks_generation(self):
         mapping = self._filled()
         token = mapping.version_token()
         mapping.add("172.16.0.0/12", 65100)
@@ -1003,7 +957,6 @@ class TestEngineCrossRevisionReuse:
         victims = prefixes[:: max(1, len(prefixes) // 3)][:3]
         for prefix in victims:
             study.prefix2as.add(prefix, study.prefix2as._prefixes[prefix] + 1)
-        assert study.prefix2as.incremental_patches >= len(victims)
 
         before = _stats_snapshot(engine)
         outcome = engine.run(study.config.inference, study.studied_ixp_ids)
