@@ -341,6 +341,20 @@ def dataset_copy(dataset: ObservedDataset) -> ObservedDataset:
     )
 
 
+def ping_copy(ping: PingCampaignResult) -> PingCampaignResult:
+    """A cold copy of a ping campaign's series and vantage points."""
+    return PingCampaignResult(
+        series=ping.series,
+        route_server_series=ping.route_server_series,
+        vantage_points=ping.vantage_points,
+    )
+
+
+def corpus_copy(corpus: TracerouteCorpus) -> TracerouteCorpus:
+    """A cold copy of a traceroute corpus, sharing its never-changed paths."""
+    return TracerouteCorpus(corpus.paths)
+
+
 def prefix2as_copy(prefix2as: Prefix2ASMap) -> Prefix2ASMap:
     """A cold copy of a prefix map, filled through its public ``add``."""
     copy = Prefix2ASMap()

@@ -45,7 +45,14 @@ from tests.detection_strategies import (
     edits,
     forwarding_path,
 )
-from tests.helpers import build_scenario, dataset_copy, dual_city_scenario, prefix2as_copy
+from tests.helpers import (
+    build_scenario,
+    corpus_copy,
+    dataset_copy,
+    dual_city_scenario,
+    ping_copy,
+    prefix2as_copy,
+)
 
 
 def _change(domain: str, key: object = "k") -> Change:
@@ -905,13 +912,14 @@ def _stats_snapshot(engine: PipelineEngine) -> dict[str, tuple[int, int]]:
     }
 
 
-def _engine_over(study, dataset, prefix2as) -> PipelineEngine:
-    """An engine with a fresh geo index over the study's campaigns."""
+def _engine_over(study, dataset, prefix2as, ping_result=None, corpus=None) -> PipelineEngine:
+    """An engine with a fresh geo index; the study's campaigns stand in for
+    a ping result or corpus not given."""
     geo_index = GeoDistanceIndex(dataset)
     inputs = InferenceInputs(
         dataset=dataset,
-        ping_result=study.ping_result,
-        corpus=study.traceroute_corpus,
+        ping_result=study.ping_result if ping_result is None else ping_result,
+        corpus=study.traceroute_corpus if corpus is None else corpus,
         prefix2as=prefix2as,
         alias_resolver=study.alias_resolver,
         geo_index=geo_index,
@@ -1025,21 +1033,27 @@ class TestEngineOutcomeOracle:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_warm_engine_matches_a_cold_one(self, oracle_study, data):
-        """One engine, driven through drawn scenarios, studied-IXP subsets
-        and journalled edits, equals a cold engine over copies after every
-        run."""
+        """One engine, driven through drawn scenarios, studied-IXP subsets,
+        journalled edits and campaign appends, equals a cold engine over
+        copies after every run."""
         study = oracle_study
         dataset = dataset_copy(study.dataset)
         prefix2as = prefix2as_copy(study.prefix2as)
-        engine = _engine_over(study, dataset, prefix2as)
+        ping = ping_copy(study.ping_result)
+        corpus = corpus_copy(study.traceroute_corpus)
+        engine = _engine_over(study, dataset, prefix2as, ping, corpus)
         configs = _scenario_configs(study.config.inference)
         studied = list(study.studied_ixp_ids)
         facilities = sorted(set().union(*(dataset.ixp_facilities[i] for i in studied)))
         members = sorted(set().union(*(dataset.members_of_ixp(i) for i in studied)))
         remappable = sorted(p for p, asn in prefix2as._prefixes.items() if asn in members)
+        member_series = [s for s in ping.series if s.ixp_id in studied and s.samples]
+        vp_ids = sorted(ping.vantage_points)
+        paths = corpus.paths
         for _ in range(data.draw(st.integers(1, 5), label="runs")):
             edit = data.draw(st.sampled_from(
-                (None, "move", "add_as_facility", "remove_as_facility", "remap")), label="edit")
+                (None, "move", "add_as_facility", "remove_as_facility", "remap",
+                 "add_series", "register_vantage_point", "extend")), label="edit")
             if edit == "move":
                 facility = data.draw(st.sampled_from(facilities))
                 distance_km = data.draw(st.sampled_from((5.0, 30.0, 150.0)))
@@ -1056,11 +1070,23 @@ class TestEngineOutcomeOracle:
             elif edit == "remap":
                 prefix2as.add(
                     data.draw(st.sampled_from(remappable)), data.draw(st.sampled_from(members)))
+            elif edit == "add_series":
+                series = data.draw(st.sampled_from(member_series))
+                shift_ms = data.draw(st.sampled_from((-2.0, -0.5, 0.5)))
+                ping.add_series(replace(series, samples=tuple(
+                    replace(sample, rtt_ms=max(0.0, sample.rtt_ms + shift_ms))
+                    for sample in series.samples)))
+            elif edit == "register_vantage_point":
+                ping.register_vantage_point(
+                    ping.vantage_points[data.draw(st.sampled_from(vp_ids))])
+            elif edit == "extend":
+                corpus.extend([data.draw(st.sampled_from(paths))])
             config = data.draw(st.sampled_from(configs), label="config")
             ixp_ids = data.draw(
                 st.lists(st.sampled_from(studied), min_size=1, unique=True), label="ixp_ids")
             outcome = engine.run(config, ixp_ids)
-            cold = _engine_over(study, dataset_copy(dataset), prefix2as_copy(prefix2as))
+            cold = _engine_over(study, dataset_copy(dataset), prefix2as_copy(prefix2as),
+                                ping_copy(ping), corpus_copy(corpus))
             _assert_same_outcome(outcome, cold.run(config, ixp_ids))
 
 
