@@ -22,7 +22,7 @@ from typing import ClassVar
 
 from repro.netindex import LPMIndex, ParsedPrefix
 from repro.topology.world import World
-from repro.versioning import Change, ChangeKind, Versioned
+from repro.versioning import Change, ChangeKind, GenerationGuardedIndex, Versioned
 
 #: The single journal domain of a prefix map (see :class:`ChangeJournal`).
 DOMAIN_PREFIXES = "prefixes"
@@ -37,14 +37,17 @@ class Prefix2ASMap(Versioned):
     prefix.  The backing :class:`~repro.netindex.LPMIndex` is rebuilt from
     those triples on the first lookup after any add, replace or remove, so
     bulk loading stays cheap and the steady-state lookup path is a memoised
-    binary search.  :attr:`full_rebuilds` counts the builds.
+    binary search.  The index is keyed on the map's generation
+    (:class:`~repro.versioning.GenerationGuardedIndex`), so caller threads
+    that meet on that first lookup share one build.
+    :attr:`full_rebuilds` counts the builds.
     """
 
     _prefixes: dict[str, int] = field(default_factory=dict, init=False)
     _parsed: dict[str, ParsedPrefix] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _index: LPMIndex[int] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _index: GenerationGuardedIndex[LPMIndex[int]] = field(
+        default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
     #: Overlay patches absorbed without a rebuild; always 0, since every
     #: change rebuilds.  Kept because perfbench reports it.
     incremental_patches: ClassVar[int] = 0
@@ -68,7 +71,6 @@ class Prefix2ASMap(Versioned):
         self._parsed[key] = (
             network.version, int(network.network_address), network.prefixlen)
         self.record_change(Change(kind, DOMAIN_PREFIXES, key, old, asn))
-        self._index = None
 
     def remove(self, prefix: str) -> bool:
         """Drop one prefix; returns whether it was registered."""
@@ -78,18 +80,16 @@ class Prefix2ASMap(Versioned):
         old = self._prefixes.pop(key)
         del self._parsed[key]
         self.record_change(Change(ChangeKind.REMOVE, DOMAIN_PREFIXES, key, old, None))
-        self._index = None
         return True
 
     def lookup(self, ip: str) -> int | None:
         """Return the ASN originating the longest matching prefix, if any."""
-        index = self._index
-        if index is None:
-            parsed = self._parsed
-            index = self._index = LPMIndex(
-                (parsed[key], asn) for key, asn in self._prefixes.items())
-            self.full_rebuilds += 1
-        return index.lookup(ip)
+        return self._index.get(self._generation, self._build_index).lookup(ip)
+
+    def _build_index(self) -> LPMIndex[int]:
+        self.full_rebuilds += 1
+        parsed = self._parsed
+        return LPMIndex((parsed[key], asn) for key, asn in self._prefixes.items())
 
     def __len__(self) -> int:
         return len(self._prefixes)

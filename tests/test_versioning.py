@@ -1229,6 +1229,44 @@ class TestConcurrentLazyCreation:
         assert len(builds) == 1
         assert all(result is results[0] for result in results)
 
+    def test_prefix_map_builds_its_index_once_under_caller_threads(self, monkeypatch):
+        from threading import Barrier, BrokenBarrierError, Thread
+
+        import repro.datasources.prefix2as as prefix2as_module
+
+        prefix_map = Prefix2ASMap()
+        prefix_map.add("10.0.0.0/8", 64500)
+        # Each build waits until a second thread has reached the lookup as
+        # well.  An unguarded check-then-act lets that thread into a second
+        # build, which releases both; a guarded one keeps it waiting for the
+        # first build, so the barrier times out and one build completes.
+        barrier = Barrier(2)
+        builds: list[int] = []
+        build_index = prefix2as_module.LPMIndex
+
+        def blocking_build(entries):
+            builds.append(1)
+            try:
+                barrier.wait(timeout=1.0)
+            except BrokenBarrierError:
+                pass
+            return build_index(entries)
+
+        monkeypatch.setattr(prefix2as_module, "LPMIndex", blocking_build)
+        answers: list[int | None] = []
+        threads = [
+            Thread(target=lambda: answers.append(prefix_map.lookup("10.1.2.3")))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert answers == [64500, 64500]
+        assert len(builds) == 1, "caller threads must share one index build"
+        assert prefix_map.full_rebuilds == 1
+
     def test_lazy_journal_creation_is_race_free(self):
         from concurrent.futures import ThreadPoolExecutor
         from threading import Barrier
