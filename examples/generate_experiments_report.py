@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro import ExperimentConfig, RemotePeeringStudy
+from repro import ExperimentConfig, GeneratorConfig, RemotePeeringStudy
 from repro.experiments import runner
 
 #: What the paper reports for each artefact (used in the comparison table).
@@ -49,11 +49,12 @@ PAPER_EXPECTATIONS: dict[str, str] = {
 
 
 def build_config(scale: str, seed: int) -> ExperimentConfig:
+    """Pick one of the bundled configuration scales, seeded with ``seed``."""
     if scale == "tiny":
         return ExperimentConfig.tiny(seed=seed)
     if scale == "small":
         return ExperimentConfig.small(seed=seed)
-    return ExperimentConfig()
+    return ExperimentConfig(generator=GeneratorConfig(seed=seed))
 
 
 def format_headline(headline: dict[str, object]) -> str:

@@ -127,15 +127,23 @@ class TestExperimentConfig:
         assert config.generator.seed == 99
 
 
-class TestQuickstartConfig:
-    @pytest.fixture(scope="class")
-    def quickstart(self):
-        path = Path(__file__).resolve().parents[1] / "examples" / "quickstart.py"
-        spec = importlib.util.spec_from_file_location("quickstart_example", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+def _example(name: str):
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    @pytest.mark.parametrize("scale", ["tiny", "small", "default"])
-    def test_seed_reaches_the_generator_at_every_scale(self, quickstart, scale):
-        assert quickstart.build_config(scale, 5).generator.seed == 5
+
+class TestQuickstartConfig:
+    @pytest.mark.parametrize(
+        ("example", "scale"),
+        [
+            *(pytest.param("quickstart", scale, id=scale)
+              for scale in ("tiny", "small", "default")),
+            *(pytest.param("generate_experiments_report", scale, id=f"report-{scale}")
+              for scale in ("tiny", "small", "default")),
+        ],
+    )
+    def test_seed_reaches_the_generator_at_every_scale(self, example, scale):
+        assert _example(example).build_config(scale, 5).generator.seed == 5
