@@ -41,6 +41,10 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 WAIVERS = REPO_ROOT / "contracts-waivers.txt"
 
 
+#: A module with one nondeterministic call, ``time.time`` inside ``stamp``.
+_STAMP_FIXTURE = "import time\n\n\ndef stamp() -> float:\n    return time.time()\n"
+
+
 def _copy_tree(tmp_path: Path) -> Path:
     destination = tmp_path / "repro"
     shutil.copytree(
@@ -293,23 +297,21 @@ class TestWaivers:
 
     def test_waiver_suppresses_a_seeded_violation(self, tmp_path):
         root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "        if config.enable_step1_port_capacity:",
-            "        if config.enable_step1_port_capacity and "
-            "config.rtt_baseline_threshold_ms >= 0:",
+        (root / "core" / "_fixture_nondet.py").write_text(
+            _STAMP_FIXTURE, encoding="utf-8"
         )
         waiver_file = tmp_path / "waivers.txt"
         waiver_file.write_text(
-            "# Seeded for the self-test; the read is deliberate.\n"
-            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms\n",
+            "# Seeded for the self-test; the call is deliberate.\n"
+            "determinism:nondeterministic-call:repro.core._fixture_nondet:stamp:"
+            "time.time\n",
             encoding="utf-8",
         )
         report = run_all(root, waiver_file)
         assert report.ok
         assert [v.key for v in report.waived] == [
-            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms"
+            "determinism:nondeterministic-call:repro.core._fixture_nondet:stamp:"
+            "time.time"
         ]
         assert report.unused_waivers == []
 
@@ -329,25 +331,20 @@ class TestWaivers:
 # --------------------------------------------------------------------- #
 class TestCli:
     def test_cli_exits_one_per_seeded_fixture(self, tmp_path):
-        for name, relative, old, new in (
+        for name, relative, source in (
+            ("call", "core/_fixture_nondet.py", _STAMP_FIXTURE),
             (
-                "config",
-                "core/engine.py",
-                "        if config.enable_step1_port_capacity:",
-                "        if config.enable_step1_port_capacity and "
-                "config.rtt_baseline_threshold_ms >= 0:",
-            ),
-            (
-                "domain",
-                "core/engine.py",
-                "    ) -> None:\n        if config.enable_step1_port_capacity:",
-                "    ) -> None:\n"
-                "        self.inputs.dataset.facility_location('F')\n"
-                "        if config.enable_step1_port_capacity:",
+                "iteration",
+                "geo/_fixture_nondet.py",
+                "def order() -> list:\n"
+                "    out = []\n"
+                "    for value in {3, 1, 2}:\n"
+                "        out.append(value)\n"
+                "    return out\n",
             ),
         ):
             root = _copy_tree(tmp_path / name)
-            _patch(root, relative, old, new)
+            (root / relative).write_text(source, encoding="utf-8")
             completed = _cli("--root", str(root), "--no-waivers")
             assert completed.returncode == 1, completed.stdout + completed.stderr
             assert "1 violation(s)" in completed.stdout
@@ -515,22 +512,10 @@ class TestDynamicCrossCheck:
 # --------------------------------------------------------------------- #
 class TestCollect:
     def test_collect_violations_merges_all_three_rules(self, tmp_path):
-        # Three seeded findings from the two rule families, merged in order.
+        # Three seeded findings in the three scanned packages, in order.
         root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "        if config.enable_step1_port_capacity:",
-            "        if config.enable_step1_port_capacity and "
-            "config.rtt_baseline_threshold_ms >= 0:",
-        )
         (root / "core" / "_fixture_nondet.py").write_text(
-            "import time\n"
-            "\n"
-            "\n"
-            "def stamp() -> float:\n"
-            "    return time.time()\n",
-            encoding="utf-8",
+            _STAMP_FIXTURE, encoding="utf-8"
         )
         (root / "geo" / "_fixture_nondet.py").write_text(
             "import random\n"
@@ -540,9 +525,22 @@ class TestCollect:
             "    return random.random()\n",
             encoding="utf-8",
         )
+        (root / "netindex" / "_fixture_nondet.py").write_text(
+            "import uuid\n"
+            "\n"
+            "\n"
+            "def tag() -> str:\n"
+            "    return str(uuid.uuid4())\n",
+            encoding="utf-8",
+        )
         violations = collect_violations(SourceTree(root))
         assert [v.rule for v in violations] == [
-            "step-decl",
             "determinism",
             "determinism",
+            "determinism",
+        ]
+        assert [v.detail for v in violations] == [
+            "time.time",
+            "random.random",
+            "uuid.uuid4",
         ]
