@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.contracts``.
 
-Checks a source tree against the two contract rule families and reports
-the findings.  Exit status: 0 when clean (waived findings and unused
+Checks a source tree against the determinism rule family (rule 5) and
+reports the findings.  Exit status: 0 when clean (waived findings and unused
 waivers do not fail the run), 1 when non-waived violations remain, 2 when
 the checker itself cannot run (unparseable tree, malformed waiver file).
 
@@ -75,7 +75,7 @@ def _emit_github(report: ContractReport) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.contracts",
-        description="Static contract checker: step declarations, determinism.",
+        description="Static contract checker: determinism of the engine's modules.",
     )
     parser.add_argument(
         "--root",

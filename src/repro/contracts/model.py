@@ -3,8 +3,8 @@
 A :class:`Violation` is one finding of one rule, carrying a repo-relative
 file, a line and a **stable waiver key**.  Keys deliberately avoid line
 numbers: a justified exception must survive unrelated edits to the file it
-lives in, so keys are built from the rule, the enclosing scope (a step-graph
-node or a function qualname) and the offending name — never from positions.
+lives in, so keys are built from the rule, the enclosing scope (a function
+qualname) and the offending name — never from positions.
 
 Waiver files are plain text: one key per line, each entry *immediately*
 preceded by at least one ``#`` comment line carrying the justification.  A
@@ -31,22 +31,19 @@ class Violation:
     Attributes
     ----------
     rule:
-        The rule family: ``"step-decl"`` or ``"determinism"``, or
-        ``"dynamic"`` for the runtime cross-check.
+        The rule family: ``"determinism"`` (rule 5).
     kind:
         The precise finding within the family (e.g.
-        ``"undeclared-config-read"`` or ``"nondeterministic-call"``).
+        ``"nondeterministic-call"`` or ``"unordered-iteration"``).
     path:
         File the finding anchors to, relative to the analyzed source root's
         repository (``src/repro/...`` when run from a checkout).
     line:
         1-indexed line of the offending access / declaration.
     context:
-        The scope the finding lives in — a step-graph node name for rule 1
-        and the dynamic cross-check, a ``module:qualname`` for rule 5.
+        The scope the finding lives in: a ``module:qualname``.
     detail:
-        The offending name (config field, domain, input, call or shape),
-        used in the waiver key.
+        The offending name (a call or a shape), used in the waiver key.
     message:
         Human-readable, self-contained description.
     """

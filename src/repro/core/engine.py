@@ -21,7 +21,19 @@ names, as data (:data:`STEP_GRAPH`):
 
 Every node also names, as data, the **dataset domains and inputs-bundle
 members it reads** (``data_domains`` / ``data_inputs``) — the versioning
-half of the contract.
+half of the declaration.
+
+The declarations are **enforced at run time**.  A node computes through
+*capability views* derived from its spec: a projection of the config that
+holds only the declared fields, and an inputs view whose dataset and geo
+index expose only the accessors whose domains the node declares, beside the
+declared versioned inputs and the alias resolver.  Reading anything else
+raises :class:`~repro.exceptions.UndeclaredReadError`, naming the node and
+the member, the first time the read runs.  The traceroute observables build
+their long-lived detection index over the real objects, so that node
+declares what the index reads
+(:data:`~repro.traixroute.detector.CORPUS_DETECTION_DOMAINS` and
+:data:`~repro.traixroute.detector.CORPUS_DETECTION_INPUTS`).
 
 Every node result is cached in a shared :class:`StepResultCache` under a
 fingerprint key derived from
@@ -88,16 +100,16 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from threading import Lock
 from types import MappingProxyType
-from typing import Callable, Sequence, TypeVar, cast
+from typing import Callable, NoReturn, Sequence, TypeVar, cast
 
 from repro.config import InferenceConfig, config_fingerprint
 from repro.datasources.merge import (
+    DATASET_ACCESSOR_DOMAINS,
     DOMAIN_AS_FACILITIES,
     DOMAIN_CAPACITIES,
     DOMAIN_FACILITY_LOCATIONS,
     DOMAIN_INTERFACES,
     DOMAIN_IXP_FACILITIES,
-    DOMAIN_IXP_PREFIXES,
 )
 from repro.core.baseline import RTTBaseline
 from repro.core.inputs import InferenceInputs
@@ -107,10 +119,16 @@ from repro.core.step3_colocation import ColocationRTTStep, FeasibleFacilityAnaly
 from repro.core.step4_multi_ixp import MultiIXPRouter, MultiIXPRouterStep
 from repro.core.step5_private_links import PrivateConnectivityStep
 from repro.core.types import InferenceReport, InferenceResult
-from repro.exceptions import InferenceError
+from repro.exceptions import InferenceError, UndeclaredReadError
 from repro.geo.delay_model import DelayModel
-from repro.geo.distindex import GeoDistanceIndex
-from repro.traixroute.detector import CorpusDetectionIndex, IXPCrossing, PrivateAdjacency
+from repro.geo.distindex import GEO_ACCESSOR_DOMAINS, GeoDistanceIndex
+from repro.traixroute.detector import (
+    CORPUS_DETECTION_DOMAINS,
+    CORPUS_DETECTION_INPUTS,
+    CorpusDetectionIndex,
+    IXPCrossing,
+    PrivateAdjacency,
+)
 
 #: A node's contribution to a report: the final record of every key it
 #: wrote, in first-write order.
@@ -165,8 +183,8 @@ class StepSpec:
         set.
     config_fields:
         The :class:`~repro.config.InferenceConfig` fields the node reads.
-        This is a *contract*: the node's result must depend on no other
-        config field, because only these enter its cache key.
+        Only these enter its cache key, so this is enforced at run time:
+        the node sees a projection of the config holding these fields alone.
     requires:
         Upstream nodes whose results feed this node.  A ``GLOBAL`` node
         requiring a ``PER_IXP`` node depends on that node at *every* studied
@@ -181,16 +199,17 @@ class StepSpec:
         over different IXP subsets.  Ignored for ``PER_IXP`` nodes.
     data_domains:
         The :class:`~repro.datasources.merge.ObservedDataset` domains the
-        node reads (see ``DATASET_DOMAINS``).  Like ``config_fields`` this
-        is a *contract*: the node's result must depend on no other slice of
-        the dataset, because only these domains' generation stamps enter its
-        cache key.
+        node reads (see ``DATASET_DOMAINS``).  Only these domains'
+        generation stamps enter its cache key, so like ``config_fields``
+        this is enforced at run time: the node's dataset and geo index
+        expose only the accessors whose domains are all declared here
+        (``DATASET_ACCESSOR_DOMAINS``, ``GEO_ACCESSOR_DOMAINS``).
     data_inputs:
         The :class:`~repro.core.inputs.InferenceInputs` members (beyond the
         dataset) whose :meth:`~repro.versioning.Versioned.version_token`
         enters the node's cache key — ``"ping_result"``, ``"corpus"`` and/or
-        ``"prefix2as"``.  The alias resolver is world-backed and immutable,
-        so no node declares it.
+        ``"prefix2as"``; the node's inputs view holds no other.  The alias
+        resolver is world-backed and immutable, so no node declares it.
     """
 
     name: str
@@ -241,8 +260,8 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         requires=(),
         provides=("crossings", "private_adjacencies"),
         studied_set_sensitive=False,
-        data_domains=(DOMAIN_IXP_PREFIXES, DOMAIN_INTERFACES, DOMAIN_IXP_FACILITIES),
-        data_inputs=("corpus", "prefix2as"),
+        data_domains=CORPUS_DETECTION_DOMAINS,
+        data_inputs=CORPUS_DETECTION_INPUTS,
     ),
     StepSpec(
         name="step4",
@@ -365,6 +384,58 @@ class _RecordingReport(InferenceReport):
 
 
 # --------------------------------------------------------------------- #
+# Capability views
+# --------------------------------------------------------------------- #
+class _View:
+    """The members one node declared; reading any other raises.
+
+    The declared members sit in the instance dict, so reading one costs one
+    attribute load.  ``__getattr__`` runs only for a name the view lacks.
+    """
+
+    def __init__(self, node: str, owner: str, members: Mapping[str, object]) -> None:
+        self.__dict__.update(members)
+        self._node = node
+        self._owner = owner
+
+    def __getattr__(self, name: str) -> NoReturn:
+        raise UndeclaredReadError(self._node, f"{self._owner}.{name}")
+
+
+def _bound(
+    real: object, table: Mapping[str, tuple[str, ...]], declared: frozenset[str]
+) -> dict[str, object]:
+    """The bound accessors of ``real`` whose domains are all declared."""
+    return {
+        name: getattr(real, name)
+        for name, domains in table.items()
+        if declared.issuperset(domains)
+    }
+
+
+def _inputs_view(
+    spec: StepSpec, inputs: InferenceInputs, geo_index: GeoDistanceIndex
+) -> InferenceInputs:
+    """What node ``spec`` may read of ``inputs``.
+
+    The view holds a dataset view, a geo view over ``geo_index`` whose
+    ``dataset`` is that dataset view (so the steps' ``geo_index.dataset is
+    inputs.dataset`` checks hold), the alias resolver and the declared
+    versioned inputs.
+    """
+    declared = frozenset(spec.data_domains)
+    dataset = _View(
+        spec.name, "dataset", _bound(inputs.dataset, DATASET_ACCESSOR_DOMAINS, declared))
+    geo = _View(spec.name, "geo_index", {
+        "dataset": dataset, **_bound(geo_index, GEO_ACCESSOR_DOMAINS, declared)})
+    members: dict[str, object] = {
+        "dataset": dataset, "geo_index": geo, "alias_resolver": inputs.alias_resolver}
+    for name in spec.data_inputs:
+        members[name] = getattr(inputs, name)
+    return cast(InferenceInputs, _View(spec.name, "inputs", members))
+
+
+# --------------------------------------------------------------------- #
 # Fingerprint keys
 # --------------------------------------------------------------------- #
 class _KeyResolver:
@@ -451,9 +522,12 @@ class PipelineEngine:
     :meth:`run` is serial and builds one report: Step 1 for each studied IXP
     in ``ixp_ids`` order, then Steps 2 and 3 and the baseline for each, then
     the global nodes.  A failing step raises on its first attempt; a pure
-    computation that raised once would raise again.  The engine starts no
-    threads; the shared cache and the lazily created corpus-detection index
-    are lock-guarded for callers that share one engine across threads.
+    computation that raised once would raise again.  Each node but the
+    traceroute observables computes through its capability views: the
+    inputs views are built once per engine, a config projection on each
+    miss.  The engine starts no threads; the shared cache and the lazily
+    created corpus-detection index are lock-guarded for callers that share
+    one engine across threads.
     """
 
     def __init__(
@@ -469,6 +543,9 @@ class PipelineEngine:
             raise InferenceError("geo_index must be built over the same dataset")
         self.geo_index = geo_index if geo_index is not None else inputs.geo_index
         self.cache = StepResultCache()
+        self._views = {
+            name: _inputs_view(spec, inputs, self.geo_index) for name, spec in _SPECS.items()
+        }
         # Per-path corpus detection, maintained incrementally across
         # journalled prefix revisions (created on the first traceroute node);
         # the lock makes the lazy creation build-once when concurrent caller
@@ -495,11 +572,14 @@ class PipelineEngine:
 
         # The report-writing nodes go in the monolithic order (Step 1 per
         # IXP, Step 3 per IXP, Step 4, Step 5), so the report is
-        # bit-identical to the seed single-pass pipeline's.
+        # bit-identical to the seed single-pass pipeline's.  Each miss
+        # computes through the node's capability views.
+        reads = self._capabilities
         report = InferenceReport()
         for ixp_id in ixp_ids:
             self._write(report, "step1", resolver.key("step1", ixp_id),
-                        lambda view: self._compute_step1(config, ixp_id, view))
+                        lambda view: self._compute_step1(
+                            *reads("step1", config), ixp_id, view))
 
         baseline = InferenceReport()
         rtt_summary = RTTCampaignSummary()
@@ -507,14 +587,16 @@ class PipelineEngine:
         for ixp_id in ixp_ids:
             summary = cast(RTTCampaignSummary, cache.get_or_compute(
                 "step2", resolver.key("step2", ixp_id),
-                lambda: self._compute_step2(config, ixp_id)))
+                lambda: self._compute_step2(*reads("step2", config), ixp_id)))
             rtt_summary.merge_from(summary)
             feasible.update(self._write(
                 report, "step3", resolver.key("step3", ixp_id),
-                lambda view: self._compute_step3(config, ixp_id, view, summary)))
+                lambda view: self._compute_step3(
+                    *reads("step3", config), ixp_id, view, summary)))
             baseline._results.update(cast(_Delta, cache.get_or_compute(
                 "baseline", resolver.key("baseline", ixp_id),
-                lambda: self._compute_baseline(config, ixp_id, summary))))
+                lambda: self._compute_baseline(
+                    *reads("baseline", config), ixp_id, summary))))
 
         crossings, adjacencies = cast(
             "tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]",
@@ -523,11 +605,12 @@ class PipelineEngine:
                 self._compute_traceroute))
         routers = self._write(
             report, "step4", resolver.key("step4"),
-            lambda view: self._compute_step4(config, ixp_ids, view, crossings))
+            lambda view: self._compute_step4(
+                *reads("step4", config), ixp_ids, view, crossings))
         self._write(
             report, "step5", resolver.key("step5"),
-            lambda view: self._compute_step5(config, ixp_ids, view, adjacencies,
-                                             routers, feasible))
+            lambda view: self._compute_step5(
+                *reads("step5", config), ixp_ids, view, adjacencies, routers, feasible))
 
         return PipelineOutcome(
             ixp_ids=ixp_ids,
@@ -539,6 +622,14 @@ class PipelineEngine:
             private_adjacencies=adjacencies,
             multi_ixp_routers=routers,
         )
+
+    def _capabilities(
+        self, name: str, config: InferenceConfig
+    ) -> tuple[InferenceConfig, InferenceInputs]:
+        """What node ``name`` may read: a projection of ``config`` onto its
+        declared fields, and its inputs view."""
+        fields = {field: getattr(config, field) for field in _SPECS[name].config_fields}
+        return cast(InferenceConfig, _View(name, "config", fields)), self._views[name]
 
     def _write(
         self,
@@ -573,37 +664,47 @@ class PipelineEngine:
     # Per-IXP nodes (Steps 1-3 + baseline)
     # ------------------------------------------------------------------ #
     def _compute_step1(
-        self, config: InferenceConfig, ixp_id: str, report: InferenceReport
+        self,
+        config: InferenceConfig,
+        inputs: InferenceInputs,
+        ixp_id: str,
+        report: InferenceReport,
     ) -> None:
         if config.enable_step1_port_capacity:
-            PortCapacityStep(self.inputs).run([ixp_id], report)
+            PortCapacityStep(inputs).run([ixp_id], report)
         else:
             # Make sure every member interface is tracked even if Step 1 is
             # off (the monolith's _register_all branch).
-            for interface_ip, asn in self.inputs.dataset.interfaces_of_ixp(ixp_id).items():
+            for interface_ip, asn in inputs.dataset.interfaces_of_ixp(ixp_id).items():
                 report.ensure(ixp_id, interface_ip, asn)
 
-    def _compute_step2(self, config: InferenceConfig, ixp_id: str) -> RTTCampaignSummary:
-        return RTTMeasurementStep(self.inputs, config).run([ixp_id])
+    def _compute_step2(
+        self, config: InferenceConfig, inputs: InferenceInputs, ixp_id: str
+    ) -> RTTCampaignSummary:
+        return RTTMeasurementStep(inputs, config).run([ixp_id])
 
     def _compute_step3(
         self,
         config: InferenceConfig,
+        inputs: InferenceInputs,
         ixp_id: str,
         report: InferenceReport,
         summary: RTTCampaignSummary,
     ) -> _FeasibleMap:
         if config.enable_step3_colocation_rtt:
-            step3 = ColocationRTTStep(self.inputs, config, self.delay_model,
-                                      geo_index=self.geo_index)
+            step3 = ColocationRTTStep(inputs, config, self.delay_model)
             return step3.run([ixp_id], report, summary)
         return {}
 
     def _compute_baseline(
-        self, config: InferenceConfig, ixp_id: str, summary: RTTCampaignSummary
+        self,
+        config: InferenceConfig,
+        inputs: InferenceInputs,
+        ixp_id: str,
+        summary: RTTCampaignSummary,
     ) -> _Delta:
         # A standalone report: every record in it is the baseline's delta.
-        return dict(RTTBaseline(self.inputs, config).run([ixp_id], summary).results)
+        return dict(RTTBaseline(inputs, config).run([ixp_id], summary).results)
 
     # ------------------------------------------------------------------ #
     # Global nodes (traceroute observables, Steps 4-5)
@@ -624,18 +725,20 @@ class PipelineEngine:
     def _compute_step4(
         self,
         config: InferenceConfig,
+        inputs: InferenceInputs,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
         crossings: tuple[IXPCrossing, ...],
     ) -> tuple[MultiIXPRouter, ...]:
         if config.enable_step4_multi_ixp:
-            step4 = MultiIXPRouterStep(self.inputs, config, geo_index=self.geo_index)
+            step4 = MultiIXPRouterStep(inputs, config)
             return tuple(step4.run(list(ixp_ids), report, crossings))
         return ()
 
     def _compute_step5(
         self,
         config: InferenceConfig,
+        inputs: InferenceInputs,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
         adjacencies: tuple[PrivateAdjacency, ...],
@@ -643,7 +746,7 @@ class PipelineEngine:
         feasible: _FeasibleMap,
     ) -> None:
         if config.enable_step5_private_links:
-            step5 = PrivateConnectivityStep(self.inputs, config, geo_index=self.geo_index)
+            step5 = PrivateConnectivityStep(inputs, config)
             step5.run(list(ixp_ids), report, adjacencies, routers, feasible)
 
 

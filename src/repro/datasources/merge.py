@@ -72,6 +72,25 @@ DATASET_DOMAINS: tuple[str, ...] = (
     DOMAIN_ATTRIBUTES,
 )
 
+#: :class:`ObservedDataset` accessor -> the domains one call reads.  The
+#: step-graph engine hands each node a dataset view holding exactly the
+#: accessors whose domains the node declares.
+DATASET_ACCESSOR_DOMAINS: dict[str, tuple[str, ...]] = {
+    "ixp_for_ip": (DOMAIN_IXP_PREFIXES,),
+    "ixp_ids": (DOMAIN_IXP_PREFIXES, DOMAIN_IXP_FACILITIES),
+    "interfaces_of_ixp": (DOMAIN_INTERFACES,),
+    "members_of_ixp": (DOMAIN_INTERFACES,),
+    "asn_of_interface": (DOMAIN_INTERFACES,),
+    "ixp_of_interface": (DOMAIN_INTERFACES,),
+    "facilities_of_ixp": (DOMAIN_IXP_FACILITIES,),
+    "facilities_of_as": (DOMAIN_AS_FACILITIES,),
+    "has_facility_data_for_as": (DOMAIN_AS_FACILITIES,),
+    "facility_location": (DOMAIN_FACILITY_LOCATIONS,),
+    "common_facilities": (DOMAIN_IXP_FACILITIES, DOMAIN_AS_FACILITIES),
+    "port_capacity": (DOMAIN_CAPACITIES,),
+    "min_capacity": (DOMAIN_CAPACITIES,),
+}
+
 #: The dict fields :meth:`ObservedDataset.set_attribute` may write (all
 #: journalled under :data:`DOMAIN_ATTRIBUTES`).
 _ATTRIBUTE_FIELDS: frozenset[str] = frozenset(

@@ -48,5 +48,22 @@ class InferenceError(ReproError):
     """Raised when the inference pipeline receives inconsistent inputs."""
 
 
+class UndeclaredReadError(InferenceError):
+    """Raised when a step-graph node reads something its ``StepSpec`` omits.
+
+    Only declared reads enter a node's cache key, so an undeclared one would
+    let a cache hit serve a stale result.  Deliberately not an
+    :class:`AttributeError`: ``getattr`` with a default and ``hasattr``
+    cannot swallow it.
+    """
+
+    def __init__(self, node: str, member: str) -> None:
+        super().__init__(
+            f"step {node!r} read {member!r}, which its StepSpec does not declare"
+        )
+        self.node = node
+        self.member = member
+
+
 class ValidationError(ReproError):
     """Raised when a validation dataset or metric computation is invalid."""

@@ -18,21 +18,20 @@ the IXP (its colocation facilities).  Everything geographic lives here:
 * :mod:`repro.geo.distindex` — the shared, memoised geodesic-distance index
   (point-to-facility and facility-pair distances, sorted distance profiles,
   footprint span aggregates) that serves the geometry hot path of inference
-  Steps 3 and 4.
+  Steps 3 and 4.  It reads the observed dataset's domain names, so it is
+  imported from its module, not re-exported here: the dataset module
+  imports this package.
 """
 
 from repro.geo.coordinates import GeoPoint, geodesic_distance_km, haversine_distance_km
 from repro.geo.cities import City, WORLD_CITIES, city_by_name, cities_in_region
 from repro.geo.regions import RIRRegion, region_for_country, same_metro_area
 from repro.geo.delay_model import DelayModel, FeasibleRing
-from repro.geo.distindex import DistanceProfile, GeoDistanceIndex
 
 __all__ = [
     "GeoPoint",
     "geodesic_distance_km",
     "haversine_distance_km",
-    "DistanceProfile",
-    "GeoDistanceIndex",
     "City",
     "WORLD_CITIES",
     "city_by_name",

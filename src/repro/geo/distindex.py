@@ -59,17 +59,45 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from threading import RLock
-from typing import TYPE_CHECKING
 
+from repro.datasources.merge import (
+    DOMAIN_AS_FACILITIES,
+    DOMAIN_FACILITY_LOCATIONS,
+    DOMAIN_IXP_FACILITIES,
+    GEO_DOMAINS,
+    ObservedDataset,
+)
 from repro.geo.coordinates import GeoPoint, geodesic_distance_km
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (merge imports geo)
-    from repro.datasources.merge import ObservedDataset
-    from repro.versioning import Change
+from repro.versioning import Change
 
 #: Journalled changes beyond which a replay stops being cheaper than a
 #: wholesale invalidation (each eviction scans the memo tables once).
 SELECTIVE_EVICTION_LIMIT = 64
+
+#: :class:`GeoDistanceIndex` accessor -> the dataset domains one answer
+#: depends on.  The index syncs itself against every geo domain, but each
+#: answer depends only on the domains listed here, so a step-graph node that
+#: declares them may call the accessor through its geo view.
+GEO_ACCESSOR_DOMAINS: dict[str, tuple[str, ...]] = {
+    "facility_distance_km": (DOMAIN_FACILITY_LOCATIONS,),
+    "pair_distance_km": (DOMAIN_FACILITY_LOCATIONS,),
+    "ixp_profile": (DOMAIN_IXP_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+    "as_profile": (DOMAIN_AS_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+    "feasible_ixp_facilities": (DOMAIN_IXP_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+    "feasible_as_facilities": (DOMAIN_AS_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+    "ixp_pair_span_km": (DOMAIN_IXP_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+    "as_ixp_span_km": (
+        DOMAIN_AS_FACILITIES,
+        DOMAIN_IXP_FACILITIES,
+        DOMAIN_FACILITY_LOCATIONS,
+    ),
+    "common_facility_span_km": (
+        DOMAIN_AS_FACILITIES,
+        DOMAIN_IXP_FACILITIES,
+        DOMAIN_FACILITY_LOCATIONS,
+    ),
+    "majority_facility_vote": (DOMAIN_AS_FACILITIES, DOMAIN_FACILITY_LOCATIONS),
+}
 
 
 @dataclass(frozen=True)
@@ -175,8 +203,6 @@ class GeoDistanceIndex:
             generation = dataset.generation
             if generation == self._synced_generation:
                 return
-            from repro.datasources.merge import GEO_DOMAINS
-
             changes = dataset.journal.since(self._synced_generation, GEO_DOMAINS)
             if changes is None or len(changes) > SELECTIVE_EVICTION_LIMIT:
                 self._invalidate()

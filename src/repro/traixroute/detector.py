@@ -47,6 +47,17 @@ from repro.measurement.results import TracerouteCorpus
 from repro.netindex import parse_prefix
 from repro.routing.forwarding import ForwardingPath
 
+#: What a :class:`CorpusDetectionIndex` reads: the dataset domains its walk
+#: of the corpus checks (LANs, interfaces, IXP facilities) and the inputs
+#: bundle members it binds.  The engine's traceroute node, which builds the
+#: index over the real objects, declares exactly these.
+CORPUS_DETECTION_DOMAINS: tuple[str, ...] = (
+    DOMAIN_IXP_PREFIXES,
+    DOMAIN_INTERFACES,
+    DOMAIN_IXP_FACILITIES,
+)
+CORPUS_DETECTION_INPUTS: tuple[str, ...] = ("corpus", "prefix2as")
+
 #: Changed prefixes beyond which a selective re-detection stops being cheaper
 #: than a full corpus re-scan with a fresh detector.
 SELECTIVE_REDETECTION_LIMIT = 256

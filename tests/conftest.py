@@ -5,7 +5,9 @@ Two worlds are used throughout:
 * ``tiny_world`` — a very small, fast world for unit-level checks;
 * ``small_study`` — one session-scoped end-to-end study (world, data
   sources, campaigns, pipeline) shared by the integration, analysis and
-  experiment tests, so the expensive parts are computed once.
+  experiment tests, so the expensive parts are computed once;
+* ``tiny_study`` and ``oracle_study`` — tiny studies at seeds 7 and 23 that
+  engine tests run fresh engines over.
 
 ``detection_mode`` runs a test once with the corpus-detection index's numpy
 bulk pass and once with its per-path fallback.
@@ -49,6 +51,16 @@ def small_outcome(small_study):
 def tiny_study() -> RemotePeeringStudy:
     """A cheaper end-to-end study on the tiny configuration."""
     return RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
+
+
+@pytest.fixture(scope="session")
+def oracle_study() -> RemotePeeringStudy:
+    """A tiny seed-23 study, whose ping campaign has a rounding looking
+    glass; tests run engines over it or over copies of its inputs, and
+    never edit the inputs themselves."""
+    study = RemotePeeringStudy(ExperimentConfig.tiny(seed=23))
+    study.inputs  # build the dataset, campaigns and prefix map once
+    return study
 
 
 @pytest.fixture(params=["numpy", "fallback"])

@@ -9,9 +9,10 @@ about a specific, understandable situation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.alias.midar import AliasResolver
+from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
 from repro.core.step3_colocation import ColocationRTTStep, FeasibleFacilityAnalysis
 from repro.datasources.merge import ObservedDataset
@@ -361,3 +362,14 @@ def prefix2as_copy(prefix2as: Prefix2ASMap) -> Prefix2ASMap:
     for prefix, asn in prefix2as._prefixes.items():
         copy.add(prefix, asn)
     return copy
+
+
+def scenario_configs(base: InferenceConfig) -> list[InferenceConfig]:
+    """Every fig. 9 ablation, fig. 11 tolerance and table 4 scenario."""
+    from repro.experiments import fig9, fig11, table4
+
+    return [
+        *(replace(base, **overrides) for _, overrides in fig9.ABLATION_SCENARIOS),
+        *(replace(base, feasible_facility_tolerance_km=km) for km in fig11.TOLERANCE_SWEEP_KM),
+        *(replace(base, **overrides) for _, overrides in table4.AGREEMENT_SCENARIOS),
+    ]

@@ -1,17 +1,15 @@
-"""Tier-1 tests for the static contract checker and its dynamic cross-checks.
+"""Tier-1 tests for the static contract checker (rule 5, determinism).
 
-Three layers:
+Two layers:
 
-* the **live tree** must be contract-clean across both rule families
-  (that is the whole point of the subsystem — every real violation the
-  rules surfaced was fixed at the source);
-* **seeded-bug fixtures** — patched copies of the tree with one contract
-  violation each — must be caught with the right rule, file and line, and a
-  clean drop-in module must produce zero false positives;
-* the **dynamic cross-check** must run the full pipeline on the standard
-  tiny synthetic world with a bit-identical outcome: the declaration
-  recorder (``repro.contracts.dynamic``) catches the same seeded
-  undeclared config read the static rule catches.
+* the **live tree** must be contract-clean (every real violation the rules
+  surfaced was fixed at the source);
+* **seeded-bug fixtures** — copies of the tree with contract violations
+  added — must be caught with the right rule, file and line, and a clean
+  drop-in module must produce zero false positives.
+
+Step declarations are enforced at run time instead; see
+``tests/test_core_engine.py``.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ from repro.contracts import (
     ContractCheckError,
     SourceTree,
     check_determinism,
-    check_step_declarations,
     collect_violations,
     parse_waivers,
     run_all,
 )
-from repro.contracts.dynamic import run_dynamic_cross_check
-from repro.core.step5_private_links import PrivateConnectivityStep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -51,13 +46,6 @@ def _copy_tree(tmp_path: Path) -> Path:
         SRC_ROOT, destination, ignore=shutil.ignore_patterns("__pycache__")
     )
     return destination
-
-
-def _patch(root: Path, relative: str, old: str, new: str) -> None:
-    path = root / relative
-    text = path.read_text(encoding="utf-8")
-    assert old in text, f"fixture anchor not found in {relative}: {old!r}"
-    path.write_text(text.replace(old, new, 1), encoding="utf-8")
 
 
 def _line_of(root: Path, relative: str, marker: str) -> int:
@@ -95,72 +83,6 @@ class TestLiveTree:
         completed = _cli()
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "0 violation(s)" in completed.stdout
-
-
-# --------------------------------------------------------------------- #
-# Rule 1: step-declaration completeness (seeded fixtures)
-# --------------------------------------------------------------------- #
-class TestStepDeclarations:
-    def test_undeclared_config_read_is_caught_with_file_and_line(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "        if config.enable_step1_port_capacity:",
-            "        if config.enable_step1_port_capacity and "
-            "config.rtt_baseline_threshold_ms >= 0:  # seeded-config-read",
-        )
-        violations = check_step_declarations(SourceTree(root))
-        matching = [
-            v
-            for v in violations
-            if v.kind == "undeclared-config-read" and v.context == "step1"
-        ]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.detail == "rtt_baseline_threshold_ms"
-        assert violation.path.endswith("core/engine.py")
-        assert violation.line == _line_of(root, "core/engine.py", "seeded-config-read")
-        assert violation.key == (
-            "step-decl:undeclared-config-read:step1:rtt_baseline_threshold_ms"
-        )
-
-    def test_undeclared_domain_read_is_caught_with_file_and_line(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "    ) -> None:\n        if config.enable_step1_port_capacity:",
-            "    ) -> None:\n"
-            "        self.inputs.dataset.facility_location('FAC-1')  # seeded-domain\n"
-            "        if config.enable_step1_port_capacity:",
-        )
-        violations = check_step_declarations(SourceTree(root))
-        matching = [
-            v
-            for v in violations
-            if v.kind == "undeclared-domain-read" and v.context == "step1"
-        ]
-        assert len(matching) == 1
-        violation = matching[0]
-        assert violation.detail == "facility_locations"
-        assert violation.line == _line_of(root, "core/engine.py", "seeded-domain")
-
-    def test_unused_config_declaration_is_caught(self, tmp_path):
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            'config_fields=("enable_step1_port_capacity",),',
-            'config_fields=("enable_step1_port_capacity", "rtt_baseline_threshold_ms"),',
-        )
-        violations = check_step_declarations(SourceTree(root))
-        matching = [v for v in violations if v.kind == "unused-config-field"]
-        assert [v.detail for v in matching] == ["rtt_baseline_threshold_ms"]
-        assert matching[0].context == "step1"
-
-    def test_clean_tree_has_no_step_declaration_findings(self):
-        assert check_step_declarations(SourceTree(SRC_ROOT)) == []
 
 
 # --------------------------------------------------------------------- #
@@ -436,75 +358,6 @@ class TestCli:
             "::warning file=contracts-waivers.txt,line=2,title=unused waiver::"
             "waiver 'stale:key:a:b' matched no finding" in completed.stdout
         )
-
-
-# --------------------------------------------------------------------- #
-# The dynamic cross-check
-# --------------------------------------------------------------------- #
-class TestDynamicCrossCheck:
-    def test_full_pipeline_run_is_clean_and_bit_identical(self, tiny_study):
-        check = run_dynamic_cross_check(
-            tiny_study.inputs,
-            tiny_study.config.inference,
-            tiny_study.studied_ixp_ids,
-        )
-        assert check.ok, [v.message for v in check.violations]
-        assert check.bit_identical
-        # Every step-graph node ran and was observed.
-        assert set(check.observed) == {
-            "step1",
-            "step2",
-            "step3",
-            "traceroute",
-            "step4",
-            "step5",
-            "baseline",
-        }
-        # Spot-check: the observed reads landed in the declared sets.
-        assert check.observed["step2"].inputs == {"ping_result"}
-        assert "interfaces" in check.observed["step1"].domains
-
-    def test_seeded_config_read_is_caught_by_static_and_dynamic(
-        self, tmp_path, tiny_study, monkeypatch
-    ):
-        # One seeded bug — Step 5 reading the undeclared
-        # rtt_baseline_threshold_ms — expressed twice: as a source patch for the
-        # static rule, and as a runtime monkeypatch for the dynamic check.
-        root = _copy_tree(tmp_path)
-        _patch(
-            root,
-            "core/engine.py",
-            "        if config.enable_step5_private_links:",
-            "        if config.enable_step5_private_links and "
-            "config.rtt_baseline_threshold_ms >= 0:",
-        )
-        static = [
-            v
-            for v in check_step_declarations(SourceTree(root))
-            if v.kind == "undeclared-config-read" and v.context == "step5"
-        ]
-        assert [v.detail for v in static] == ["rtt_baseline_threshold_ms"]
-
-        original_run = PrivateConnectivityStep.run
-
-        def leaky_run(self, *args, **kwargs):
-            _ = self.config.rtt_baseline_threshold_ms  # the same undeclared read
-            return original_run(self, *args, **kwargs)
-
-        monkeypatch.setattr(PrivateConnectivityStep, "run", leaky_run)
-        check = run_dynamic_cross_check(
-            tiny_study.inputs,
-            tiny_study.config.inference,
-            tiny_study.studied_ixp_ids,
-        )
-        dynamic = [
-            v
-            for v in check.violations
-            if v.kind == "undeclared-config-read" and v.context == "step5"
-        ]
-        assert [v.detail for v in dynamic] == ["rtt_baseline_threshold_ms"]
-        # The recording proxies observe without perturbing the computation.
-        assert check.bit_identical
 
 
 # --------------------------------------------------------------------- #

@@ -10,8 +10,11 @@ steps.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import repro.core.engine as engine_module
 from repro.config import InferenceConfig, config_fingerprint
 from repro.core.baseline import RTTBaseline
 from repro.core.engine import (
@@ -26,10 +29,11 @@ from repro.core.step3_colocation import ColocationRTTStep
 from repro.core.step4_multi_ixp import MultiIXPRouterStep
 from repro.core.step5_private_links import PrivateConnectivityStep
 from repro.core.types import InferenceReport
-from repro.exceptions import ConfigurationError, InferenceError
+from repro.datasources.merge import DOMAIN_AS_FACILITIES
+from repro.exceptions import ConfigurationError, InferenceError, UndeclaredReadError
 from repro.traixroute.detector import CrossingDetector
 
-from tests.helpers import dual_city_scenario
+from tests.helpers import dual_city_scenario, scenario_configs
 
 IXP_ID = "ixp-ams-test"
 
@@ -169,6 +173,128 @@ class TestStepGraphDeclarations:
         assert scopes["traceroute"] is StepScope.GLOBAL
         assert scopes["step4"] is StepScope.GLOBAL
         assert scopes["step5"] is StepScope.GLOBAL
+
+
+def _fresh_engine(study) -> PipelineEngine:
+    """An engine with an empty cache, so every node computes."""
+    return PipelineEngine(study.inputs, delay_model=study.delay_model)
+
+
+def _declare(monkeypatch, spec) -> None:
+    """Put ``spec`` in the step graph an engine builds its views from."""
+    monkeypatch.setitem(engine_module._SPECS, spec.name, spec)
+
+
+class TestUndeclaredReads:
+    """A read outside a node's declaration raises the first time it runs,
+    naming the node and the member."""
+
+    def _refusal(self, study) -> UndeclaredReadError:
+        with pytest.raises(UndeclaredReadError) as excinfo:
+            _fresh_engine(study).run(study.config.inference, study.studied_ixp_ids)
+        error = excinfo.value
+        assert error.node in str(error) and error.member in str(error)
+        return error
+
+    def test_step1_config_read(self, oracle_study, monkeypatch):
+        compute = PipelineEngine._compute_step1
+
+        def leaky(self, config, *args):
+            _ = config.rtt_baseline_threshold_ms
+            return compute(self, config, *args)
+
+        monkeypatch.setattr(PipelineEngine, "_compute_step1", leaky)
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("step1", "config.rtt_baseline_threshold_ms")
+
+    def test_step5_config_read(self, oracle_study, monkeypatch):
+        run = PrivateConnectivityStep.run
+
+        def leaky(self, *args, **kwargs):
+            _ = self.config.rtt_baseline_threshold_ms
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrivateConnectivityStep, "run", leaky)
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("step5", "config.rtt_baseline_threshold_ms")
+
+    def test_step1_domain_read(self, oracle_study, monkeypatch):
+        run = PortCapacityStep.run
+
+        def leaky(self, *args, **kwargs):
+            self.inputs.dataset.facility_location("fac-000")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(PortCapacityStep, "run", leaky)
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("step1", "dataset.facility_location")
+
+    def test_step3_without_as_facilities(self, oracle_study, monkeypatch):
+        spec = engine_module._SPECS["step3"]
+        domains = tuple(d for d in spec.data_domains if d != DOMAIN_AS_FACILITIES)
+        _declare(monkeypatch, replace(spec, data_domains=domains))
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("step3", "geo_index.feasible_as_facilities")
+
+    def test_a_default_does_not_swallow_the_refusal(self, oracle_study, monkeypatch):
+        run = RTTBaseline.run
+
+        def probing(self, *args, **kwargs):
+            getattr(self.inputs, "corpus", None)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(RTTBaseline, "run", probing)
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("baseline", "inputs.corpus")
+
+
+def _unread_declarations(spec, studies, monkeypatch) -> list[tuple[str, str]]:
+    """The declarations of ``spec`` that no run needs.
+
+    For each declared config field, dataset domain and versioned input, a
+    fresh engine whose graph lacks that one item runs every sweep scenario
+    over each study; an item is needed when some run raises.
+    """
+    unread = []
+    for attribute in ("config_fields", "data_domains", "data_inputs"):
+        declared = getattr(spec, attribute)
+        for item in declared:
+            _declare(monkeypatch, replace(
+                spec, **{attribute: tuple(x for x in declared if x != item)}))
+            try:
+                for study in studies:
+                    engine = _fresh_engine(study)
+                    for config in scenario_configs(study.config.inference):
+                        engine.run(config, study.studied_ixp_ids)
+            except UndeclaredReadError as error:
+                assert error.node == spec.name
+            else:
+                unread.append((attribute, item))
+    _declare(monkeypatch, spec)
+    return unread
+
+
+class TestEveryDeclarationIsRead:
+    """Each node but the traceroute observables needs every item it declares.
+
+    The seed-23 study reaches step 2's rounding-looking-glass branch and
+    the seed-7 study reaches step 4's propagation of a classified
+    multi-IXP router, so between them the sweep reads every declaration.
+    """
+
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in STEP_GRAPH if spec.name != "traceroute"])
+    def test_dropping_any_declaration_raises(self, name, oracle_study, tiny_study,
+                                             monkeypatch):
+        spec = engine_module._SPECS[name]
+        assert _unread_declarations(spec, (oracle_study, tiny_study), monkeypatch) == []
+
+    def test_an_unused_declaration_is_flagged(self, oracle_study, tiny_study, monkeypatch):
+        spec = engine_module._SPECS["step1"]
+        seeded = replace(
+            spec, config_fields=(*spec.config_fields, "rtt_baseline_threshold_ms"))
+        unread = _unread_declarations(seeded, (oracle_study, tiny_study), monkeypatch)
+        assert unread == [("config_fields", "rtt_baseline_threshold_ms")]
 
 
 class TestConfigFingerprint:

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import ExperimentConfig
-from repro.contracts.accessors import GEO_ACCESSOR_DOMAINS
 from repro.core.engine import PipelineEngine
 from repro.core.inputs import InferenceInputs
 from repro.core.step4_multi_ixp import MultiIXPRouterKind
@@ -33,7 +32,7 @@ from repro.datasources.merge import (
 )
 from repro.datasources.prefix2as import Prefix2ASMap
 from repro.geo.coordinates import GeoPoint, offset_point
-from repro.geo.distindex import GeoDistanceIndex
+from repro.geo.distindex import GEO_ACCESSOR_DOMAINS, GeoDistanceIndex
 from repro.measurement.results import TracerouteCorpus
 from repro.study import RemotePeeringStudy
 from repro.versioning import Change, ChangeJournal, ChangeKind, Versioned
@@ -52,6 +51,7 @@ from tests.helpers import (
     dual_city_scenario,
     ping_copy,
     prefix2as_copy,
+    scenario_configs,
 )
 
 
@@ -994,25 +994,6 @@ class TestEngineCrossRevisionReuse:
         assert after["step5"][1] == before["step5"][1] + 1
 
 
-@pytest.fixture(scope="module")
-def oracle_study() -> RemotePeeringStudy:
-    """A private tiny study; the oracle edits copies of its inputs only."""
-    study = RemotePeeringStudy(ExperimentConfig.tiny(seed=23))
-    study.inputs  # build the dataset, campaigns and prefix map once
-    return study
-
-
-def _scenario_configs(base):
-    """Every fig. 9 ablation, fig. 11 tolerance and table 4 scenario."""
-    from repro.experiments import fig9, fig11, table4
-
-    return [
-        *(replace(base, **overrides) for _, overrides in fig9.ABLATION_SCENARIOS),
-        *(replace(base, feasible_facility_tolerance_km=km) for km in fig11.TOLERANCE_SWEEP_KM),
-        *(replace(base, **overrides) for _, overrides in table4.AGREEMENT_SCENARIOS),
-    ]
-
-
 def _assert_same_outcome(outcome, cold) -> None:
     assert outcome.report == cold.report
     assert list(outcome.report.results) == list(cold.report.results)
@@ -1042,7 +1023,7 @@ class TestEngineOutcomeOracle:
         ping = ping_copy(study.ping_result)
         corpus = corpus_copy(study.traceroute_corpus)
         engine = _engine_over(study, dataset, prefix2as, ping, corpus)
-        configs = _scenario_configs(study.config.inference)
+        configs = scenario_configs(study.config.inference)
         studied = list(study.studied_ixp_ids)
         facilities = sorted(set().union(*(dataset.ixp_facilities[i] for i in studied)))
         members = sorted(set().union(*(dataset.members_of_ixp(i) for i in studied)))
