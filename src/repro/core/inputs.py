@@ -52,7 +52,3 @@ class InferenceInputs:
             self.geo_index = GeoDistanceIndex(self.dataset)
         elif self.geo_index.dataset is not self.dataset:
             raise InferenceError("geo_index must be built over the same dataset")
-
-    def interfaces_for(self, ixp_id: str) -> dict[str, int]:
-        """IP -> ASN for the members of one IXP, as observed."""
-        return self.dataset.interfaces_of_ixp(ixp_id)

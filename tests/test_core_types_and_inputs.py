@@ -120,9 +120,3 @@ class TestInferenceInputs:
                 prefix2as=Prefix2ASMap(),
                 alias_resolver=scenario.inputs().alias_resolver,
             )
-
-    def test_interfaces_for_ixp(self):
-        scenario = dual_city_scenario()
-        inputs = scenario.inputs()
-        interfaces = inputs.interfaces_for("ixp-ams-test")
-        assert interfaces == {"185.1.0.1": 65001, "185.1.0.2": 65002, "185.1.0.3": 65003}
