@@ -270,7 +270,6 @@ def _unread_declarations(spec, studies, monkeypatch) -> list[tuple[str, str]]:
                 assert error.node == spec.name
             else:
                 unread.append((attribute, item))
-    _declare(monkeypatch, spec)
     return unread
 
 
