@@ -14,27 +14,24 @@ which is the raw material of Step 5 (private-connectivity localisation).
 
 :class:`CorpusDetectionIndex` layers the dataset-versioning contract on top:
 it keeps the per-path detection results of one corpus and, when the dataset's
-LAN prefixes or the prefix2as map change through their journal-emitting
-mutators, re-detects **only the paths whose hops fall under a changed
-prefix** — the detection analogue of the geo-distance index's selective
-eviction.  The index interns every hop address into an integer id once, when
-a path is appended, and a full scan applies both rules to the whole id array
-in one numpy pass (the per-path :class:`CrossingDetector` loop when numpy is
-absent).  Appended paths are therefore treated as immutable: their hop ids
-are a snapshot taken when they are interned.
+LAN prefixes or interfaces or the prefix2as map change through their
+journal-emitting mutators, re-detects **only the paths holding an address
+whose answers changed** — the detection analogue of the geo-distance index's
+selective eviction.  The index interns every hop address into an integer id
+once, when a path is appended, and classifies it then; one pure-Python pass
+applies both rules to the id runs of any set of paths, from the first build
+to a re-detection.  Appended paths are therefore treated as immutable: their
+hop ids are a snapshot taken when they are interned.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from array import array
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from importlib import import_module
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, chain
 from operator import sub
 from threading import Lock
-from typing import Any, TypeVar
+from typing import NamedTuple, TypeVar
 
 from repro.datasources.merge import (
     DOMAIN_INTERFACES,
@@ -58,24 +55,14 @@ CORPUS_DETECTION_DOMAINS: tuple[str, ...] = (
 )
 CORPUS_DETECTION_INPUTS: tuple[str, ...] = ("corpus", "prefix2as")
 
-#: Changed prefixes beyond which a selective re-detection stops being cheaper
-#: than a full corpus re-scan with a fresh detector.
+#: Journalled changes (prefixes, interfaces and the IXPs they name) beyond
+#: which a selective re-detection stops being cheaper than a full corpus scan.
 SELECTIVE_REDETECTION_LIMIT = 256
-
-#: Optional numpy handle.  A full scan runs the bulk pass when numpy is
-#: importable and the per-path detector loop when it is not (install
-#: ``repro[fast]`` to opt in); both give the same results.
-_np: Any
-try:
-    _np = import_module("numpy")
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
 
 _Value = TypeVar("_Value")
 
 
-@dataclass(frozen=True)
-class IXPCrossing:
+class IXPCrossing(NamedTuple):
     """One detected IXP crossing.
 
     Attributes
@@ -100,8 +87,7 @@ class IXPCrossing:
     exit_ip: str
 
 
-@dataclass(frozen=True)
-class PrivateAdjacency:
+class PrivateAdjacency(NamedTuple):
     """Two consecutive hops in different ASes with no IXP LAN in between."""
 
     near_ip: str
@@ -248,39 +234,38 @@ class CorpusDetectionIndex:
 
     One index binds a dataset, a prefix2as map and a corpus; it stores the
     crossings and private adjacencies of every path and keeps them current
-    against the generation stamps of its inputs:
+    against the generation stamps of its inputs.
 
-    * a **prefix change** (a LAN prefix re-map on the dataset, an add /
-      re-map / removal on the prefix2as map) evicts the classification memos
-      of exactly the hop IPs that fall under a changed prefix and re-detects
-      only the paths containing such an IP.  Soundness: detection is a
-      deterministic function of the classification answers a path's hops
-      receive, every answer ever given is memoised, so a path none of whose
-      memoised answers changed replays the exact same detection — and an IP
-      that was never queried cannot have influenced the stored result;
-    * an **interface change** rebuilds the whole index — the per-IXP
-      membership sets (triplet rule 3) derive from the interface dicts, so
-      any path could be affected;
-    * **corpus growth** detects only the appended paths;
-    * an opaque bump, a truncated journal or an oversized change batch
-      (:data:`SELECTIVE_REDETECTION_LIMIT`) falls back to a full re-scan
-      with a fresh detector.
+    Every hop address is interned once per index into an integer id, and
+    each path into a run of ids in one flat list (``None`` hops are id 0).
+    When an address is interned it gets three answers, kept in lists indexed
+    by id: its LAN owner (``ixp_of_interface``, then ``ixp_for_ip``), its
+    interface AS (``asn_of_interface``, the triplet rule's far AS) and its AS
+    (the interface AS, then ``prefix2as``).  Detection (:meth:`_detect`)
+    reads only these answers and the per-IXP rule-3 member sets, so a path
+    whose addresses kept their answers, and whose LAN owners kept their
+    member sets, detects exactly as before.  A revision therefore:
+
+    * re-classifies the interned addresses under a changed prefix (a LAN
+      prefix re-map on the dataset, an add / re-map / removal on the
+      prefix2as map) or named by a changed interface record;
+    * refreshes the member sets of the IXPs the journal names: a LAN
+      prefix's old and new owner, an interface's old and new IXP, an IXP
+      whose facilities changed;
+    * re-detects exactly the stored paths that hold an address whose
+      answers changed, or whose LAN owner's member set changed;
+    * detects only the paths appended to the corpus since the last sync.
+
+    An opaque bump, a truncated journal or an oversized change batch
+    (:data:`SELECTIVE_REDETECTION_LIMIT`) falls back to a full scan: every
+    interned address is re-classified and every path re-detected.
 
     The inputs' collections are read-only views, so these journals and the
     corpus's appends are the only ways the inputs change; in particular the
-    corpus never shrinks.  Every hop address is interned once per index
-    into an integer id, and each path into a run of ids in one flat array
-    (``None`` hops are id 0).  The table only grows and survives full
-    re-scans, so **paths must not change after they are appended to the
-    corpus**: their hop ids are the snapshot taken when they were interned
-    (``ForwardingPath.hops`` is still a list).  A full re-scan classifies
-    each distinct address once and applies both rules to the whole id array
-    in one numpy pass (:meth:`_detect_bulk`); it then fills the fresh
-    detector's memos with exactly the answers the per-path loop would have
-    asked for, so re-detection, eviction and the counters behave as if that
-    loop had run.  Without numpy the full re-scan *is* that loop.
-    Re-detection and appended paths always use the per-path
-    :class:`CrossingDetector`.
+    corpus never shrinks.  The id table only grows and survives full scans,
+    so **paths must not change after they are appended to the corpus**:
+    their hop ids are the snapshot taken when they were interned
+    (``ForwardingPath.hops`` is still a list).
 
     Results are equal to what a fresh :class:`CrossingDetector` over the
     current state would produce, in the same (path-major) order.
@@ -295,7 +280,23 @@ class CorpusDetectionIndex:
         self.dataset = dataset
         self.prefix2as = prefix2as
         self.corpus = corpus
-        self._detector: CrossingDetector | None = None
+        # Interned hops: address -> id in first-seen order (None is id 0),
+        # the flat hop-id list and the path start offsets into it (path i
+        # spans hop_ids[offsets[i]:offsets[i + 1]]).
+        self._address_ids: dict[str | None, int] = {None: 0}
+        self._hop_ids: list[int] = []
+        self._offsets = [0]
+        # Per address id: the address, its three answers and, from the first
+        # prefix revision on, its (version, int) parse.  Id 0, the
+        # unanswered hop, answers None and is version 0, under no prefix.
+        self._addresses: list[str | None] = [None]
+        self._lan: list[str | None] = [None]
+        self._far: list[int | None] = [None]
+        self._asn: list[int | None] = [None]
+        self._numeric: list[tuple[int, int]] = [(0, 0)]
+        # Rule-3 member sets by IXP.  An IXP outside dataset.ixp_ids() has
+        # an empty set or none, which rule 3 treats alike.
+        self._members: dict[str, set[int]] = {}
         # The results, path-major: path i's crossings are
         # crossings[crossing_bounds[i]:crossing_bounds[i + 1]], and its
         # adjacencies likewise.
@@ -303,18 +304,6 @@ class CorpusDetectionIndex:
         self._adjacencies: list[PrivateAdjacency] = []
         self._crossing_bounds = [0]
         self._adjacency_bounds = [0]
-        # The bulk pass's result objects by field values (see _objects).
-        self._crossing_objects: dict[tuple[Any, ...], IXPCrossing] = {}
-        self._adjacency_objects: dict[tuple[Any, ...], PrivateAdjacency] = {}
-        # ip -> (version, numeric, max_prefixlen); IPs are content-stable, so
-        # the parse survives rebuilds and is amortised across revisions.
-        self._parsed_ips: dict[str, tuple[int, int, int]] = {}
-        # Interned hops: address -> id in first-seen order (None is id 0),
-        # the flat hop-id array and the path end offsets into it (path i
-        # spans hop_ids[offsets[i]:offsets[i + 1]]).
-        self._address_ids: dict[str | None, int] = {None: 0}
-        self._hop_ids = array("q")
-        self._offsets = array("q", [0])
         # Address id -> indexes of the interned paths holding it; built at
         # the first re-detection and extended over the paths interned since
         # (the first ``_paths_indexed`` are in).
@@ -322,20 +311,18 @@ class CorpusDetectionIndex:
         self._paths_indexed = 0
         self._synced_dataset = dataset.generation
         self._synced_prefix2as = prefix2as.generation
-        self._synced_paths = 0
-        # Serialises revision syncs (and the mutations the sync helpers make
-        # to the detector's memos) when concurrent caller threads share the
+        # Serialises revision syncs when concurrent caller threads share the
         # index.
         self._sync_lock = Lock()
-        #: Full corpus re-scans performed (the first build counts as one).
+        #: Full corpus scans performed: the first build and every fall-back.
         self.full_scans = 0
-        #: Paths re-detected selectively across all revisions.
+        #: Stored paths re-detected selectively across all revisions.
         self.paths_redetected = 0
 
     def results(self) -> tuple[list[IXPCrossing], list[PrivateAdjacency]]:
         """(crossings, adjacencies) over the whole corpus, current revision.
 
-        The returned lists are fresh; the result objects inside are shared
+        The returned lists are fresh; the result records inside are shared
         with the index (and with earlier revisions' results) and immutable.
         """
         self._sync()
@@ -347,35 +334,35 @@ class CorpusDetectionIndex:
             self._sync_locked()
 
     def _sync_locked(self) -> None:
-        detector = self._detector
-        if detector is None:
+        if not self.full_scans:
             self._rebuild()
             return
 
-        changed_prefixes: list[str] = []
-        membership_dirty: set[str] = set()
+        prefixes: list[str] = []
+        interfaces: list[str] = []
+        ixp_ids: set[str | None] = set()
         dataset_generation = self.dataset.generation
         if dataset_generation != self._synced_dataset:
             changes = self.dataset.journal.since(
-                self._synced_dataset,
-                (DOMAIN_IXP_PREFIXES, DOMAIN_INTERFACES, DOMAIN_IXP_FACILITIES),
+                self._synced_dataset, CORPUS_DETECTION_DOMAINS
             )
-            if changes is None or any(
-                change.domain == DOMAIN_INTERFACES for change in changes
-            ):
+            if changes is None:
                 self._rebuild()
                 return
-            # Triplet rule (3) consults a per-IXP membership snapshot keyed
-            # by the dataset's known IXP ids — a set both a prefix re-map
-            # and a colocation change can extend or shrink.
             for change in changes:
                 if change.domain == DOMAIN_IXP_PREFIXES:
-                    changed_prefixes.append(change.key)
-                    for ixp_id in (change.old, change.new):
-                        if ixp_id is not None:
-                            membership_dirty.add(ixp_id)
+                    prefixes.append(change.key)
+                    ixp_ids.update((change.old, change.new))
+                elif change.domain == DOMAIN_INTERFACES:
+                    # old and new are (ixp_id, asn) records; new is None
+                    # for a removal.
+                    interfaces.append(change.key)
+                    for record in (change.old, change.new):
+                        if record is not None:
+                            ixp_ids.add(record[0])
                 else:  # DOMAIN_IXP_FACILITIES: key is (ixp_id, facility_id)
-                    membership_dirty.add(change.key[0])
+                    ixp_ids.add(change.key[0])
+            ixp_ids.discard(None)
         prefix2as_generation = self.prefix2as.generation
         if prefix2as_generation != self._synced_prefix2as:
             changes = self.prefix2as.journal.since(
@@ -384,261 +371,204 @@ class CorpusDetectionIndex:
             if changes is None:
                 self._rebuild()
                 return
-            changed_prefixes.extend(change.key for change in changes)
+            prefixes.extend(change.key for change in changes)
 
-        if len(changed_prefixes) + len(membership_dirty) > SELECTIVE_REDETECTION_LIMIT:
+        if len(prefixes) + len(interfaces) + len(ixp_ids) > SELECTIVE_REDETECTION_LIMIT:
             self._rebuild()
             return
 
-        affected: set[str] = set()
-        if changed_prefixes:
-            affected |= self._evict_under(changed_prefixes)
-        if membership_dirty:
-            affected |= self._refresh_members(membership_dirty)
-        if affected:
-            self._redetect(affected)
+        ids = self._address_ids
+        named = {ids[ip] for ip in interfaces if ip in ids}
+        changed = self._reclassify(self._ids_under(prefixes) | named)
+        refreshed = self._refresh_members(ixp_ids)
+        if refreshed:
+            changed.update(
+                address_id
+                for address_id, owner in enumerate(self._lan)
+                if owner in refreshed
+            )
+        if changed:
+            self._redetect(changed)
         self._synced_dataset = dataset_generation
         self._synced_prefix2as = prefix2as_generation
-
-        self._intern()
-        paths = self.corpus.paths
-        self._append_detected(detector, paths[self._synced_paths :])
-        self._synced_paths = len(paths)
+        self._detect_appended()
 
     def _rebuild(self) -> None:
-        detector = self._detector = CrossingDetector(self.dataset, self.prefix2as)
-        self._intern()
+        """A full scan: re-classify every interned address, rebuild the member
+        sets and re-detect every path, appended ones included."""
+        dataset = self.dataset
+        self._synced_dataset = dataset.generation
+        self._synced_prefix2as = self.prefix2as.generation
+        self._reclassify(range(1, len(self._addresses)))
+        self._members = {
+            ixp_id: dataset.members_of_ixp(ixp_id) for ixp_id in dataset.ixp_ids()
+        }
         self._crossings, self._adjacencies = [], []
         self._crossing_bounds, self._adjacency_bounds = [0], [0]
-        if _np is None:
-            self._append_detected(detector, self.corpus.paths)
-        else:
-            self._detect_bulk(detector)
-        self._synced_dataset = self.dataset.generation
-        self._synced_prefix2as = self.prefix2as.generation
-        self._synced_paths = len(self.corpus.paths)
         self.full_scans += 1
-        # Pay the hop-IP parse during the (rare, already expensive) full
-        # build so revision syncs only shift-and-test.
-        parsed = self._parsed_ips
-        for ip in set(detector._ixp_memo) | set(detector._asn_memo):
-            if ip not in parsed:
-                address = ipaddress.ip_address(ip)
-                parsed[ip] = (address.version, int(address), address.max_prefixlen)
+        self._detect_appended()
+
+    def _answers(self, ip: str) -> tuple[str | None, int | None, int | None]:
+        """The LAN owner, interface AS and AS of an address, as a fresh
+        :class:`CrossingDetector`'s ``ixp_of_ip``, ``asn_of_interface`` (on
+        its dataset) and ``asn_of_ip`` answer them."""
+        dataset = self.dataset
+        lan = dataset.ixp_of_interface(ip)
+        if lan is None:
+            lan = dataset.ixp_for_ip(ip)
+        far = dataset.asn_of_interface(ip)
+        return lan, far, self.prefix2as.lookup(ip) if far is None else far
+
+    def _reclassify(self, address_ids: Iterable[int]) -> set[int]:
+        """Answer the addresses again; return the ids whose answers changed."""
+        addresses, lan, far, asn = self._addresses, self._lan, self._far, self._asn
+        changed: set[int] = set()
+        for address_id in address_ids:
+            answers = self._answers(addresses[address_id])
+            if answers != (lan[address_id], far[address_id], asn[address_id]):
+                lan[address_id], far[address_id], asn[address_id] = answers
+                changed.add(address_id)
+        return changed
 
     def _intern(self) -> None:
-        """Intern the hops of every corpus path not interned yet."""
-        offsets = self._offsets
-        new_paths = self.corpus.paths[len(offsets) - 1 :]
-        ids = self._address_ids
-        self._hop_ids += array(
-            "q",
-            [
-                ids.setdefault(hop.ip, len(ids))
-                for path in new_paths
-                for hop in path.hops
-            ],
-        )
-        # accumulate() restarts from the last end offset and yields it first.
-        last_end = offsets.pop()
-        offsets.extend(
-            accumulate([len(path.hops) for path in new_paths], initial=last_end)
-        )
+        """Intern the hops of every corpus path not interned yet.
 
-    def _append_detected(
-        self, detector: CrossingDetector, paths: Sequence[ForwardingPath]
-    ) -> None:
-        """Detect paths one by one and append their results."""
-        crossings, adjacencies = self._crossings, self._adjacencies
-        for path in paths:
-            crossings.extend(detector.detect(path))
-            adjacencies.extend(detector.private_adjacencies(path))
-            self._crossing_bounds.append(len(crossings))
-            self._adjacency_bounds.append(len(adjacencies))
-
-    def _detect_bulk(self, detector: CrossingDetector) -> None:
-        """Both rules over every interned path in one numpy pass.
-
-        Classifies each distinct address once, evaluates the triplet and
-        private-adjacency rules over the flat hop-id array and builds one
-        result object per distinct id triple or pair.  Then fills the
-        detector's memos with exactly the answers the per-path
-        :meth:`CrossingDetector.detect` and
-        :meth:`CrossingDetector.private_adjacencies` would have asked for.
+        Each new address gets the next id and its three answers.
         """
-        np = _np
-        addresses = list(self._address_ids)
-        distinct = addresses[1:]
-        # Per address id (id 0 is the unanswered hop): its LAN owner, its AS
-        # and the member AS its interface record names (the triplet rule's
-        # far AS).  The rules only compare these values, so the hop arrays
-        # hold dense codes of them, and -1, which no code takes, for none.
-        ixp_values = [None, *map(detector._classify_ixp, distinct)]
-        asn_values = [None, *map(detector._classify_asn, distinct)]
-        far_values = [None, *map(self.dataset.asn_of_interface, distinct)]
-        ixp_codes: dict[str, int] = {}
-        asn_codes: dict[int, int] = {}
-        hops = np.array(self._hop_ids, dtype=np.int64)
-        lan = np.array(_dense_codes(ixp_values, ixp_codes), dtype=np.int64)[hops]
-        asn = np.array(_dense_codes(asn_values, asn_codes), dtype=np.int64)[hops]
-        far = np.array(_dense_codes(far_values, asn_codes), dtype=np.int64)[hops]
-        ends = np.array(self._offsets[1:], dtype=np.int64)
-        path_last = np.zeros(len(hops), dtype=bool)
-        path_last[ends[ends > 0] - 1] = True
-        # linked[k]: hops k and k + 1 both answered and lie on one path.
-        linked = (hops[:-1] != 0) & (hops[1:] != 0) & ~path_last[:-1]
-        in_lan = lan >= 0
+        offsets = self._offsets
+        runs = [path.hops for path in self.corpus.paths[len(offsets) - 1 :]]
+        ips = [hop.ip for hops in runs for hop in hops]
+        ids = self._address_ids
+        new = [ip for ip in dict.fromkeys(ips) if ip not in ids]
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        self._addresses += new
+        for ip in new:
+            lan, far, asn = self._answers(ip)
+            self._lan.append(lan)
+            self._far.append(far)
+            self._asn.append(asn)
+        self._hop_ids += map(ids.__getitem__, ips)
+        # accumulate() restarts from the last end offset and yields it first.
+        offsets += accumulate(map(len, runs), initial=offsets.pop())
 
-        # Private adjacencies: linked hops outside every LAN, in two ASes.
-        outside = linked & ~in_lan[:-1] & ~in_lan[1:]
-        adjacent = outside & (asn[:-1] >= 0) & (asn[1:] >= 0) & (asn[:-1] != asn[1:])
-        nears = np.flatnonzero(adjacent)
+    def _detect_appended(self) -> None:
+        """Intern the paths appended to the corpus and detect them."""
+        self._intern()
+        self._detect(
+            range(len(self._crossing_bounds) - 1, len(self._offsets) - 1),
+            self._crossings,
+            self._crossing_bounds,
+            self._adjacencies,
+            self._adjacency_bounds,
+        )
 
-        # Triplets (k, k + 1, k + 2), condition by condition as detect()
-        # tests them: a LAN middle hop with an interface record, an exit hop
-        # in that member's AS, an entry hop in another AS ...
-        on_lan = linked[:-1] & linked[1:] & in_lan[1:-1]
-        far_known = on_lan & (far[1:-1] >= 0)
-        exit_ok = far_known & (asn[2:] == far[1:-1])
-        entry_ok = exit_ok & (asn[:-2] >= 0) & (asn[:-2] != far[1:-1])
-        middles = np.flatnonzero(entry_ok) + 1
-        # ... and both ASes members of the LAN's IXP (rule 3).
-        stride = len(asn_codes)
-        members = np.array(
-            [
-                code * stride + asn_codes[member]
-                for ixp_id, code in ixp_codes.items()
-                for member in detector._members.get(ixp_id, ())
-                if member in asn_codes
-            ],
-            dtype=np.int64,
-        )
-        owner = lan[middles] * stride
-        middles = middles[
-            np.isin(owner + asn[middles - 1], members)
-            & np.isin(owner + far[middles], members)
-        ]
+    def _detect(
+        self,
+        indexes: Iterable[int],
+        crossings: list[IXPCrossing],
+        crossing_bounds: list[int],
+        adjacencies: list[PrivateAdjacency],
+        adjacency_bounds: list[int],
+    ) -> None:
+        """Apply both rules to the id runs of the given paths, in their order.
 
-        # The answers the per-path loop asks for: the LAN owner of the first
-        # hop of every linked pair, and of the second when the first is
-        # outside every LAN; the AS of both hops of a pair outside every LAN,
-        # of the exit hop of a triplet whose LAN hop has an interface record,
-        # and of its entry hop once the exit hop matched.
-        pairs = np.flatnonzero(linked)
-        plain = np.flatnonzero(outside)
-        ixp_asked = [hops[pairs], hops[pairs[~in_lan[pairs]] + 1]]
-        asn_asked = [
-            hops[plain],
-            hops[plain + 1],
-            hops[np.flatnonzero(far_known) + 2],
-            hops[np.flatnonzero(exit_ok)],
-        ]
-        for memo, values, asked in (
-            (detector._ixp_memo, ixp_values, ixp_asked),
-            (detector._asn_memo, asn_values, asn_asked),
-        ):
-            seen = np.zeros(len(addresses), dtype=bool)
-            for part in asked:
-                seen[part] = True
-            asked_ids = np.flatnonzero(seen).tolist()
-            memo.update((addresses[i], values[i]) for i in asked_ids)
+        Appends each path's crossings and adjacencies to the path-major
+        lists, and their end offset in each list to its bounds.
+        """
+        hop_ids, offsets = self._hop_ids, self._offsets
+        addresses, lan, far, asn = self._addresses, self._lan, self._far, self._asn
+        members = self._members
+        # The records are NamedTuples: tuple.__new__ builds one without the
+        # per-field constructor's call.
+        new = tuple.__new__
+        for index in indexes:
+            run = hop_ids[offsets[index] : offsets[index + 1]]
+            # Triplets whose middle hop has an interface record (the far
+            # AS), whose exit hop maps to that AS and whose entry hop to
+            # another, on a LAN whose IXP has both ASes as members.  Id 0
+            # answers None, so no triplet with an unanswered hop qualifies.
+            for entry, middle, exit_ in zip(run, run[1:], run[2:]):
+                far_asn = far[middle]
+                if far_asn is None or asn[exit_] != far_asn:
+                    continue
+                entry_asn = asn[entry]
+                owner = lan[middle]
+                if entry_asn is None or entry_asn == far_asn or owner is None:
+                    continue
+                held = members.get(owner, ())
+                if entry_asn in held and far_asn in held:
+                    crossings.append(
+                        new(
+                            IXPCrossing,
+                            (
+                                owner,
+                                addresses[entry],
+                                entry_asn,
+                                addresses[middle],
+                                far_asn,
+                                addresses[exit_],
+                            ),
+                        )
+                    )
+            crossing_bounds.append(len(crossings))
+            # Consecutive hops outside every LAN, in two different ASes.
+            for near, far_end in zip(run, run[1:]):
+                if lan[near] is not None or lan[far_end] is not None:
+                    continue
+                near_asn, far_asn = asn[near], asn[far_end]
+                if near_asn is None or far_asn is None or near_asn == far_asn:
+                    continue
+                adjacencies.append(
+                    new(
+                        PrivateAdjacency,
+                        (addresses[near], near_asn, addresses[far_end], far_asn),
+                    )
+                )
+            adjacency_bounds.append(len(adjacencies))
 
-        # One result object per distinct id triple or pair, reusing the
-        # previous full scan's object when its fields are unchanged.
-        width = len(addresses)
-        (entry, middle, exit_), crossing_rows = _distinct_rows(
-            [hops[middles - 1], hops[middles], hops[middles + 1]], width
-        )
-        self._crossing_objects = crossings = _objects(
-            IXPCrossing,
-            self._crossing_objects,
-            map(ixp_values.__getitem__, middle),
-            map(addresses.__getitem__, entry),
-            map(asn_values.__getitem__, entry),
-            map(addresses.__getitem__, middle),
-            map(far_values.__getitem__, middle),
-            map(addresses.__getitem__, exit_),
-        )
-        (near, far_end), adjacency_rows = _distinct_rows(
-            [hops[nears], hops[nears + 1]], width
-        )
-        self._adjacency_objects = adjacencies = _objects(
-            PrivateAdjacency,
-            self._adjacency_objects,
-            map(addresses.__getitem__, near),
-            map(asn_values.__getitem__, near),
-            map(addresses.__getitem__, far_end),
-            map(asn_values.__getitem__, far_end),
-        )
-        made_crossings = list(crossings.values())
-        made_adjacencies = list(adjacencies.values())
-        self._crossings = [made_crossings[row] for row in crossing_rows]
-        self._adjacencies = [made_adjacencies[row] for row in adjacency_rows]
-        self._crossing_bounds = _path_bounds(ends, middles)
-        self._adjacency_bounds = _path_bounds(ends, nears)
-
-    def _refresh_members(self, ixp_ids: set[str]) -> set[str]:
-        """Refresh rule-3 membership snapshots; return IPs to re-detect.
+    def _refresh_members(self, ixp_ids: Iterable[str | None]) -> set[str]:
+        """Refresh rule-3 member sets; return the IXPs whose set changed.
 
         Mirrors a fresh detector: an IXP outside ``dataset.ixp_ids()`` has no
-        membership set (an absent and an empty set behave identically under
-        rule 3).  Classification memos are untouched — only paths whose hops
-        *classified to* an IXP with genuinely changed membership can detect
-        differently.
+        member set, and an absent and an empty set behave identically under
+        rule 3.
         """
-        detector = self._detector
         known = set(self.dataset.ixp_ids())
+        members = self._members
         changed: set[str] = set()
         for ixp_id in ixp_ids:
-            old = detector._members.get(ixp_id)
-            if ixp_id in known:
-                members = self.dataset.members_of_ixp(ixp_id)
-                if (old or set()) != members:
-                    detector._members[ixp_id] = members
-                    changed.add(ixp_id)
-            elif detector._members.pop(ixp_id, None):
+            held = self.dataset.members_of_ixp(ixp_id) if ixp_id in known else set()
+            if held != members.get(ixp_id, set()):
+                members[ixp_id] = held
                 changed.add(ixp_id)
-        if not changed:
-            return set()
-        return {ip for ip, value in detector._ixp_memo.items() if value in changed}
+        return changed
 
-    def _evict_under(self, prefixes: list[str]) -> set[str]:
-        """Evict memoised classifications under the prefixes; return the IPs."""
-        detector = self._detector
-        # Bucket the changed networks by (version, prefixlen): containment
-        # for a whole bucket is then one shift and one set lookup per IP.
+    def _ids_under(self, prefixes: list[str]) -> set[int]:
+        """The ids of the interned addresses under any of the prefixes."""
+        if not prefixes:
+            return set()
+        # Bucket the changed networks by (version, host bits): containment
+        # for a whole bucket is then one shift and one set lookup per id.
         buckets: dict[tuple[int, int], set[int]] = {}
         for prefix in prefixes:
             version, network, prefixlen = parse_prefix(prefix)
             shift = (32 if version == 4 else 128) - prefixlen
             buckets.setdefault((version, shift), set()).add(network >> shift)
-        affected: set[str] = set()
-        parsed = self._parsed_ips
-        for ip in set(detector._ixp_memo) | set(detector._asn_memo):
-            info = parsed.get(ip)
-            if info is None:
-                address = ipaddress.ip_address(ip)
-                info = parsed[ip] = (
-                    address.version,
-                    int(address),
-                    address.max_prefixlen,
-                )
-            version, numeric, _max_prefixlen = info
-            for (bucket_version, shift), networks in buckets.items():
-                if bucket_version == version and (numeric >> shift) in networks:
-                    affected.add(ip)
-                    break
-        for ip in affected:
-            detector._ixp_memo.pop(ip, None)
-            detector._asn_memo.pop(ip, None)
-        return affected
+        numeric = self._numeric
+        for ip in self._addresses[len(numeric) :]:
+            address = ipaddress.ip_address(ip)
+            numeric.append((address.version, int(address)))
+        return {
+            address_id
+            for (version, shift), networks in buckets.items()
+            for address_id, (address_version, value) in enumerate(numeric)
+            if address_version == version and (value >> shift) in networks
+        }
 
-    def _redetect(self, affected: set[str]) -> None:
-        """Re-run detection for every stored path holding an affected IP."""
-        detector = self._detector
+    def _redetect(self, changed: set[int]) -> None:
+        """Re-detect every stored path holding one of the address ids."""
         paths_of = self._paths_of
-        offsets = self._offsets
-        hop_ids = self._hop_ids
+        hop_ids, offsets = self._hop_ids, self._offsets
         # Extend the address -> paths lookup over the paths interned since.
         for index in range(self._paths_indexed, len(offsets) - 1):
             for address_id in hop_ids[offsets[index] : offsets[index + 1]]:
@@ -648,87 +578,42 @@ class CorpusDetectionIndex:
                 elif held[-1] != index:
                     held.append(index)
         self._paths_indexed = len(offsets) - 1
-        ids = self._address_ids
-        held_by: set[int] = set()
-        for ip in affected:
-            if ip in ids:
-                held_by.update(paths_of.get(ids[ip], ()))
-        touched = sorted(held_by)
-        crossings: dict[int, list[IXPCrossing]] = {}
-        adjacencies: dict[int, list[PrivateAdjacency]] = {}
-        paths = self.corpus.paths
-        for index in touched:
-            path = paths[index]
-            crossings[index] = detector.detect(path)
-            adjacencies[index] = detector.private_adjacencies(path)
+        touched = sorted(set(chain.from_iterable(paths_of.get(i, ()) for i in changed)))
+        crossings: list[IXPCrossing] = []
+        adjacencies: list[PrivateAdjacency] = []
+        crossing_bounds, adjacency_bounds = [0], [0]
+        self._detect(touched, crossings, crossing_bounds, adjacencies, adjacency_bounds)
         self._crossings, self._crossing_bounds = _splice(
-            self._crossings, self._crossing_bounds, crossings
+            self._crossings, self._crossing_bounds, touched, crossings, crossing_bounds
         )
         self._adjacencies, self._adjacency_bounds = _splice(
-            self._adjacencies, self._adjacency_bounds, adjacencies
+            self._adjacencies,
+            self._adjacency_bounds,
+            touched,
+            adjacencies,
+            adjacency_bounds,
         )
         self.paths_redetected += len(touched)
 
 
-def _dense_codes(values: list[Any], codes: dict[Any, int]) -> list[int]:
-    """Each value's dense code in ``codes`` (extended as needed); -1 for None."""
-    return [-1 if v is None else codes.setdefault(v, len(codes)) for v in values]
-
-
-def _distinct_rows(columns: list[Any], width: int) -> tuple[list[list[int]], list[int]]:
-    """The distinct rows of two or more equal-length id columns.
-
-    Returns the distinct rows column by column and, per input row, the
-    index of its distinct row.  Ids are below ``width``.  The columns are
-    folded into one int64 key, re-coded densely after each column so the
-    key cannot overflow.
-    """
-    np = _np
-    key = columns[0]
-    for column in columns[1:]:
-        _, first, key = np.unique(
-            key * width + column, return_index=True, return_inverse=True
-        )
-    return [column[first].tolist() for column in columns], key.reshape(-1).tolist()
-
-
-def _objects(
-    kind: Callable[..., _Value],
-    previous: dict[tuple[Any, ...], _Value],
-    *columns: Iterable[Any],
-) -> dict[tuple[Any, ...], _Value]:
-    """``kind(*row)`` per distinct row of ``columns``, keyed by the row.
-
-    An object in ``previous`` under an equal row is reused instead: result
-    objects are immutable, so only their identity could tell them apart.
-    """
-    return {row: previous.get(row) or kind(*row) for row in zip(*columns)}
-
-
-def _path_bounds(ends: Any, positions: Any) -> list[int]:
-    """Per-path bounds of results found at ascending hop ``positions``.
-
-    ``ends`` are the path end offsets into the flat hop array; path i's
-    results are ``found[bounds[i]:bounds[i + 1]]``.
-    """
-    np = _np
-    path_of = np.searchsorted(ends, positions, side="right")
-    return [0, *np.cumsum(np.bincount(path_of, minlength=len(ends))).tolist()]
-
-
 def _splice(
-    found: list[_Value], bounds: list[int], replaced: dict[int, list[_Value]]
+    found: list[_Value],
+    bounds: list[int],
+    indexes: Sequence[int],
+    replaced: list[_Value],
+    replaced_bounds: list[int],
 ) -> tuple[list[_Value], list[int]]:
     """Path-major results and bounds with some paths' results replaced.
 
-    ``replaced`` maps path indexes, in ascending order, to their new results.
+    ``indexes`` are the replaced paths in ascending order; ``replaced`` and
+    ``replaced_bounds`` hold their new results, path-major in that order.
     """
     sizes = list(map(sub, bounds[1:], bounds))
     pieces: list[list[_Value]] = []
     start = 0
-    for index, results in replaced.items():
-        pieces += (found[start : bounds[index]], results)
+    for index, begin, end in zip(indexes, replaced_bounds, replaced_bounds[1:]):
+        pieces += (found[start : bounds[index]], replaced[begin:end])
         start = bounds[index + 1]
-        sizes[index] = len(results)
+        sizes[index] = end - begin
     pieces.append(found[start:])
     return list(chain.from_iterable(pieces)), list(accumulate(sizes, initial=0))

@@ -8,9 +8,6 @@ Two worlds are used throughout:
   experiment tests, so the expensive parts are computed once;
 * ``tiny_study`` and ``oracle_study`` — tiny studies at seeds 7 and 23 that
   engine tests run fresh engines over.
-
-``detection_mode`` runs a test once with the corpus-detection index's numpy
-bulk pass and once with its per-path fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from repro.config import ExperimentConfig, GeneratorConfig
 from repro.study import RemotePeeringStudy
 from repro.topology.generator import WorldGenerator
 from repro.topology.world import World
-from repro.traixroute import detector
 
 
 @pytest.fixture(scope="session")
@@ -62,13 +58,3 @@ def oracle_study() -> RemotePeeringStudy:
     study.inputs  # build the dataset, campaigns and prefix map once
     return study
 
-
-@pytest.fixture(params=["numpy", "fallback"])
-def detection_mode(request, monkeypatch):
-    """Run a test with the bulk detection pass and with the per-path loop."""
-    if request.param == "numpy":
-        if detector._np is None:
-            pytest.skip("numpy not installed; the bulk pass is unavailable")
-    else:
-        monkeypatch.setattr(detector, "_np", None)
-    return request.param

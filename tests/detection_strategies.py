@@ -1,16 +1,19 @@
 """Hypothesis strategies for small traceroute-detection inputs.
 
-Shared by the bulk-versus-reference tests in ``test_traixroute.py`` and the
-incremental corpus-detection tests in ``test_versioning.py``.  The pools
-are small so drawn hops, prefixes and interface records overlap often, and
-they cover the shapes the bulk pass must agree with the per-path detector
-on: unanswered hops anywhere in a path, paths of any length from 0,
-repeated addresses, nested LAN and routed prefixes, IPv6 hops,
-interface-listed addresses outside every LAN, IXPs that only interface
-records name (so they are outside ``ixp_ids()``), ASN 0 and 4-byte ASNs.
+Shared by the full-scan-versus-reference tests in ``test_traixroute.py``
+and the incremental corpus-detection tests in ``test_versioning.py``.  The
+pools are small so drawn hops, prefixes and interface records overlap
+often, and they cover the shapes the corpus index must agree with the
+per-path detector on: unanswered hops anywhere in a path, paths of any
+length from 0, repeated addresses, nested LAN and routed prefixes, IPv6
+hops, interface-listed addresses outside every LAN, IXPs that only
+interface records name (so they are outside ``ixp_ids()``), ASN 0 and
+4-byte ASNs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from hypothesis import strategies as st
 
@@ -125,6 +128,21 @@ def detection_inputs(
     return dataset, prefix2as, corpus
 
 
+def reference_answers(
+    dataset: ObservedDataset, prefix2as: Prefix2ASMap, ips: Iterable[str]
+) -> dict[str, tuple[str | None, int | None, int | None]]:
+    """Each address's LAN owner, interface AS and AS, from a fresh detector."""
+    detector = CrossingDetector(dataset, prefix2as)
+    return {
+        ip: (
+            detector.ixp_of_ip(ip),
+            dataset.asn_of_interface(ip),
+            detector.asn_of_ip(ip),
+        )
+        for ip in ips
+    }
+
+
 def _planted_runs(
     dataset: ObservedDataset, prefix2as: Prefix2ASMap
 ) -> tuple[list[list[str | None]], list[list[str | None]]]:
@@ -170,6 +188,7 @@ edits = st.one_of(
             st.sampled_from(ADDRESSES), st.sampled_from(IXPS), st.sampled_from(ASNS)
         ),
     ),
+    st.tuples(st.just("remove_interface"), st.tuples(st.sampled_from(ADDRESSES))),
     st.tuples(
         st.just("add_ixp_facility"),
         st.tuples(st.sampled_from(IXPS), st.sampled_from(FACILITIES)),

@@ -1,14 +1,18 @@
 """Unit tests for the IXP crossing detector (traIXroute rules)."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.datasources.merge import ObservedDataset
 from repro.datasources.prefix2as import Prefix2ASMap
 from repro.measurement.results import TracerouteCorpus
 from repro.routing.forwarding import ForwardingHop, ForwardingPath
 from repro.traixroute.detector import CorpusDetectionIndex, CrossingDetector
-from tests.detection_strategies import detection_inputs, forwarding_path
+from tests.detection_strategies import (
+    detection_inputs,
+    forwarding_path,
+    reference_answers,
+)
 
 
 def _path(hops, source=65001, destination=65002):
@@ -147,10 +151,9 @@ class TestNestedLANPrefixes:
 class TestBulkMatchesReference:
     """A full scan of the corpus index equals the per-path detector.
 
-    Runs with the numpy bulk pass and with the per-path fallback
-    (``detection_mode``).  Besides the results, the index's detector must
-    hold exactly the memoised answers the per-path loop asked for: eviction
-    and re-detection after a revision start from them.
+    Besides the results, every interned address must hold the three answers
+    a fresh detector gives it: re-classification and re-detection after a
+    revision compare against them.
     """
 
     @staticmethod
@@ -162,11 +165,18 @@ class TestBulkMatchesReference:
             reference.private_adjacencies_corpus(corpus),
         )
         assert index.results() == expected
-        assert index._detector._ixp_memo == reference._ixp_memo
-        assert index._detector._asn_memo == reference._asn_memo
+        answers = {
+            ip: (index._lan[i], index._far[i], index._asn[i])
+            for ip, i in index._address_ids.items()
+            if ip is not None
+        }
+        assert set(answers) == {
+            hop.ip for path in corpus.paths for hop in path.hops
+        } - {None}
+        assert answers == reference_answers(dataset, prefix2as, answers)
         return expected
 
-    def test_unanswered_hops_short_paths_and_repeats(self, detection_mode):
+    def test_unanswered_hops_short_paths_and_repeats(self):
         dataset = ObservedDataset()
         dataset.set_ixp_prefix("185.1.0.0/24", "ixp-a")
         dataset.set_interface("185.1.0.1", "ixp-a", 65001)
@@ -202,12 +212,8 @@ class TestBulkMatchesReference:
         assert [(a.near_asn, a.far_asn) for a in adjacencies] == [(65001, 65003)]
 
     @given(inputs=detection_inputs())
-    @settings(
-        max_examples=100,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_drawn_inputs(self, detection_mode, inputs):
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_inputs(self, inputs):
         self._assert_matches_reference(*inputs)
 
 

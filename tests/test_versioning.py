@@ -15,7 +15,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -43,6 +43,7 @@ from tests.detection_strategies import (
     detection_inputs,
     edits,
     forwarding_path,
+    reference_answers,
 )
 from tests.helpers import (
     build_scenario,
@@ -794,11 +795,16 @@ class TestCorpusDetectionIndex:
         assert index.paths_redetected == 1
 
     def test_interface_change_rebuilds(self):
+        """Re-owning a LAN hop re-detects only the path holding an address
+        on that IXP's LAN, without a full scan."""
         dataset, prefix2as, corpus, index = self._fixture()
         index.results()
+        # 185.1.0.2 changes its answers and ixp-a its member set; the plain
+        # path holds no ixp-a address.
         dataset.set_interface("185.1.0.2", "ixp-a", 65003)
         assert index.results() == self._reference(dataset, prefix2as, corpus)
-        assert index.full_scans == 2
+        assert index.full_scans == 1
+        assert index.paths_redetected == 1
 
     def test_corpus_growth_detects_only_appended_paths(self):
         from repro.routing.forwarding import ForwardingHop, ForwardingPath
@@ -819,82 +825,51 @@ class TestCorpusDetectionIndex:
         assert index.paths_redetected == 0
 
     @given(inputs=detection_inputs(), steps=st.lists(edits, min_size=3, max_size=8))
-    @settings(
-        max_examples=80,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_journalled_edits_match_a_fresh_index(self, detection_mode, inputs, steps):
-        """After every edit the index equals a fresh one, and it re-detected
-        exactly the stored paths holding an evicted address or one that
-        classified to an IXP whose membership changed."""
-        from repro.traixroute.detector import CorpusDetectionIndex
+    @settings(max_examples=80, deadline=None)
+    def test_journalled_edits_match_a_fresh_index(self, inputs, steps):
+        """After every edit the index equals a fresh one without a full scan,
+        and it re-detected exactly the stored paths holding an address whose
+        answers changed or whose LAN owner's rule-3 member set changed."""
+        from repro.traixroute.detector import CorpusDetectionIndex, CrossingDetector
 
         dataset, prefix2as, corpus = inputs
         index = CorpusDetectionIndex(dataset, prefix2as, corpus)
         index.results()
         for name, args in steps:
-            detector = index._detector
-            memoised = set(detector._ixp_memo) | set(detector._asn_memo)
-            lan_owners = dict(detector._ixp_memo)
-            members = {ixp_id: set(held) for ixp_id, held in detector._members.items()}
-            stored = len(corpus.paths)
-            full_scans, redetected = index.full_scans, index.paths_redetected
-            prefixes, ixp_ids, rescan = _apply_edit(
-                dataset, prefix2as, corpus, name, args
-            )
+            stored = corpus.paths
+            ips = {hop.ip for path in stored for hop in path.hops} - {None}
+            before = reference_answers(dataset, prefix2as, ips)
+            members = CrossingDetector(dataset, prefix2as)._members
+            redetected = index.paths_redetected
+            _apply_edit(dataset, prefix2as, corpus, name, args)
 
             fresh = CorpusDetectionIndex(dataset, prefix2as, corpus)
             assert index.results() == fresh.results()
-            assert index.full_scans == full_scans + rescan
-            if rescan:
-                assert index.paths_redetected == redetected
-                continue
-            known = set(dataset.ixp_ids())
-            changed = {
+            assert index.full_scans == 1
+            after = reference_answers(dataset, prefix2as, ips)
+            now = CrossingDetector(dataset, prefix2as)._members
+            regrouped = {
                 ixp_id
-                for ixp_id in ixp_ids
-                if (members.get(ixp_id) or set())
-                != (dataset.members_of_ixp(ixp_id) if ixp_id in known else set())
+                for ixp_id in members.keys() | now.keys()
+                if members.get(ixp_id, set()) != now.get(ixp_id, set())
             }
-            affected = {ip for ip in memoised if _under_any(ip, prefixes)}
-            affected |= {ip for ip, owner in lan_owners.items() if owner in changed}
-            holding = sum(
-                any(hop.ip in affected for hop in path.hops)
-                for path in corpus.paths[:stored]
-            )
+            affected = {
+                ip for ip in ips if before[ip] != after[ip] or after[ip][0] in regrouped
+            }
+            holding = sum(any(hop.ip in affected for hop in path.hops) for path in stored)
             assert index.paths_redetected == redetected + holding
 
 
 def _apply_edit(dataset, prefix2as, corpus, name, args):
-    """Apply one drawn edit through its journal-emitting mutator.
-
-    Returns the prefixes it changed, the IXPs whose rule-3 membership it may
-    have changed, and whether it forces a full re-scan.
-    """
+    """Apply one drawn edit through its journal-emitting mutator."""
     if name == "prefix_add":
-        generation = prefix2as.generation
         prefix2as.add(*args)
-        return ([args[0]] if prefix2as.generation != generation else []), set(), False
-    if name == "prefix_remove":
-        return ([args[0]] if prefix2as.remove(*args) else []), set(), False
-    if name == "set_ixp_prefix":
-        prefix, ixp_id = args
-        old = dataset.ixp_prefixes.get(prefix)
-        if not dataset.set_ixp_prefix(prefix, ixp_id):
-            return [], set(), False
-        return [prefix], {ixp_id} | ({old} if old is not None else set()), False
-    if name == "set_interface":
-        return [], set(), dataset.set_interface(*args)
-    if name == "add_ixp_facility":
-        return [], ({args[0]} if dataset.add_ixp_facility(*args) else set()), False
-    corpus.extend([forwarding_path(hops) for hops in args[0]])
-    return [], set(), False
-
-
-def _under_any(ip: str, prefixes: list[str]) -> bool:
-    address = ipaddress.ip_address(ip)
-    return any(address in ipaddress.ip_network(prefix) for prefix in prefixes)
+    elif name == "prefix_remove":
+        prefix2as.remove(*args)
+    elif name == "extend":
+        corpus.extend([forwarding_path(hops) for hops in args[0]])
+    else:
+        getattr(dataset, name)(*args)
 
 
 @pytest.fixture(scope="module")
@@ -1031,10 +1006,12 @@ class TestEngineOutcomeOracle:
         member_series = [s for s in ping.series if s.ixp_id in studied and s.samples]
         vp_ids = sorted(ping.vantage_points)
         paths = corpus.paths
+        interfaces = sorted(ip for ip, owner in dataset.interface_ixp.items() if owner in studied)
         for _ in range(data.draw(st.integers(1, 5), label="runs")):
             edit = data.draw(st.sampled_from(
                 (None, "move", "add_as_facility", "remove_as_facility", "remap",
-                 "add_series", "register_vantage_point", "extend")), label="edit")
+                 "reown", "remove_interface", "add_series", "register_vantage_point",
+                 "extend")), label="edit")
             if edit == "move":
                 facility = data.draw(st.sampled_from(facilities))
                 distance_km = data.draw(st.sampled_from((5.0, 30.0, 150.0)))
@@ -1051,6 +1028,17 @@ class TestEngineOutcomeOracle:
             elif edit == "remap":
                 prefix2as.add(
                     data.draw(st.sampled_from(remappable)), data.draw(st.sampled_from(members)))
+            elif edit == "reown":
+                # refresh_default's heavy edit: an interface moves to another
+                # member of its IXP (unless an earlier edit removed it).
+                ip = data.draw(st.sampled_from(interfaces))
+                ixp_id = dataset.interface_ixp.get(ip)
+                others = sorted(dataset.members_of_ixp(ixp_id) - {dataset.interface_asn.get(ip)}
+                                if ixp_id is not None else ())
+                if others:
+                    dataset.set_interface(ip, ixp_id, data.draw(st.sampled_from(others)))
+            elif edit == "remove_interface":
+                dataset.remove_interface(data.draw(st.sampled_from(interfaces)))
             elif edit == "add_series":
                 series = data.draw(st.sampled_from(member_series))
                 shift_ms = data.draw(st.sampled_from((-2.0, -0.5, 0.5)))
