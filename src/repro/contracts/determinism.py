@@ -5,8 +5,8 @@ proof of reusability.  That proof assumes the computations themselves are
 deterministic: results must not depend on wall-clock time, process-lifetime
 randomness, hash-order of sets, object identity, or thread completion order.
 This rule flags the syntactic shapes that break that assumption inside the
-modules the engine executes (``repro.core``, ``repro.geo`` and
-``repro.netindex``):
+modules the engine executes (``repro.core``, ``repro.geo``,
+``repro.netindex``, ``repro.traixroute`` and ``repro.datasources``):
 
 * ``nondeterministic-call`` — calls into ``time``/``random``/``os.urandom``/
   ``uuid``/``secrets``, and any call reached through ``numpy.random`` (under
@@ -42,7 +42,13 @@ from repro.contracts.model import Violation
 from repro.contracts.tree import ModuleInfo, SourceTree, walk_scope
 
 #: The module prefixes (under the analyzed package) the rule covers.
-DETERMINISM_SCOPES: tuple[str, ...] = ("core", "geo", "netindex")
+DETERMINISM_SCOPES: tuple[str, ...] = (
+    "core",
+    "geo",
+    "netindex",
+    "traixroute",
+    "datasources",
+)
 
 #: module alias -> the attribute names that are nondeterministic to call.
 #: ``None`` means every attribute of the module (``time.time``,
@@ -59,9 +65,8 @@ _NONDETERMINISTIC_MODULES: dict[str, frozenset[str] | None] = {
 #: RNG object seeded by the caller is the idiom the simulation layer uses.
 _ALLOWED_RANDOM_ATTRS: frozenset[str] = frozenset({"Random"})
 
-#: Names numpy is imported under.  ``_np`` is the optional-import handle:
-#: the corpus detector (``repro.traixroute.detector``) binds numpy to it so
-#: its per-path fallback stays importable without numpy.
+#: Names numpy is imported under: the module itself, its conventional alias
+#: and ``_np``, the usual name of a handle bound by an optional import.
 _NUMPY_ALIASES: frozenset[str] = frozenset({"numpy", "np", "_np"})
 
 

@@ -89,9 +89,11 @@ class TestLiveTree:
 # Rule 5: determinism lint (seeded fixtures)
 # --------------------------------------------------------------------- #
 class TestDeterminism:
-    def test_seeded_nondeterminism_shapes_are_each_caught(self, tmp_path):
+    @pytest.mark.parametrize("package", ["core", "traixroute", "datasources"])
+    def test_seeded_nondeterminism_shapes_are_each_caught(self, tmp_path, package):
         root = _copy_tree(tmp_path)
-        fixture = root / "core" / "_fixture_nondet.py"
+        relative = f"{package}/_fixture_nondet.py"
+        fixture = root / relative
         fixture.write_text(
             "import random\n"
             "from concurrent.futures import as_completed\n"
@@ -132,20 +134,18 @@ class TestDeterminism:
         ]
         call = by_kind["nondeterministic-call"]
         assert call.detail == "random.random"
-        assert call.context == "repro.core._fixture_nondet:jitter"
-        assert call.line == _line_of(
-            root, "core/_fixture_nondet.py", "seeded-nondet-call"
-        )
+        assert call.context == f"repro.{package}._fixture_nondet:jitter"
+        assert call.line == _line_of(root, relative, "seeded-nondet-call")
         assert by_kind["completion-ordered-merge"].line == _line_of(
-            root, "core/_fixture_nondet.py", "seeded-completion-order"
+            root, relative, "seeded-completion-order"
         )
         assert by_kind["id-keyed-dict"].detail == "id()-key-store"
         assert by_kind["id-keyed-dict"].line == _line_of(
-            root, "core/_fixture_nondet.py", "seeded-id-key"
+            root, relative, "seeded-id-key"
         )
         assert by_kind["unordered-iteration"].detail == "for-over-set"
         assert by_kind["unordered-iteration"].line == _line_of(
-            root, "core/_fixture_nondet.py", "seeded-set-iteration"
+            root, relative, "seeded-set-iteration"
         )
 
     def test_deterministic_idioms_are_not_flagged(self, tmp_path):
