@@ -1,7 +1,8 @@
 """The package runs on the standard library alone.
 
 ``pyproject.toml`` declares no dependencies, so the quickstart must run, with
-the same output, when networkx cannot be imported.
+the same output, when networkx cannot be imported, and no module may import
+numpy even where it is installed.
 """
 
 import subprocess
@@ -14,6 +15,17 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 _WITHOUT_NETWORKX = (
     "import runpy, sys; sys.modules['networkx'] = None; "
     "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+)
+
+#: Imports every ``repro`` module, runs the tiny quickstart and fails if any
+#: of it loaded numpy.
+_WITHOUT_IMPORTING_NUMPY = (
+    "import importlib, pkgutil, runpy, sys, repro\n"
+    "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+    "    importlib.import_module(module.name)\n"
+    "sys.argv = sys.argv[1:]\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+    "assert 'numpy' not in sys.modules\n"
 )
 
 
@@ -32,3 +44,7 @@ def _quickstart(*interpreter_args: str) -> str:
 
 def test_quickstart_output_is_unchanged_without_networkx():
     assert _quickstart("-c", _WITHOUT_NETWORKX) == _quickstart()
+
+
+def test_no_module_imports_numpy():
+    _quickstart("-c", _WITHOUT_IMPORTING_NUMPY)
