@@ -27,7 +27,9 @@ distance is computed once per world instead of once per hop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import require_fraction
 from repro.exceptions import RoutingError
@@ -39,8 +41,7 @@ from repro.topology.entities import InterfaceKind, IXPMembership, Router
 from repro.topology.world import World
 
 
-@dataclass(frozen=True)
-class ForwardingHop:
+class ForwardingHop(NamedTuple):
     """One hop of a simulated traceroute.
 
     Attributes
@@ -66,22 +67,88 @@ class ForwardingHop:
     ixp_id: str | None = None
 
 
-@dataclass
+#: A path's hops as columns, in hop order: addresses, ground-truth ASes,
+#: RTTs and the IXPs of IXP-LAN hops (``None`` elsewhere).
+HopColumns = tuple[
+    tuple[str | None, ...], tuple[int | None, ...], tuple[float, ...], tuple[str | None, ...]
+]
+
+
+def _hop_record(ip: str | None, asn: int | None, rtt_ms: float,
+                ixp_id: str | None) -> ForwardingHop:
+    return ForwardingHop(ip, asn, rtt_ms, ixp_id is not None, ixp_id)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class ForwardingPath:
-    """A full simulated traceroute."""
+    """A full simulated traceroute.
+
+    The hops are held as :data:`HopColumns`; :attr:`hops` builds their
+    records on access, with ``is_ixp_lan`` read off the IXP.  A path does
+    not change once built.  Building one from ``hops`` copies them in and
+    refuses a hop whose ``is_ixp_lan`` disagrees with its ``ixp_id``, which
+    the columns could not keep.
+    """
 
     source_asn: int
     destination_asn: int
     destination_ip: str
-    hops: list[ForwardingHop] = field(default_factory=list)
+    columns: HopColumns
+
+    def __init__(self, source_asn: int, destination_asn: int, destination_ip: str,
+                 hops: Iterable[ForwardingHop] = ()) -> None:
+        hops = tuple(hops)
+        for hop in hops:
+            if hop.is_ixp_lan != (hop.ixp_id is not None):
+                raise RoutingError(
+                    f"hop {hop.ip} has is_ixp_lan={hop.is_ixp_lan} "
+                    f"but ixp_id={hop.ixp_id!r}")
+        _fill(self, source_asn, destination_asn, destination_ip,
+              [hop.ip for hop in hops], [hop.asn for hop in hops],
+              [hop.rtt_ms for hop in hops], [hop.ixp_id for hop in hops])
+
+    @classmethod
+    def from_columns(cls, source_asn: int, destination_asn: int, destination_ip: str,
+                     ips: Iterable[str | None], asns: Iterable[int | None],
+                     rtts_ms: Iterable[float], ixp_ids: Iterable[str | None]) -> ForwardingPath:
+        """A path whose hops are given as columns, which are copied in."""
+        path = cls.__new__(cls)
+        _fill(path, source_asn, destination_asn, destination_ip, ips, asns, rtts_ms, ixp_ids)
+        return path
+
+    @property
+    def hops(self) -> tuple[ForwardingHop, ...]:
+        """The hop records, built on each access."""
+        return tuple(map(_hop_record, *self.columns))
 
     def hop_ips(self) -> list[str | None]:
         """The raw IP sequence (with ``None`` for unresponsive hops)."""
-        return [hop.ip for hop in self.hops]
+        return list(self.columns[0])
 
     def responded_hops(self) -> list[ForwardingHop]:
         """Hops that answered."""
         return [hop for hop in self.hops if hop.ip is not None]
+
+    def __repr__(self) -> str:
+        return (f"ForwardingPath(source_asn={self.source_asn!r}, "
+                f"destination_asn={self.destination_asn!r}, "
+                f"destination_ip={self.destination_ip!r}, hops={self.hops!r})")
+
+
+#: The columns :meth:`ForwardingSimulator._hop` appends a path's hops to.
+_HopLists = tuple[list[str | None], list[int], list[float], list[str | None]]
+
+
+def _fill(path: ForwardingPath, source_asn: int, destination_asn: int,
+          destination_ip: str, ips: Iterable[str | None], asns: Iterable[int | None],
+          rtts_ms: Iterable[float], ixp_ids: Iterable[str | None]) -> None:
+    """Set a new path's fields (the path is frozen, hence object.__setattr__)."""
+    columns = (tuple(ips), tuple(asns), tuple(rtts_ms), tuple(ixp_ids))
+    if not len(columns[0]) == len(columns[1]) == len(columns[2]) == len(columns[3]):
+        raise RoutingError("hop columns must have one length")
+    for name, value in (("source_asn", source_asn), ("destination_asn", destination_asn),
+                        ("destination_ip", destination_ip), ("columns", columns)):
+        object.__setattr__(path, name, value)
 
 
 class ForwardingSimulator:
@@ -233,13 +300,19 @@ class ForwardingSimulator:
         others = [c for c in candidates if c != closest]
         return self._rng.choice(others)
 
-    def _hop(self, ip: str | None, asn: int, cumulative_km: float,
-             is_ixp_lan: bool = False, ixp_id: str | None = None) -> ForwardingHop:
-        """One hop ``cumulative_km`` along the path: its RTT draw, then its loss draw."""
-        rtt = self.delay_model.sample_rtt_ms(cumulative_km, self._rng, jitter_ms=0.4)
+    def _hop(self, columns: _HopLists, ip: str | None, asn: int, cumulative_km: float,
+             ixp_id: str | None = None) -> None:
+        """One hop ``cumulative_km`` along the path: its RTT draw, then its loss draw.
+
+        Appends the hop's four values to the path's columns.
+        """
+        ips, asns, rtts, ixp_ids = columns
+        rtts.append(self.delay_model.sample_rtt_ms(cumulative_km, self._rng, jitter_ms=0.4))
         if ip is not None and self._rng.random() < self.hop_loss_rate:
             ip = None
-        return ForwardingHop(ip, asn, rtt, is_ixp_lan, ixp_id)
+        ips.append(ip)
+        asns.append(asn)
+        ixp_ids.append(ixp_id)
 
     def _expand(self, as_path: list[int], destination_ip: str) -> ForwardingPath:
         """Expand an AS path into the hops a traceroute would reveal.
@@ -254,12 +327,11 @@ class ForwardingSimulator:
         router_of = self.world.router
         memberships = self._memberships_by_as_ixp
 
-        path = ForwardingPath(as_path[0], as_path[-1], destination_ip)
-        hops = path.hops
+        columns: _HopLists = ([], [], [], [])
         # First hop: the source border router answering from a backbone interface.
         current = self._first_router(as_path[0])
         cumulative_km = 0.0
-        hops.append(hop(backbone_ip(current), as_path[0], cumulative_km))
+        hop(columns, backbone_ip(current), as_path[0], cumulative_km)
         for here, there in zip(as_path, as_path[1:]):
             realization = self._choose_realization(here, there)
             kind = realization.kind
@@ -288,15 +360,15 @@ class ForwardingSimulator:
                         cumulative_km += facility_pair_km(
                             current.facility_id, exit_router.facility_id)
                     current = exit_router
-                    hops.append(hop(backbone_ip(exit_router), here, cumulative_km))
+                    hop(columns, backbone_ip(exit_router), here, cumulative_km)
             if entry.facility_id != current.facility_id:
                 cumulative_km += facility_pair_km(current.facility_id, entry.facility_id)
             current = entry
             if kind is not RealizationKind.TRANSIT:
                 # The far side's interface on the IXP LAN or the cross-connect.
-                hops.append(hop(entry_ip, there, cumulative_km, ixp_id is not None, ixp_id))
-            hops.append(hop(backbone_ip(entry), there, cumulative_km))
+                hop(columns, entry_ip, there, cumulative_km, ixp_id)
+            hop(columns, backbone_ip(entry), there, cumulative_km)
 
         # Final hop: the destination address itself.
-        hops.append(hop(destination_ip, as_path[-1], cumulative_km))
-        return path
+        hop(columns, destination_ip, as_path[-1], cumulative_km)
+        return ForwardingPath.from_columns(as_path[0], as_path[-1], destination_ip, *columns)

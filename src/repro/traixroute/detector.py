@@ -17,11 +17,12 @@ it keeps the per-path detection results of one corpus and, when the dataset's
 LAN prefixes or interfaces or the prefix2as map change through their
 journal-emitting mutators, re-detects **only the paths holding an address
 whose answers changed** — the detection analogue of the geo-distance index's
-selective eviction.  The index interns every hop address into an integer id
-once, when a path is appended, and classifies it then; one pure-Python pass
-applies both rules to the id runs of any set of paths, from the first build
-to a re-detection.  Appended paths are therefore treated as immutable: their
-hop ids are a snapshot taken when they are interned.
+selective eviction.  The corpus stores each hop as an id into its address
+table (:class:`~repro.measurement.results.TracerouteCorpus`); the index
+classifies each address id once, when it first meets it, and one
+pure-Python pass applies both rules to the id runs of any set of paths, from
+the first build to a re-detection.  The corpus only appends to its columns,
+so a path's id run never changes once the index has read it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.datasources.merge import (
     ObservedDataset,
 )
 from repro.datasources.prefix2as import DOMAIN_PREFIXES, Prefix2ASMap
-from repro.measurement.results import TracerouteCorpus
+from repro.measurement.results import AddressColumns, TracerouteCorpus
 from repro.netindex import parse_prefix
 from repro.routing.forwarding import ForwardingPath
 
@@ -156,7 +157,7 @@ class CrossingDetector:
     def detect(self, path: ForwardingPath) -> list[IXPCrossing]:
         """Detect every IXP crossing in one path."""
         crossings: list[IXPCrossing] = []
-        hops = [hop.ip for hop in path.hops]
+        hops = path.hop_ips()
         for index in range(1, len(hops) - 1):
             first, middle, last = hops[index - 1], hops[index], hops[index + 1]
             if first is None or middle is None or last is None:
@@ -201,7 +202,7 @@ class CrossingDetector:
     def private_adjacencies(self, path: ForwardingPath) -> list[PrivateAdjacency]:
         """Extract consecutive-hop AS adjacencies that do not cross an IXP."""
         adjacencies: list[PrivateAdjacency] = []
-        hops = [hop.ip for hop in path.hops]
+        hops = path.hop_ips()
         for index in range(len(hops) - 1):
             near, far = hops[index], hops[index + 1]
             if near is None or far is None:
@@ -236,17 +237,19 @@ class CorpusDetectionIndex:
     crossings and private adjacencies of every path and keeps them current
     against the generation stamps of its inputs.
 
-    Every hop address is interned once per index into an integer id, and
-    each path into a run of ids in one flat list (``None`` hops are id 0).
-    When an address is interned it gets three answers, kept in lists indexed
-    by id: its LAN owner (``ixp_of_interface``, then ``ixp_for_ip``), its
-    interface AS (``asn_of_interface``, the triplet rule's far AS) and its AS
-    (the interface AS, then ``prefix2as``).  Detection (:meth:`_detect`)
-    reads only these answers and the per-IXP rule-3 member sets, so a path
-    whose addresses kept their answers, and whose LAN owners kept their
-    member sets, detects exactly as before.  A revision therefore:
+    The corpus holds each path as a run of ids into its address table
+    (``None`` hops are id 0), which the index reads through
+    :meth:`~repro.measurement.results.TracerouteCorpus.address_columns`.
+    The first time the index meets an address id it gives it three answers,
+    kept in lists indexed by id: its LAN owner (``ixp_of_interface``, then
+    ``ixp_for_ip``), its interface AS (``asn_of_interface``, the triplet
+    rule's far AS) and its AS (the interface AS, then ``prefix2as``).
+    Detection (:meth:`_detect`) reads only these answers and the per-IXP
+    rule-3 member sets, so a path whose addresses kept their answers, and
+    whose LAN owners kept their member sets, detects exactly as before.  A
+    revision therefore:
 
-    * re-classifies the interned addresses under a changed prefix (a LAN
+    * re-classifies the answered addresses under a changed prefix (a LAN
       prefix re-map on the dataset, an add / re-map / removal on the
       prefix2as map) or named by a changed interface record;
     * refreshes the member sets of the IXPs the journal names: a LAN
@@ -254,18 +257,17 @@ class CorpusDetectionIndex:
       whose facilities changed;
     * re-detects exactly the stored paths that hold an address whose
       answers changed, or whose LAN owner's member set changed;
-    * detects only the paths appended to the corpus since the last sync.
+    * answers the new address ids and detects only the paths appended to
+      the corpus since the last sync.
 
     An opaque bump, a truncated journal or an oversized change batch
     (:data:`SELECTIVE_REDETECTION_LIMIT`) falls back to a full scan: every
-    interned address is re-classified and every path re-detected.
+    answered address is re-classified and every path re-detected.
 
     The inputs' collections are read-only views, so these journals and the
-    corpus's appends are the only ways the inputs change; in particular the
-    corpus never shrinks.  The id table only grows and survives full scans,
-    so **paths must not change after they are appended to the corpus**:
-    their hop ids are the snapshot taken when they were interned
-    (``ForwardingPath.hops`` is still a list).
+    corpus's appends are the only ways the inputs change.  The corpus only
+    appends to its address table and columns, so an id keeps its address
+    and a path its id run, across full scans too.
 
     Results are equal to what a fresh :class:`CrossingDetector` over the
     current state would produce, in the same (path-major) order.
@@ -280,16 +282,10 @@ class CorpusDetectionIndex:
         self.dataset = dataset
         self.prefix2as = prefix2as
         self.corpus = corpus
-        # Interned hops: address -> id in first-seen order (None is id 0),
-        # the flat hop-id list and the path start offsets into it (path i
-        # spans hop_ids[offsets[i]:offsets[i + 1]]).
-        self._address_ids: dict[str | None, int] = {None: 0}
-        self._hop_ids: list[int] = []
-        self._offsets = [0]
-        # Per address id: the address, its three answers and, from the first
-        # prefix revision on, its (version, int) parse.  Id 0, the
-        # unanswered hop, answers None and is version 0, under no prefix.
-        self._addresses: list[str | None] = [None]
+        # Per id of the corpus's address table, for the first len(_lan) ids:
+        # the three answers and, from the first prefix revision on, the
+        # (version, int) parse.  Id 0, the unanswered hop, answers None and
+        # is version 0, under no prefix.
         self._lan: list[str | None] = [None]
         self._far: list[int | None] = [None]
         self._asn: list[int | None] = [None]
@@ -304,8 +300,8 @@ class CorpusDetectionIndex:
         self._adjacencies: list[PrivateAdjacency] = []
         self._crossing_bounds = [0]
         self._adjacency_bounds = [0]
-        # Address id -> indexes of the interned paths holding it; built at
-        # the first re-detection and extended over the paths interned since
+        # Address id -> indexes of the detected paths holding it; built at
+        # the first re-detection and extended over the paths detected since
         # (the first ``_paths_indexed`` are in).
         self._paths_of: dict[int, list[int]] = {}
         self._paths_indexed = 0
@@ -377,8 +373,14 @@ class CorpusDetectionIndex:
             self._rebuild()
             return
 
-        ids = self._address_ids
-        named = {ids[ip] for ip in interfaces if ip in ids}
+        # Addresses the index has not answered yet are answered fresh when
+        # their paths are detected.
+        answered = len(self._lan)
+        named = {
+            address_id
+            for address_id in map(self.corpus.address_id, interfaces)
+            if address_id is not None and address_id < answered
+        }
         changed = self._reclassify(self._ids_under(prefixes) | named)
         refreshed = self._refresh_members(ixp_ids)
         if refreshed:
@@ -394,12 +396,12 @@ class CorpusDetectionIndex:
         self._detect_appended()
 
     def _rebuild(self) -> None:
-        """A full scan: re-classify every interned address, rebuild the member
+        """A full scan: re-classify every answered address, rebuild the member
         sets and re-detect every path, appended ones included."""
         dataset = self.dataset
         self._synced_dataset = dataset.generation
         self._synced_prefix2as = self.prefix2as.generation
-        self._reclassify(range(1, len(self._addresses)))
+        self._reclassify(range(1, len(self._lan)))
         self._members = {
             ixp_id: dataset.members_of_ixp(ixp_id) for ixp_id in dataset.ixp_ids()
         }
@@ -421,7 +423,8 @@ class CorpusDetectionIndex:
 
     def _reclassify(self, address_ids: Iterable[int]) -> set[int]:
         """Answer the addresses again; return the ids whose answers changed."""
-        addresses, lan, far, asn = self._addresses, self._lan, self._far, self._asn
+        addresses = self.corpus.address_columns().addresses
+        lan, far, asn = self._lan, self._far, self._asn
         changed: set[int] = set()
         for address_id in address_ids:
             answers = self._answers(addresses[address_id])
@@ -430,32 +433,18 @@ class CorpusDetectionIndex:
                 changed.add(address_id)
         return changed
 
-    def _intern(self) -> None:
-        """Intern the hops of every corpus path not interned yet.
-
-        Each new address gets the next id and its three answers.
-        """
-        offsets = self._offsets
-        runs = [path.hops for path in self.corpus.paths[len(offsets) - 1 :]]
-        ips = [hop.ip for hops in runs for hop in hops]
-        ids = self._address_ids
-        new = [ip for ip in dict.fromkeys(ips) if ip not in ids]
-        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
-        self._addresses += new
-        for ip in new:
+    def _detect_appended(self) -> None:
+        """Answer the corpus's new address ids and detect the paths appended
+        since the last sync."""
+        columns = self.corpus.address_columns()
+        for ip in columns.addresses[len(self._lan) :]:
             lan, far, asn = self._answers(ip)
             self._lan.append(lan)
             self._far.append(far)
             self._asn.append(asn)
-        self._hop_ids += map(ids.__getitem__, ips)
-        # accumulate() restarts from the last end offset and yields it first.
-        offsets += accumulate(map(len, runs), initial=offsets.pop())
-
-    def _detect_appended(self) -> None:
-        """Intern the paths appended to the corpus and detect them."""
-        self._intern()
         self._detect(
-            range(len(self._crossing_bounds) - 1, len(self._offsets) - 1),
+            columns,
+            range(len(self._crossing_bounds) - 1, len(columns.offsets) - 1),
             self._crossings,
             self._crossing_bounds,
             self._adjacencies,
@@ -464,6 +453,7 @@ class CorpusDetectionIndex:
 
     def _detect(
         self,
+        columns: AddressColumns,
         indexes: Iterable[int],
         crossings: list[IXPCrossing],
         crossing_bounds: list[int],
@@ -475,8 +465,8 @@ class CorpusDetectionIndex:
         Appends each path's crossings and adjacencies to the path-major
         lists, and their end offset in each list to its bounds.
         """
-        hop_ids, offsets = self._hop_ids, self._offsets
-        addresses, lan, far, asn = self._addresses, self._lan, self._far, self._asn
+        addresses, hop_ids, offsets = columns
+        lan, far, asn = self._lan, self._far, self._asn
         members = self._members
         # The records are NamedTuples: tuple.__new__ builds one without the
         # per-field constructor's call.
@@ -555,7 +545,8 @@ class CorpusDetectionIndex:
             shift = (32 if version == 4 else 128) - prefixlen
             buckets.setdefault((version, shift), set()).add(network >> shift)
         numeric = self._numeric
-        for ip in self._addresses[len(numeric) :]:
+        addresses = self.corpus.address_columns().addresses
+        for ip in addresses[len(numeric) : len(self._lan)]:
             address = ipaddress.ip_address(ip)
             numeric.append((address.version, int(address)))
         return {
@@ -568,21 +559,25 @@ class CorpusDetectionIndex:
     def _redetect(self, changed: set[int]) -> None:
         """Re-detect every stored path holding one of the address ids."""
         paths_of = self._paths_of
-        hop_ids, offsets = self._hop_ids, self._offsets
-        # Extend the address -> paths lookup over the paths interned since.
-        for index in range(self._paths_indexed, len(offsets) - 1):
+        columns = self.corpus.address_columns()
+        hop_ids, offsets = columns.hop_ids, columns.offsets
+        detected = len(self._crossing_bounds) - 1
+        # Extend the address -> paths lookup over the paths detected since.
+        for index in range(self._paths_indexed, detected):
             for address_id in hop_ids[offsets[index] : offsets[index + 1]]:
                 held = paths_of.get(address_id)
                 if held is None:
                     paths_of[address_id] = [index]
                 elif held[-1] != index:
                     held.append(index)
-        self._paths_indexed = len(offsets) - 1
+        self._paths_indexed = detected
         touched = sorted(set(chain.from_iterable(paths_of.get(i, ()) for i in changed)))
         crossings: list[IXPCrossing] = []
         adjacencies: list[PrivateAdjacency] = []
         crossing_bounds, adjacency_bounds = [0], [0]
-        self._detect(touched, crossings, crossing_bounds, adjacencies, adjacency_bounds)
+        self._detect(
+            columns, touched, crossings, crossing_bounds, adjacencies, adjacency_bounds
+        )
         self._crossings, self._crossing_bounds = _splice(
             self._crossings, self._crossing_bounds, touched, crossings, crossing_bounds
         )

@@ -1,14 +1,18 @@
 """Unit tests for traceroute campaigns, Y.1731 monitoring and Periscope."""
 
+import gc
+
 import pytest
 
 from repro.config import CampaignConfig, GeneratorConfig
 from repro.exceptions import MeasurementError, RoutingError, VantagePointError
 from repro.measurement.periscope import PeriscopeClient
+from repro.measurement.results import TracerouteCorpus
 from repro.measurement.traceroute import TracerouteCampaign
 from repro.measurement.vantage import VantagePointKind, VantagePointPlanner
 from repro.measurement.y1731 import Y1731Monitor
 from repro.routing.bgp import ASGraph
+from repro.routing.forwarding import ForwardingHop, ForwardingPath
 from repro.topology.generator import WorldGenerator
 
 
@@ -72,6 +76,129 @@ class TestTracerouteCampaign:
         asns = sorted({m.asn for m in tiny_world.memberships})
         with pytest.raises(KeyError):
             campaign.run_pairs([(asns[0], asns[1])])
+
+
+def _sample_paths():
+    """Paths with unanswered hops, unknown ASes, an IXP hop and RTTs whose
+    shortest repr has 17 significant digits."""
+    return [
+        ForwardingPath(source_asn=65001, destination_asn=65002, destination_ip="10.2.0.9",
+                       hops=[ForwardingHop("10.1.0.9", 65001, 0.1 + 0.2),
+                             ForwardingHop("185.1.0.2", 65002, 1 / 3, True, "ixp-a"),
+                             ForwardingHop(None, 65002, 2.675),
+                             ForwardingHop("10.2.0.9", None, 1e-300)]),
+        ForwardingPath(source_asn=65003, destination_asn=65001, destination_ip="10.1.0.9",
+                       hops=[ForwardingHop(None, None, 0.0),
+                             ForwardingHop("10.1.0.9", 65001, 12345.678901234567)]),
+        ForwardingPath(source_asn=65001, destination_asn=65003, destination_ip="10.3.0.9"),
+    ]
+
+
+def _tracked_objects_reachable_from(root):
+    """GC-tracked objects reachable from ``root``, classes and modules aside."""
+    seen = {id(root)}
+    pending = [root]
+    tracked = 0
+    while pending:
+        obj = pending.pop()
+        tracked += gc.is_tracked(obj)
+        for referent in gc.get_referents(obj):
+            if id(referent) not in seen and not isinstance(referent, type):
+                seen.add(id(referent))
+                pending.append(referent)
+    return tracked
+
+
+class TestColumnarCorpus:
+    def test_paths_round_trip_hop_for_hop(self, corpus):
+        paths = [*_sample_paths(), *corpus.paths]
+        stored = TracerouteCorpus(paths=paths).paths
+        assert list(stored) == paths
+        for copy, path in zip(stored, paths):
+            assert (copy.source_asn, copy.destination_asn, copy.destination_ip) == (
+                path.source_asn, path.destination_asn, path.destination_ip)
+            assert copy.hops == path.hops
+            assert [repr(hop.rtt_ms) for hop in copy.hops] == [
+                repr(hop.rtt_ms) for hop in path.hops]
+        assert stored[0].hops[1].is_ixp_lan and not stored[0].hops[0].is_ixp_lan
+        assert stored[-1] == paths[-1]
+        assert stored[1:3] == tuple(paths[1:3])
+        with pytest.raises(IndexError):
+            stored[len(paths)]
+
+    def test_address_ids_are_assigned_in_first_seen_order(self):
+        paths = _sample_paths()
+        columns = TracerouteCorpus(paths=paths).address_columns()
+        assert columns.addresses == (None, "10.1.0.9", "185.1.0.2", "10.2.0.9")
+        assert columns.hop_ids == (1, 2, 0, 3, 0, 1)
+        assert columns.offsets == (0, 4, 6, 6)
+
+    def test_len_builds_no_path(self, monkeypatch):
+        corpus = TracerouteCorpus(paths=_sample_paths())
+        built = []
+        from_columns = ForwardingPath.from_columns
+
+        def counted(*args):
+            built.append(args)
+            return from_columns(*args)
+
+        monkeypatch.setattr(ForwardingPath, "from_columns", counted)
+        assert len(corpus.paths) == len(corpus) == 3
+        assert built == []
+        corpus.paths[0]
+        assert len(built) == 1
+
+    def test_a_view_holds_the_paths_appended_before_it(self):
+        corpus = TracerouteCorpus(paths=_sample_paths()[:1])
+        view = corpus.paths
+        corpus.extend(_sample_paths()[1:])
+        assert len(view) == 1 and len(corpus.paths) == 3
+        assert [p.source_asn for p in corpus.paths_from(65001)] == [65001, 65001]
+
+    def test_no_object_is_kept_per_hop_or_per_path(self):
+        hops = _sample_paths()[0].hops
+
+        def tracked(copies):
+            corpus = TracerouteCorpus(paths=[
+                ForwardingPath(source_asn=65001, destination_asn=65002,
+                               destination_ip="10.2.0.9", hops=hops)
+                for _ in range(copies)])
+            corpus.address_columns()
+            return _tracked_objects_reachable_from(corpus)
+
+        assert tracked(10) == tracked(1000)
+
+    @pytest.mark.parametrize("is_ixp_lan, ixp_id", [(True, None), (False, "ixp-a")])
+    def test_a_hop_whose_lan_flag_disagrees_with_its_ixp_is_refused(
+            self, is_ixp_lan, ixp_id):
+        corpus = TracerouteCorpus(paths=_sample_paths())
+        generation = corpus.generation
+        columns = corpus.address_columns()
+
+        def appended():
+            yield _sample_paths()[0]
+            yield ForwardingPath(
+                source_asn=65001, destination_asn=65002, destination_ip="10.2.0.9",
+                hops=[ForwardingHop("185.1.0.7", 65002, 1.0, is_ixp_lan, ixp_id)])
+
+        with pytest.raises(RoutingError, match="is_ixp_lan"):
+            corpus.extend(appended())
+        assert corpus.generation == generation
+        assert len(corpus) == 3
+        assert corpus.address_columns() == columns
+
+    def test_hop_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(RoutingError, match="one length"):
+            ForwardingPath.from_columns(
+                65001, 65002, "10.2.0.9", ["10.1.0.9", "10.2.0.9"], [65001], [1.0, 2.0],
+                [None, None])
+
+    def test_extend_bumps_the_generation_once(self):
+        corpus = TracerouteCorpus()
+        generation = corpus.generation
+        corpus.extend(_sample_paths())
+        assert corpus.generation == generation + 1
+        assert len(corpus) == 3
 
 
 class TestY1731:

@@ -16,11 +16,10 @@ from tests.detection_strategies import (
 
 
 def _path(hops, source=65001, destination=65002):
-    path = ForwardingPath(source_asn=source, destination_asn=destination,
-                          destination_ip="100.0.0.1")
-    for index, (ip, asn) in enumerate(hops):
-        path.hops.append(ForwardingHop(ip=ip, asn=asn, rtt_ms=float(index)))
-    return path
+    return ForwardingPath(
+        source_asn=source, destination_asn=destination, destination_ip="100.0.0.1",
+        hops=[ForwardingHop(ip=ip, asn=asn, rtt_ms=float(index))
+              for index, (ip, asn) in enumerate(hops)])
 
 
 @pytest.fixture()
@@ -167,7 +166,7 @@ class TestBulkMatchesReference:
         assert index.results() == expected
         answers = {
             ip: (index._lan[i], index._far[i], index._asn[i])
-            for ip, i in index._address_ids.items()
+            for i, ip in enumerate(corpus.address_columns().addresses)
             if ip is not None
         }
         assert set(answers) == {

@@ -440,7 +440,7 @@ class TestOneWritePath:
 
         def answers():
             return (ping.generation, ping.series_for_ixp(self.IXP), ping.series,
-                    corpus.generation, corpus.paths, corpus.paths_from(65001))
+                    corpus.generation, tuple(corpus.paths), corpus.paths_from(65001))
 
         before = answers()
         with pytest.raises(AttributeError):
@@ -1043,7 +1043,7 @@ class TestEngineOutcomeOracle:
                 series = data.draw(st.sampled_from(member_series))
                 shift_ms = data.draw(st.sampled_from((-2.0, -0.5, 0.5)))
                 ping.add_series(replace(series, samples=tuple(
-                    replace(sample, rtt_ms=max(0.0, sample.rtt_ms + shift_ms))
+                    sample._replace(rtt_ms=max(0.0, sample.rtt_ms + shift_ms))
                     for sample in series.samples)))
             elif edit == "register_vantage_point":
                 ping.register_vantage_point(
