@@ -992,6 +992,8 @@ class TestEngineOutcomeOracle:
         """One engine, driven through drawn scenarios, studied-IXP subsets,
         journalled edits and campaign appends, equals a cold engine over
         copies after every run."""
+        from repro.traixroute.detector import CrossingDetector
+
         study = oracle_study
         dataset = dataset_copy(study.dataset)
         prefix2as = prefix2as_copy(study.prefix2as)
@@ -1007,11 +1009,18 @@ class TestEngineOutcomeOracle:
         vp_ids = sorted(ping.vantage_points)
         paths = corpus.paths
         interfaces = sorted(ip for ip, owner in dataset.interface_ixp.items() if owner in studied)
+        # LAN addresses that crossings enter through, and addresses no
+        # corpus path holds, for the interfaces the edits add.
+        crossed = sorted({crossing.ixp_interface_ip for crossing in
+                          CrossingDetector(dataset, prefix2as).detect_corpus(corpus)})
+        spare_ips = map(str, ipaddress.ip_network("198.18.0.0/15").hosts())
+        # Warm the engine first, so every drawn edit reaches built state.
+        engine.run(study.config.inference, studied)
         for _ in range(data.draw(st.integers(1, 5), label="runs")):
             edit = data.draw(st.sampled_from(
                 (None, "move", "add_as_facility", "remove_as_facility", "remap",
-                 "reown", "remove_interface", "add_series", "register_vantage_point",
-                 "extend")), label="edit")
+                 "reown", "reown_kept_member", "remove_interface", "add_series",
+                 "register_vantage_point", "extend")), label="edit")
             if edit == "move":
                 facility = data.draw(st.sampled_from(facilities))
                 distance_km = data.draw(st.sampled_from((5.0, 30.0, 150.0)))
@@ -1036,6 +1045,19 @@ class TestEngineOutcomeOracle:
                 others = sorted(dataset.members_of_ixp(ixp_id) - {dataset.interface_asn.get(ip)}
                                 if ixp_id is not None else ())
                 if others:
+                    dataset.set_interface(ip, ixp_id, data.draw(st.sampled_from(others)))
+            elif edit == "reown_kept_member":
+                # The owner first gets a second interface at the IXP, so the
+                # re-own of a crossed address leaves rule 3's member set as
+                # it was: only that address's answers change, and a stale
+                # far AS would keep the crossing.
+                ip = data.draw(st.sampled_from(crossed))
+                ixp_id = dataset.interface_ixp.get(ip)
+                owner = dataset.interface_asn.get(ip)
+                others = sorted(dataset.members_of_ixp(ixp_id) - {owner}
+                                if ixp_id is not None else ())
+                if others:
+                    dataset.set_interface(next(spare_ips), ixp_id, owner)
                     dataset.set_interface(ip, ixp_id, data.draw(st.sampled_from(others)))
             elif edit == "remove_interface":
                 dataset.remove_interface(data.draw(st.sampled_from(interfaces)))
