@@ -6,7 +6,9 @@ deterministic: results must not depend on wall-clock time, process-lifetime
 randomness, hash-order of sets, object identity, or thread completion order.
 This rule flags the syntactic shapes that break that assumption inside the
 modules the engine executes (``repro.core``, ``repro.geo``,
-``repro.netindex``, ``repro.traixroute`` and ``repro.datasources``):
+``repro.netindex``, ``repro.traixroute``, ``repro.datasources`` and
+``repro.measurement``, whose corpus and ping-result accessors the
+traceroute node and Step 2 run):
 
 * ``nondeterministic-call`` — calls into ``time``/``random``/``os.urandom``/
   ``uuid``/``secrets``, and any call reached through ``numpy.random`` (under
@@ -48,6 +50,7 @@ DETERMINISM_SCOPES: tuple[str, ...] = (
     "netindex",
     "traixroute",
     "datasources",
+    "measurement",
 )
 
 #: module alias -> the attribute names that are nondeterministic to call.

@@ -89,7 +89,9 @@ class TestLiveTree:
 # Rule 5: determinism lint (seeded fixtures)
 # --------------------------------------------------------------------- #
 class TestDeterminism:
-    @pytest.mark.parametrize("package", ["core", "traixroute", "datasources"])
+    @pytest.mark.parametrize(
+        "package", ["core", "traixroute", "datasources", "measurement"]
+    )
     def test_seeded_nondeterminism_shapes_are_each_caught(self, tmp_path, package):
         root = _copy_tree(tmp_path)
         relative = f"{package}/_fixture_nondet.py"
