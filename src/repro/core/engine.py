@@ -55,6 +55,10 @@ so invalidation is transitive by construction, along *both* axes:
   prefix re-keys the traceroute observables (and Steps 4-5 through them)
   while the whole per-IXP layer stays cached.
 
+The cache keeps one result per node *slot*, the same derivation without the
+data version tokens (parent slots in place of parent keys), so a revision
+replaces the results it re-keys instead of adding to them.
+
 Equivalence contract (pinned by ``tests/test_core_engine.py`` and
 ``tests/test_versioning.py``):
 
@@ -82,10 +86,6 @@ Equivalence contract (pinned by ``tests/test_core_engine.py`` and
    to every run that hits the same keys, and the runtime refuses any write
    through an outcome that could reach them.
 
-:class:`StepResultCache` is unbounded: it keeps every result it stores, so it
-grows with the distinct step keys an engine's runs create (configurations,
-studied IXP sets and dataset revisions) until ``cache.clear()``.
-
 Execution is serial: :meth:`PipelineEngine.run` visits the nodes one at a
 time, the per-IXP ones in ``ixp_ids`` order.  The per-IXP layer is a small
 share of a realistic run (the global traceroute node dominates), so the
@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from threading import Lock
@@ -315,7 +316,7 @@ class CacheStats:
 
 
 class StepResultCache:
-    """Shared store of step-node results keyed by fingerprint.
+    """Shared store of step-node results: one live result per node identity.
 
     The cache is safe to share across configurations, sweep runs and
     journalled dataset revisions over *one* inputs bundle:
@@ -326,28 +327,50 @@ class StepResultCache:
     identity is deliberately not part of the key because an engine is bound
     to one bundle for its lifetime.
 
-    Safe to share between concurrent caller threads: lookups and inserts are
-    serialised by a lock; concurrent misses on the same key compute
-    duplicates (idempotent by construction) and keep the first stored value.
+    Each entry sits in its node's *slot*: the key without the data version
+    tokens (node name, scope token, config fingerprint and the parents'
+    slots), so a slot names one node of one configuration over one studied
+    set.  The slot holds ``(key, value)``; a lookup hits only when the stored
+    key equals the run's key, and a miss overwrites the slot.  Every data
+    token is a generation of the engine's one inputs bundle, and generations
+    only grow (:mod:`repro.versioning` invariant 1), so a superseded key can
+    never be computed again: dropping its result loses no hit.  So the
+    cache's size is bounded by the configurations and studied sets callers
+    ran, not by the revisions they went through.
+
+    Safe to share between concurrent caller threads: lookups and stores are
+    serialised by a lock.  A store whose key equals the slot's stored key
+    keeps the stored value (concurrent misses compute duplicates, idempotent
+    by construction, and the first store wins); any other store replaces
+    it.  A racing run over older tokens can at worst cost a later
+    recompute, never a wrong hit.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, object] = {}
-        # Serialises lookups and inserts from concurrent caller threads.
+        self._entries: dict[str, tuple[str, object]] = {}
+        # Serialises lookups and stores from concurrent caller threads.
         self._lock = Lock()
         self.stats: dict[str, CacheStats] = {}
 
-    def get_or_compute(self, label: str, key: str, compute: Callable[[], object]) -> object:
-        """The cached value for ``key``, computing (and storing) it if absent."""
+    def get_or_compute(
+        self, label: str, slot: str, key: str, compute: Callable[[], object]
+    ) -> object:
+        """The value cached for ``key`` in ``slot``, computing (and storing)
+        it if the slot holds another key or nothing."""
         with self._lock:
             stats = self.stats.setdefault(label, CacheStats())
-            if key in self._entries:
+            entry = self._entries.get(slot)
+            if entry is not None and entry[0] == key:
                 stats.hits += 1
-                return self._entries[key]
+                return entry[1]
         value = compute()
         with self._lock:
             stats.misses += 1
-            return self._entries.setdefault(key, value)
+            entry = self._entries.get(slot)
+            if entry is not None and entry[0] == key:
+                return entry[1]
+            self._entries[slot] = (key, value)
+            return value
 
     def clear(self) -> None:
         """Drop every entry and every hit/miss count."""
@@ -356,6 +379,7 @@ class StepResultCache:
             self.stats.clear()
 
     def __len__(self) -> int:
+        """The number of live slots."""
         return len(self._entries)
 
 
@@ -439,16 +463,17 @@ def _inputs_view(
 # Fingerprint keys
 # --------------------------------------------------------------------- #
 class _KeyResolver:
-    """Derives (and memoises) the cache key of every node for one run.
+    """Derives (and memoises) the slot and cache key of every node for one run.
 
-    A key digests the node name, its scope token (the IXP id, or the studied
-    tuple for global nodes), the fingerprint of its declared config fields,
-    the version tokens of its declared data (dataset domains and
-    inputs-bundle members) and the keys of its parents — so a key matches
-    exactly when nothing that may legally influence the node's result
-    differs.  Version tokens are sampled once per run (the engine contract
-    forbids mutating the inputs mid-run); each :meth:`PipelineEngine.run`
-    call builds its own resolver.
+    A slot digests the node name, its scope token (the IXP id, or the studied
+    tuple for global nodes), the fingerprint of its declared config fields
+    and the slots of its parents: the node's identity, which no revision
+    changes.  A key digests the slot, the version tokens of the node's
+    declared data (dataset domains and inputs-bundle members) and the keys
+    of its parents — so a key matches exactly when nothing that may legally
+    influence the node's result differs.  Version tokens are sampled once
+    per run (the engine contract forbids mutating the inputs mid-run); each
+    :meth:`PipelineEngine.run` call builds its own resolver.
     """
 
     def __init__(
@@ -460,7 +485,7 @@ class _KeyResolver:
         self._config = config
         self._ixp_ids = ixp_ids
         self._inputs = inputs
-        self._memo: dict[tuple[str, str | None], str] = {}
+        self._memo: dict[tuple[str, str | None], tuple[str, str]] = {}
         self._data_tokens: dict[str, tuple[object, object]] = {}
 
     def _data_token(self, spec: StepSpec) -> tuple[object, object]:
@@ -481,13 +506,14 @@ class _KeyResolver:
             self._data_tokens[spec.name] = token
         return token
 
-    def key(self, name: str, ixp_id: str | None = None) -> str:
+    def key(self, name: str, ixp_id: str | None = None) -> tuple[str, str]:
+        """The node's ``(slot, key)``."""
         memo_key = (name, ixp_id)
         cached = self._memo.get(memo_key)
         if cached is not None:
             return cached
         spec = _SPECS[name]
-        parents: list[str] = []
+        parents: list[tuple[str, str]] = []
         for requirement in spec.requires:
             required = _SPECS[requirement]
             if required.scope is StepScope.PER_IXP and spec.scope is StepScope.PER_IXP:
@@ -501,10 +527,15 @@ class _KeyResolver:
         else:
             scope_token = self._ixp_ids if spec.studied_set_sensitive else "*"
         fingerprint = config_fingerprint(self._config, spec.config_fields)
-        payload = repr((name, scope_token, fingerprint, self._data_token(spec), parents))
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        self._memo[memo_key] = digest
-        return digest
+        slot = _digest((name, scope_token, fingerprint, [parent[0] for parent in parents]))
+        key = _digest((slot, self._data_token(spec), [parent[1] for parent in parents]))
+        self._memo[memo_key] = (slot, key)
+        return slot, key
+
+
+def _digest(payload: object) -> str:
+    """The hex SHA-256 of ``payload``'s repr."""
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -557,16 +588,24 @@ class PipelineEngine:
     def run(self, config: InferenceConfig, ixp_ids: Sequence[str]) -> PipelineOutcome:
         """Run every enabled step for the given IXPs under one configuration.
 
-        Raises :class:`InferenceError` for an empty ``ixp_ids`` and for any
-        id the inputs' dataset does not know.
+        Raises :class:`InferenceError` for an empty ``ixp_ids``, naming
+        every id the inputs' dataset does not know and every id given more
+        than once.
         """
         if not ixp_ids:
             raise InferenceError("at least one IXP id is required")
         ixp_ids = tuple(ixp_ids)
         known = set(self.inputs.dataset.ixp_ids())
-        unknown = [ixp_id for ixp_id in ixp_ids if ixp_id not in known]
+        counts = Counter(ixp_ids)
+        unknown = [ixp_id for ixp_id in counts if ixp_id not in known]
+        duplicates = [ixp_id for ixp_id, count in counts.items() if count > 1]
+        problems: list[str] = []
         if unknown:
-            raise InferenceError(f"unknown IXP ids: {', '.join(unknown)}")
+            problems.append(f"unknown IXP ids: {', '.join(unknown)}")
+        if duplicates:
+            problems.append(f"duplicate IXP ids: {', '.join(duplicates)}")
+        if problems:
+            raise InferenceError("; ".join(problems))
         resolver = _KeyResolver(config, ixp_ids, self.inputs)
         cache = self.cache
 
@@ -586,7 +625,7 @@ class PipelineEngine:
         feasible: _FeasibleMap = {}
         for ixp_id in ixp_ids:
             summary = cast(RTTCampaignSummary, cache.get_or_compute(
-                "step2", resolver.key("step2", ixp_id),
+                "step2", *resolver.key("step2", ixp_id),
                 lambda: self._compute_step2(*reads("step2", config), ixp_id)))
             rtt_summary.merge_from(summary)
             feasible.update(self._write(
@@ -594,14 +633,14 @@ class PipelineEngine:
                 lambda view: self._compute_step3(
                     *reads("step3", config), ixp_id, view, summary)))
             baseline._results.update(cast(_Delta, cache.get_or_compute(
-                "baseline", resolver.key("baseline", ixp_id),
+                "baseline", *resolver.key("baseline", ixp_id),
                 lambda: self._compute_baseline(
                     *reads("baseline", config), ixp_id, summary))))
 
         crossings, adjacencies = cast(
             "tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]",
             cache.get_or_compute(
-                "traceroute", resolver.key("traceroute"),
+                "traceroute", *resolver.key("traceroute"),
                 self._compute_traceroute))
         routers = self._write(
             report, "step4", resolver.key("step4"),
@@ -635,7 +674,7 @@ class PipelineEngine:
         self,
         report: InferenceReport,
         label: str,
-        key: str,
+        key: tuple[str, str],
         step: Callable[[InferenceReport], _T],
     ) -> _T:
         """Bring one report-writing node's writes into the run's report.
@@ -655,7 +694,7 @@ class PipelineEngine:
             return view.written, result
 
         delta, result = cast(
-            "tuple[_Delta, _T]", self.cache.get_or_compute(label, key, compute))
+            "tuple[_Delta, _T]", self.cache.get_or_compute(label, *key, compute))
         if not computed:
             report._results.update(delta)
         return result

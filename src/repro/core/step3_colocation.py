@@ -24,6 +24,7 @@ are then:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
@@ -34,12 +35,13 @@ from repro.geo.delay_model import DelayModel, FeasibleRing
 from repro.geo.distindex import GeoDistanceIndex
 
 
-@dataclass(frozen=True)
-class FeasibleFacilityAnalysis:
+class FeasibleFacilityAnalysis(NamedTuple):
     """The geometric evidence Step 3 derived for one interface.
 
-    Frozen, with frozenset facility sets: the step cache shares one
-    analysis with every outcome whose run hits the same Step 3 key.
+    A ``typing.NamedTuple`` with frozenset facility sets, so it is
+    immutable: the step cache shares one analysis with every outcome whose
+    run hits the same Step 3 key.  It is one allocation, where a frozen
+    dataclass is two, and Step 3 builds one per measured interface.
     """
 
     ixp_id: str
@@ -141,15 +143,16 @@ class ColocationRTTStep:
         max_km = ring.max_distance_km + tolerance
         feasible_ixp = index.feasible_ixp_facilities(vp_location, ixp_id, min_km, max_km)
         feasible_member = index.feasible_as_facilities(vp_location, asn, min_km, max_km)
+        # Positional: a keyword call builds the tuple about half as fast.
         return FeasibleFacilityAnalysis(
-            ixp_id=ixp_id,
-            interface_ip=interface_ip,
-            asn=asn,
-            ring=ring,
-            feasible_ixp_facilities=feasible_ixp,
-            feasible_member_facilities=feasible_member,
-            member_has_facility_data=self.inputs.dataset.has_facility_data_for_as(asn),
-            classification=self._classify(feasible_ixp, feasible_member),
+            ixp_id,
+            interface_ip,
+            asn,
+            ring,
+            feasible_ixp,
+            feasible_member,
+            self.inputs.dataset.has_facility_data_for_as(asn),
+            self._classify(feasible_ixp, feasible_member),
         )
 
     @staticmethod

@@ -439,6 +439,15 @@ class TestEngineValidation:
         with pytest.raises(InferenceError, match="NO-SUCH-IXP"):
             tiny_study.engine.run(tiny_study.config.inference, ["NO-SUCH-IXP"])
 
+    def test_duplicate_ixp_ids_rejected(self, tiny_study):
+        ids = list(tiny_study.studied_ixp_ids)
+        with pytest.raises(InferenceError) as excinfo:
+            tiny_study.engine.run(
+                tiny_study.config.inference, [*ids, *ids[:2], "NO-SUCH-IXP"])
+        message = str(excinfo.value)
+        assert "unknown IXP ids: NO-SUCH-IXP" in message
+        assert f"duplicate IXP ids: {ids[0]}, {ids[1]}" in message
+
     def test_mixed_ixp_ids_name_only_the_unknown(self, tiny_study):
         known = tiny_study.studied_ixp_ids[0]
         with pytest.raises(InferenceError) as excinfo:

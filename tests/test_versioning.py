@@ -10,7 +10,9 @@ cross-revision step reuse.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import ipaddress
+import weakref
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import ExperimentConfig
-from repro.core.engine import PipelineEngine
+from repro.core.engine import CacheStats, PipelineEngine, StepResultCache
 from repro.core.inputs import InferenceInputs
 from repro.core.step4_multi_ixp import MultiIXPRouterKind
 from repro.core.types import InferenceStep, PeeringClassification
@@ -967,6 +969,131 @@ class TestEngineCrossRevisionReuse:
         for reused in ("step1", "step2", "step3", "step4", "traceroute", "baseline"):
             assert after[reused][1] == before[reused][1]
         assert after["step5"][1] == before["step5"][1] + 1
+
+
+class _EveryKeyCache(StepResultCache):
+    """The reference cache: it keeps the result of every key it stores."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._every: dict[str, object] = {}
+
+    def get_or_compute(self, label, slot, key, compute):
+        stats = self.stats.setdefault(label, CacheStats())
+        if key in self._every:
+            stats.hits += 1
+            return self._every[key]
+        value = compute()
+        stats.misses += 1
+        return self._every.setdefault(key, value)
+
+
+class TestOneEntryPerNode:
+    def test_revisions_replace_entries_and_lose_no_hit(self, tiny_study):
+        """After one journalled edit of each kind the engine oracle draws,
+        the cache holds as many entries as after the first runs, counts the
+        hits and misses of a cache that keeps every key, and every outcome
+        equals a cold engine's."""
+        from repro.experiments import fig11
+
+        study = tiny_study
+        dataset = dataset_copy(study.dataset)
+        prefix2as = prefix2as_copy(study.prefix2as)
+        ping = ping_copy(study.ping_result)
+        corpus = corpus_copy(study.traceroute_corpus)
+        engine = _engine_over(study, dataset, prefix2as, ping, corpus)
+        reference = _engine_over(study, dataset, prefix2as, ping, corpus)
+        reference.cache = _EveryKeyCache()
+        base = study.config.inference
+        tolerance = fig11.TOLERANCE_SWEEP_KM[0]
+        assert tolerance != base.feasible_facility_tolerance_km
+        configs = (base, replace(base, feasible_facility_tolerance_km=tolerance))
+        studied = study.studied_ixp_ids
+        ixp_id = studied[0]
+        members = sorted(set().union(*(dataset.members_of_ixp(i) for i in studied)))
+        facility = sorted(dataset.ixp_facilities[ixp_id])[0]
+        prefix, owner = next(
+            (p, asn) for p, asn in sorted(prefix2as._prefixes.items()) if asn in members)
+        interface, holder = sorted(dataset.interfaces_of_ixp(ixp_id).items())[0]
+        series = next(s for s in ping.series if s.ixp_id == ixp_id and s.samples)
+
+        def run_both():
+            for config in configs:
+                outcome = engine.run(config, studied)
+                reference.run(config, studied)
+                cold = _engine_over(study, dataset_copy(dataset), prefix2as_copy(prefix2as),
+                                    ping_copy(ping), corpus_copy(corpus))
+                _assert_same_outcome(outcome, cold.run(config, studied))
+                assert _stats_snapshot(engine) == _stats_snapshot(reference)
+
+        run_both()
+        entries = len(engine.cache)
+        edits = {
+            "move": lambda: dataset.set_facility_location(
+                facility, offset_point(dataset.facility_locations[facility], 30.0, 60.0)),
+            "remap": lambda: prefix2as.add(prefix, next(a for a in members if a != owner)),
+            "reown": lambda: dataset.set_interface(interface, ixp_id, next(
+                a for a in sorted(dataset.members_of_ixp(ixp_id)) if a != holder)),
+            "add_series": lambda: ping.add_series(replace(series, samples=tuple(
+                sample._replace(rtt_ms=sample.rtt_ms + 0.5) for sample in series.samples))),
+            "extend": lambda: corpus.extend([corpus.paths[0]]),
+        }
+        def misses():
+            return sum(count for _, count in _stats_snapshot(engine).values())
+
+        for name, edit in edits.items():
+            before = misses()
+            edit()
+            run_both()
+            assert misses() > before, f"{name} must re-key some node"
+            assert len(engine.cache) == entries, f"{name} must replace entries, not add them"
+
+    def test_a_superseded_result_is_freed(self, tiny_study):
+        """Once a revision re-keys Step 4, the engine no longer holds the
+        routers of the outcome it replaced.  The test drops its own
+        outcome; the study's outcome holds its own references."""
+        study = tiny_study
+        dataset = dataset_copy(study.dataset)
+        engine = _engine_over(study, dataset, prefix2as_copy(study.prefix2as))
+        outcome = engine.run(study.config.inference, study.studied_ixp_ids)
+        router = weakref.ref(outcome.multi_ixp_routers[0])
+        entries = len(engine.cache)
+        del outcome
+        facility = sorted(dataset.facility_locations)[0]
+        dataset.set_facility_location(
+            facility, offset_point(dataset.facility_locations[facility], 30.0, 60.0))
+        engine.run(study.config.inference, study.studied_ixp_ids)
+        gc.collect()
+        assert router() is None
+        assert len(engine.cache) == entries
+
+    def test_threads_storing_other_keys_in_one_slot_never_read_them(self):
+        """Caller threads that race different keys through one slot each get
+        their own key's value, and every lookup counts once."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        cache = StepResultCache()
+        workers, rounds = 8, 400
+
+        def hammer(worker: int) -> int:
+            wrong = 0
+            for i in range(rounds):
+                key = f"key-{(worker + i) % 3}"
+                wrong += cache.get_or_compute("node", "slot", key, lambda: key) != key
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                wrong = list(pool.map(hammer, range(workers), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [0] * workers
+        stats = cache.stats["node"]
+        assert stats.hits + stats.misses == workers * rounds
+        assert len(cache) == 1
 
 
 def _assert_same_outcome(outcome, cold) -> None:
