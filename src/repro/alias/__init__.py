@@ -3,11 +3,11 @@
 Steps 4 and 5 of the paper map IP interfaces to routers using CAIDA's MIDAR
 (combined with iffinder), choosing the high-confidence dataset that favours
 accuracy over completeness.  :mod:`repro.alias.midar` simulates that tool:
-groups of interfaces belonging to the same ground-truth router are returned
-with a configurable miss rate (unresolved interfaces end up as singletons) and
-essentially no false aliases.
+each interface resolves to its ground-truth router, with a configurable miss
+rate (an unresolved interface has no router and stays alone) and essentially
+no false aliases.
 """
 
-from repro.alias.midar import AliasResolver, AliasResolutionResult
+from repro.alias.midar import AliasResolver
 
-__all__ = ["AliasResolver", "AliasResolutionResult"]
+__all__ = ["AliasResolver"]

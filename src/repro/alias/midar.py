@@ -3,11 +3,13 @@
 Alias resolution answers "which of these interface addresses sit on the same
 physical router?".  The real MIDAR infers this from IP-ID time series; the
 paper uses the MIDAR+iffinder dataset, which has very few false positives but
-misses some aliases.  The simulated resolver reproduces that error profile:
+misses some aliases.  Like the ITDK node file built from it, that dataset
+gives each resolved interface one router node.  The simulated resolver
+reproduces that error profile:
 
-* interfaces of the same ground-truth router are grouped together, except
-  that each interface independently fails to be resolved with probability
-  ``miss_rate`` (it then appears as a singleton group);
+* :meth:`AliasResolver.router_of` answers the ground-truth router of an
+  interface, except that each interface independently fails to be resolved
+  with probability ``miss_rate`` (it then has no router and stays alone);
 * no false aliases are produced by default, matching the "accuracy over
   completeness" dataset choice of the paper (footnote 8).
 """
@@ -15,49 +17,16 @@ misses some aliases.  The simulated resolver reproduces that error profile:
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
 
 from repro.topology.world import World
 
 
-@dataclass
-class AliasResolutionResult:
-    """Outcome of one alias-resolution run."""
-
-    groups: list[frozenset[str]] = field(default_factory=list)
-    _by_ip: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_groups(cls, groups: list[frozenset[str]]) -> "AliasResolutionResult":
-        """Build a result (and its reverse index) from interface groups."""
-        result = cls(groups=list(groups))
-        for index, group in enumerate(result.groups):
-            for ip in group:
-                result._by_ip[ip] = index
-        return result
-
-    def group_of(self, ip: str) -> frozenset[str]:
-        """The alias group containing an interface (singleton if unresolved)."""
-        index = self._by_ip.get(ip)
-        if index is None:
-            return frozenset({ip})
-        return self.groups[index]
-
-    def same_router(self, ip_a: str, ip_b: str) -> bool:
-        """Whether two interfaces were resolved to the same router."""
-        if ip_a == ip_b:
-            return True
-        index_a = self._by_ip.get(ip_a)
-        index_b = self._by_ip.get(ip_b)
-        return index_a is not None and index_a == index_b
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
 class AliasResolver:
-    """Groups interface addresses into routers with a MIDAR-like error profile."""
+    """Maps interface addresses to routers with a MIDAR-like error profile.
+
+    Two addresses are aliases exactly when :meth:`router_of` gives both the
+    same router; an address whose answer is ``None`` is alone.
+    """
 
     def __init__(self, world: World, *, miss_rate: float = 0.12, seed: int | None = None) -> None:
         if not 0.0 <= miss_rate <= 1.0:
@@ -67,21 +36,15 @@ class AliasResolver:
         self._rng = random.Random(world.seed * 449 + (seed if seed is not None else 6))
         # The set of interfaces that MIDAR persistently fails to resolve is a
         # property of the routers/probing conditions, so it is drawn once and
-        # reused across resolve() calls for consistency between Steps 4 and 5.
+        # every answer, in Steps 4 and 5 alike, reads the same draw.
         self._unresolvable: set[str] = {
             ip for ip in world.interfaces if self._rng.random() < miss_rate
         }
 
-    def resolve(self, ips: set[str] | list[str]) -> AliasResolutionResult:
-        """Resolve a set of interface addresses into alias groups."""
-        by_router: dict[str, set[str]] = defaultdict(set)
-        singletons: list[frozenset[str]] = []
-        for ip in sorted(set(ips)):
-            interface = self.world.interfaces.get(ip)
-            if interface is None or ip in self._unresolvable:
-                singletons.append(frozenset({ip}))
-                continue
-            by_router[interface.router_id].add(ip)
-        groups = [frozenset(group) for _, group in sorted(by_router.items())]
-        groups.extend(singletons)
-        return AliasResolutionResult.from_groups(groups)
+    def router_of(self, ip: str) -> str | None:
+        """The router of a known, resolvable interface; ``None`` for an
+        unknown or unresolvable address."""
+        interface = self.world.interfaces.get(ip)
+        if interface is None or ip in self._unresolvable:
+            return None
+        return interface.router_id

@@ -35,6 +35,13 @@ declares what the index reads
 (:data:`~repro.traixroute.detector.CORPUS_DETECTION_DOMAINS` and
 :data:`~repro.traixroute.detector.CORPUS_DETECTION_INPUTS`).
 
+The traceroute node also builds the evidence Steps 4 and 5 read, once per
+detection result: the multi-IXP routers, identified from the crossings, and
+a :class:`~repro.core.step5_private_links.PrivateNeighbours` table over the
+private adjacencies.  Both read the alias resolver, which is world-backed and
+immutable, so the node's key stays what it was and ignores the studied set.
+Step 4 only classifies the routers it is handed, and Step 5 only votes.
+
 Every node result is cached in a shared :class:`StepResultCache` under a
 fingerprint key derived from
 
@@ -118,7 +125,7 @@ from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTCampaignSummary, RTTMeasurementStep
 from repro.core.step3_colocation import ColocationRTTStep, FeasibleFacilityAnalysis
 from repro.core.step4_multi_ixp import MultiIXPRouter, MultiIXPRouterStep
-from repro.core.step5_private_links import PrivateConnectivityStep
+from repro.core.step5_private_links import PrivateConnectivityStep, PrivateNeighbours
 from repro.core.types import InferenceReport, InferenceResult
 from repro.exceptions import InferenceError, UndeclaredReadError
 from repro.geo.delay_model import DelayModel
@@ -136,6 +143,10 @@ from repro.traixroute.detector import (
 _Delta = Mapping[tuple[str, str], InferenceResult]
 #: The feasibility analyses Step 3 contributes, keyed by (IXP, interface).
 _FeasibleMap = dict[tuple[str, str], FeasibleFacilityAnalysis]
+#: What the traceroute node hands on: the crossings and private adjacencies,
+#: the multi-IXP routers identified from them and the private-neighbour table.
+_Evidence = tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...],
+                  tuple[MultiIXPRouter, ...], PrivateNeighbours]
 #: What a report-writing node returns besides its writes to the report.
 _T = TypeVar("_T")
 
@@ -192,7 +203,8 @@ class StepSpec:
         IXP.
     provides:
         What the node contributes to the assembled
-        :class:`PipelineOutcome` (documentation and introspection).
+        :class:`PipelineOutcome` or hands to the nodes that require it
+        (documentation and introspection).
     studied_set_sensitive:
         Whether a ``GLOBAL`` node's result depends on *which* IXPs are
         studied.  The traceroute observables scan the whole corpus
@@ -259,7 +271,8 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         scope=StepScope.GLOBAL,
         config_fields=(),
         requires=(),
-        provides=("crossings", "private_adjacencies"),
+        provides=(
+            "crossings", "private_adjacencies", "identified_routers", "private_neighbours"),
         studied_set_sensitive=False,
         data_domains=CORPUS_DETECTION_DOMAINS,
         data_inputs=CORPUS_DETECTION_INPUTS,
@@ -285,6 +298,7 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
             "min_private_neighbours",
             "max_coherent_vote_facilities",
         ),
+        # Step 5 reads no routers, but it reads the report Step 4 wrote.
         requires=("step4", "traceroute"),
         provides=("report_delta",),
         data_domains=(
@@ -637,19 +651,16 @@ class PipelineEngine:
                 lambda: self._compute_baseline(
                     *reads("baseline", config), ixp_id, summary))))
 
-        crossings, adjacencies = cast(
-            "tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]",
-            cache.get_or_compute(
-                "traceroute", *resolver.key("traceroute"),
-                self._compute_traceroute))
+        crossings, adjacencies, identified, neighbours = cast(_Evidence, cache.get_or_compute(
+            "traceroute", *resolver.key("traceroute"), self._compute_traceroute))
         routers = self._write(
             report, "step4", resolver.key("step4"),
             lambda view: self._compute_step4(
-                *reads("step4", config), ixp_ids, view, crossings))
+                *reads("step4", config), ixp_ids, view, identified))
         self._write(
             report, "step5", resolver.key("step5"),
             lambda view: self._compute_step5(
-                *reads("step5", config), ixp_ids, view, adjacencies, routers, feasible))
+                *reads("step5", config), ixp_ids, view, neighbours, feasible))
 
         return PipelineOutcome(
             ixp_ids=ixp_ids,
@@ -748,9 +759,12 @@ class PipelineEngine:
     # ------------------------------------------------------------------ #
     # Global nodes (traceroute observables, Steps 4-5)
     # ------------------------------------------------------------------ #
-    def _compute_traceroute(
-        self,
-    ) -> tuple[tuple[IXPCrossing, ...], tuple[PrivateAdjacency, ...]]:
+    def _compute_traceroute(self) -> _Evidence:
+        """The detection results and the evidence built from them.
+
+        Built even when a run disables Steps 4 and 5: the node's key does
+        not see those switches, and the result serves every configuration.
+        """
         if self._corpus_detection is None:
             # Double-checked lazy creation: two concurrent runs must share
             # one incrementally maintained index, not race two into place.
@@ -759,7 +773,9 @@ class PipelineEngine:
                     self._corpus_detection = CorpusDetectionIndex(
                         self.inputs.dataset, self.inputs.prefix2as, self.inputs.corpus)
         crossings, adjacencies = self._corpus_detection.results()
-        return tuple(crossings), tuple(adjacencies)
+        routers = MultiIXPRouterStep(self.inputs).identify_routers(crossings)
+        neighbours = PrivateNeighbours(adjacencies, self.inputs.alias_resolver)
+        return tuple(crossings), tuple(adjacencies), tuple(routers), neighbours
 
     def _compute_step4(
         self,
@@ -767,11 +783,11 @@ class PipelineEngine:
         inputs: InferenceInputs,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
-        crossings: tuple[IXPCrossing, ...],
+        routers: tuple[MultiIXPRouter, ...],
     ) -> tuple[MultiIXPRouter, ...]:
         if config.enable_step4_multi_ixp:
             step4 = MultiIXPRouterStep(inputs, config)
-            return tuple(step4.run(list(ixp_ids), report, crossings))
+            return tuple(step4.run(list(ixp_ids), report, routers))
         return ()
 
     def _compute_step5(
@@ -780,13 +796,12 @@ class PipelineEngine:
         inputs: InferenceInputs,
         ixp_ids: tuple[str, ...],
         report: InferenceReport,
-        adjacencies: tuple[PrivateAdjacency, ...],
-        routers: tuple[MultiIXPRouter, ...],
+        neighbours: PrivateNeighbours,
         feasible: _FeasibleMap,
     ) -> None:
         if config.enable_step5_private_links:
             step5 = PrivateConnectivityStep(inputs, config)
-            step5.run(list(ixp_ids), report, adjacencies, routers, feasible)
+            step5.run(list(ixp_ids), report, neighbours, feasible)
 
 
 class SweepRunner:

@@ -18,6 +18,11 @@ geometric consistency arguments propagate the classification to the others:
 * **hybrid multi-IXP router** — the AS is local at ``IXP_L`` but another
   involved IXP shares no facility with ``IXP_L`` (or is farther away than the
   AS's own presence allows): the router is remote to that other IXP.
+
+Identification reads only the crossings and the alias resolver, so the
+engine's traceroute node runs :meth:`MultiIXPRouterStep.identify_routers`
+once per detection result and hands the routers to every Step 4 run, which
+only classifies them.
 """
 
 from __future__ import annotations
@@ -87,24 +92,26 @@ class MultiIXPRouterStep:
         self,
         ixp_ids: list[str],
         report: InferenceReport,
-        crossings: Sequence[IXPCrossing],
+        routers: Sequence[MultiIXPRouter],
     ) -> list[MultiIXPRouter]:
-        """Apply the step; returns the multi-IXP routers it identified, classified."""
+        """Classify identified routers, in order; returns the classified copies."""
         studied = set(ixp_ids)
-        return [
-            self._classify_router(router, studied, report)
-            for router in self.identify_routers(crossings)
-        ]
+        return [self._classify_router(router, studied, report) for router in routers]
 
     # ------------------------------------------------------------------ #
     # Router identification
     # ------------------------------------------------------------------ #
     def identify_routers(self, crossings: Sequence[IXPCrossing]) -> list[MultiIXPRouter]:
-        """Alias-resolve the entry interfaces seen before IXP hops.
+        """Group the entry interfaces seen before IXP hops into routers.
 
-        Only ASes observed at more than one IXP are worth resolving (the
-        paper's optimisation); routers whose interfaces precede a single IXP
-        are not multi-IXP routers and are skipped.
+        One pass over the crossings gives each entry address its IXPs and
+        each AS its entry addresses.  Only ASes observed at two or more IXPs
+        are worth resolving (the paper's optimisation).  Their addresses are
+        grouped by :meth:`~repro.alias.midar.AliasResolver.router_of`; an
+        address without a router is a group on its own.  Each group seen
+        before two or more IXPs is a multi-IXP router.  Routers come out by
+        AS ascending; within an AS, router groups by router id, then lone
+        addresses ascending.
         """
         ixps_per_interface: dict[str, set[str]] = defaultdict(set)
         interfaces_per_asn: dict[int, set[str]] = defaultdict(set)
@@ -112,25 +119,25 @@ class MultiIXPRouterStep:
             ixps_per_interface[crossing.entry_ip].add(crossing.ixp_id)
             interfaces_per_asn[crossing.entry_asn].add(crossing.entry_ip)
 
+        router_of = self.inputs.alias_resolver.router_of
         routers: list[MultiIXPRouter] = []
         for asn, interfaces in sorted(interfaces_per_asn.items()):
             observed_ixps = set().union(*(ixps_per_interface[ip] for ip in interfaces))
             if len(observed_ixps) < 2:
                 continue
-            resolution = self.inputs.alias_resolver.resolve(interfaces)
-            for group in resolution.groups:
-                group_ixps: set[str] = set()
-                for ip in group:
-                    group_ixps.update(ixps_per_interface.get(ip, set()))
-                if len(group_ixps) < 2:
-                    continue
-                routers.append(
-                    MultiIXPRouter(
-                        asn=asn,
-                        interface_ips=frozenset(group),
-                        ixp_ids=frozenset(group_ixps),
-                    )
-                )
+            by_router: dict[str, set[str]] = defaultdict(set)
+            alone: list[frozenset[str]] = []
+            for ip in sorted(interfaces):
+                router_id = router_of(ip)
+                if router_id is None:
+                    alone.append(frozenset((ip,)))
+                else:
+                    by_router[router_id].add(ip)
+            groups = [frozenset(group) for _, group in sorted(by_router.items())]
+            for group in groups + alone:
+                group_ixps = frozenset().union(*(ixps_per_interface[ip] for ip in group))
+                if len(group_ixps) >= 2:
+                    routers.append(MultiIXPRouter(asn, group, group_ixps))
         return routers
 
     # ------------------------------------------------------------------ #

@@ -11,6 +11,10 @@ router lives in, in the spirit of Constrained Facility Search:
 2. find the facilities most common among the majority of those neighbours;
 3. if exactly one of those facilities is also a feasible facility of the IXP,
    the member is local; otherwise it is remote.
+
+The neighbours come from a :class:`PrivateNeighbours` table, which reads only
+the private adjacencies and the alias resolver.  So the engine's traceroute
+node builds it once per detection result, and every Step 5 run only votes.
 """
 
 from __future__ import annotations
@@ -19,14 +23,68 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
+from repro.alias.midar import AliasResolver
 from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
 from repro.core.step3_colocation import FeasibleFacilityAnalysis
-from repro.core.step4_multi_ixp import MultiIXPRouter
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
 from repro.exceptions import InferenceError
 from repro.geo.distindex import GeoDistanceIndex
 from repro.traixroute.detector import PrivateAdjacency
+
+_NONE: frozenset[int] = frozenset()
+
+
+class PrivateNeighbours:
+    """The private AS neighbours of every adjacency end, per router and per AS.
+
+    Built once from the private adjacencies and the alias resolver and never
+    written afterwards, so the step cache can share it.  It keeps three
+    unions of far ASes, all frozensets:
+
+    * per address: the far ASes of that address's own adjacencies;
+    * per (AS, router): over the addresses that end an adjacency of the AS
+      and that :meth:`~repro.alias.midar.AliasResolver.router_of` puts on
+      the router;
+    * per AS: over all the addresses that end an adjacency of the AS.
+    """
+
+    def __init__(
+        self, adjacencies: Sequence[PrivateAdjacency], alias_resolver: AliasResolver
+    ) -> None:
+        own: dict[str, set[int]] = defaultdict(set)
+        ends: dict[int, set[str]] = defaultdict(set)
+        for adjacency in adjacencies:
+            own[adjacency.near_ip].add(adjacency.far_asn)
+            own[adjacency.far_ip].add(adjacency.near_asn)
+            ends[adjacency.near_asn].add(adjacency.near_ip)
+            ends[adjacency.far_asn].add(adjacency.far_ip)
+        self._router_of = alias_resolver.router_of
+        self._own = {ip: frozenset(asns) for ip, asns in own.items()}
+        per_router: dict[tuple[int, str], set[int]] = defaultdict(set)
+        per_as: dict[int, set[int]] = defaultdict(set)
+        for asn, ips in ends.items():
+            for ip in ips:
+                per_as[asn].update(self._own[ip])
+                router_id = self._router_of(ip)
+                if router_id is not None:
+                    per_router[(asn, router_id)].update(self._own[ip])
+        self._per_router = {key: frozenset(asns) for key, asns in per_router.items()}
+        self._per_as = {asn: frozenset(asns) for asn, asns in per_as.items()}
+
+    def of_router(self, asn: int, interface_ip: str) -> frozenset[int]:
+        """The private neighbours of the router behind ``interface_ip``: the
+        interface's own far ASes and those of its router's other adjacency
+        ends of ``asn``, without ``asn`` itself."""
+        neighbours = self._own.get(interface_ip, _NONE)
+        router_id = self._router_of(interface_ip)
+        if router_id is not None:
+            neighbours = neighbours | self._per_router.get((asn, router_id), _NONE)
+        return neighbours - {asn}
+
+    def of_as(self, asn: int) -> frozenset[int]:
+        """The private neighbours seen on any adjacency end of ``asn``."""
+        return self._per_as.get(asn, _NONE) - {asn}
 
 
 @dataclass
@@ -37,6 +95,12 @@ class PrivateConnectivityStep:
     :class:`GeoDistanceIndex.majority_facility_vote` memo — the same
     neighbour sets recur across the interfaces of one member AS and across
     scenario-sweep reruns, so each vote is tallied once per index lifetime.
+
+    The step reads no multi-IXP routers.  A router interface's AS is the
+    detection index's AS answer for that address, the same answer the
+    private adjacencies carry.  So an interface of a Step 4 router that ends
+    a private adjacency already ends one of its AS, and one that ends none
+    adds no neighbour: the routers change no neighbour set.
     """
 
     inputs: InferenceInputs
@@ -53,8 +117,7 @@ class PrivateConnectivityStep:
         self,
         ixp_ids: list[str],
         report: InferenceReport,
-        adjacencies: Sequence[PrivateAdjacency],
-        multi_ixp_routers: Sequence[MultiIXPRouter],
+        neighbours: PrivateNeighbours,
         feasible: Mapping[tuple[str, str], FeasibleFacilityAnalysis],
     ) -> int:
         """Apply the heuristic to every still-unknown interface.
@@ -62,8 +125,6 @@ class PrivateConnectivityStep:
         Returns the number of interfaces classified by this step.
         """
         dataset = self.inputs.dataset
-        neighbour_ips = self._interfaces_per_asn(adjacencies, multi_ixp_routers)
-        adjacency_index = self._adjacency_index(adjacencies)
         classified = 0
 
         for ixp_id in ixp_ids:
@@ -71,17 +132,18 @@ class PrivateConnectivityStep:
                 result = report.ensure(ixp_id, interface_ip, asn)
                 if result.is_inferred:
                     continue
-                neighbours = self._private_neighbours(
-                    asn, interface_ip, neighbour_ips.get(asn, set()), adjacency_index)
-                if len(neighbours) < self.config.min_private_neighbours:
+                voters = neighbours.of_router(asn, interface_ip)
+                if len(voters) < self.config.min_private_neighbours:
                     # Fall back to AS-level private neighbours: the paper
                     # compiles N_x as the private AS neighbours of AS_x, not
                     # only of the single alias-resolved router.
-                    neighbours = self._as_level_neighbours(
-                        asn, neighbour_ips.get(asn, set()), adjacency_index)
-                if len(neighbours) < self.config.min_private_neighbours:
+                    voters = neighbours.of_as(asn)
+                if len(voters) < self.config.min_private_neighbours:
                     continue
-                common = self._common_facilities(neighbours)
+                # The facilities shared by a strict majority of the voters
+                # with data; none means the voters are geographically
+                # incoherent, and Step 5 makes no inference for the member.
+                common = self.geo_index.majority_facility_vote(voters)
                 if not common:
                     continue
                 ixp_feasible = self._feasible_ixp_facilities(ixp_id, interface_ip, feasible)
@@ -106,77 +168,13 @@ class PrivateConnectivityStep:
                     classification,
                     InferenceStep.PRIVATE_CONNECTIVITY,
                     evidence={
-                        "private_neighbours": tuple(sorted(neighbours)),
+                        "private_neighbours": tuple(sorted(voters)),
                         "common_facilities": tuple(sorted(common)),
                         "feasible_ixp_facilities": tuple(sorted(ixp_feasible)),
                     },
                 )
                 classified += 1
         return classified
-
-    # ------------------------------------------------------------------ #
-    def _interfaces_per_asn(
-        self,
-        adjacencies: Sequence[PrivateAdjacency],
-        multi_ixp_routers: Sequence[MultiIXPRouter],
-    ) -> dict[int, set[str]]:
-        """Candidate interfaces per AS: private-link ends plus multi-IXP routers."""
-        interfaces: dict[int, set[str]] = defaultdict(set)
-        for adjacency in adjacencies:
-            interfaces[adjacency.near_asn].add(adjacency.near_ip)
-            interfaces[adjacency.far_asn].add(adjacency.far_ip)
-        for router in multi_ixp_routers:
-            interfaces[router.asn].update(router.interface_ips)
-        return interfaces
-
-    @staticmethod
-    def _adjacency_index(
-        adjacencies: Sequence[PrivateAdjacency],
-    ) -> dict[str, set[int]]:
-        """Map each interface to the ASes it is privately adjacent to."""
-        index: dict[str, set[int]] = defaultdict(set)
-        for adjacency in adjacencies:
-            index[adjacency.near_ip].add(adjacency.far_asn)
-            index[adjacency.far_ip].add(adjacency.near_asn)
-        return index
-
-    def _private_neighbours(
-        self,
-        asn: int,
-        ixp_interface_ip: str,
-        candidate_ips: set[str],
-        adjacency_index: dict[str, set[int]],
-    ) -> set[int]:
-        """Private AS neighbours of the member's IXP-facing router."""
-        resolution = self.inputs.alias_resolver.resolve(candidate_ips | {ixp_interface_ip})
-        router_group = resolution.group_of(ixp_interface_ip)
-        neighbours: set[int] = set()
-        for ip in router_group:
-            neighbours.update(adjacency_index.get(ip, set()))
-        neighbours.discard(asn)
-        return neighbours
-
-    @staticmethod
-    def _as_level_neighbours(
-        asn: int,
-        candidate_ips: set[str],
-        adjacency_index: dict[str, set[int]],
-    ) -> set[int]:
-        """Private AS neighbours observed on any interface of the member AS."""
-        neighbours: set[int] = set()
-        for ip in candidate_ips:
-            neighbours.update(adjacency_index.get(ip, set()))
-        neighbours.discard(asn)
-        return neighbours
-
-    def _common_facilities(self, neighbours: set[int]) -> frozenset[str]:
-        """Facilities shared by the majority of the neighbours with data.
-
-        When no facility reaches a strict majority the neighbour set is
-        geographically incoherent and no vote is cast — Step 5 then simply
-        makes no inference for this member.
-        """
-        return self.geo_index.majority_facility_vote(frozenset(neighbours))
 
     def _feasible_ixp_facilities(
         self,

@@ -27,7 +27,7 @@ from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTMeasurementStep
 from repro.core.step3_colocation import ColocationRTTStep
 from repro.core.step4_multi_ixp import MultiIXPRouterStep
-from repro.core.step5_private_links import PrivateConnectivityStep
+from repro.core.step5_private_links import PrivateConnectivityStep, PrivateNeighbours
 from repro.core.types import InferenceReport
 from repro.datasources.merge import DOMAIN_AS_FACILITIES
 from repro.exceptions import ConfigurationError, InferenceError, UndeclaredReadError
@@ -61,11 +61,12 @@ def _monolithic_run(inputs, config, ixp_ids, *, delay_model=None, geo_index=None
     adjacencies = detector.private_adjacencies_corpus(inputs.corpus)
     routers = []
     if config.enable_step4_multi_ixp:
-        routers = MultiIXPRouterStep(inputs, config, geo_index=geo_index).run(
-            ixp_ids, report, crossings)
+        step4 = MultiIXPRouterStep(inputs, config, geo_index=geo_index)
+        routers = step4.run(ixp_ids, report, step4.identify_routers(crossings))
     if config.enable_step5_private_links:
+        neighbours = PrivateNeighbours(adjacencies, inputs.alias_resolver)
         PrivateConnectivityStep(inputs, config, geo_index=geo_index).run(
-            ixp_ids, report, adjacencies, routers, feasible)
+            ixp_ids, report, neighbours, feasible)
     baseline = RTTBaseline(inputs, config).run(ixp_ids, rtt_summary)
     return report, baseline, rtt_summary, feasible, crossings, adjacencies, routers
 

@@ -8,7 +8,7 @@ from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTCampaignSummary, RTTMeasurementStep, RTTObservation
 from repro.core.step3_colocation import ColocationRTTStep
 from repro.core.step4_multi_ixp import MultiIXPRouterKind, MultiIXPRouterStep
-from repro.core.step5_private_links import PrivateConnectivityStep
+from repro.core.step5_private_links import PrivateConnectivityStep, PrivateNeighbours
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
 from repro.measurement.results import PingCampaignResult
 from repro.measurement.vantage import VantagePointKind
@@ -303,7 +303,7 @@ class TestStep4MultiIXP:
                         InferenceStep.RTT_COLOCATION)
         step = MultiIXPRouterStep(scenario.inputs())
         routers = step.run([ixp_a.ixp_id, ixp_b.ixp_id], report,
-                           self._crossings(ixp_a, ixp_b))
+                           step.identify_routers(self._crossings(ixp_a, ixp_b)))
         assert routers[0].kind is MultiIXPRouterKind.REMOTE
         assert report.classification_of(ixp_b.ixp_id, "185.2.0.10") is \
             PeeringClassification.REMOTE
@@ -323,10 +323,14 @@ class TestStep4MultiIXP:
         report.ensure(ixp_b.ixp_id, "185.2.0.10", 65010)
         step = MultiIXPRouterStep(scenario.inputs())
         routers = step.run([ixp_a.ixp_id, ixp_b.ixp_id], report,
-                           self._crossings(ixp_a, ixp_b))
+                           step.identify_routers(self._crossings(ixp_a, ixp_b)))
         assert routers[0].kind is MultiIXPRouterKind.UNCLASSIFIED
         assert report.classification_of(ixp_b.ixp_id, "185.2.0.10") is \
             PeeringClassification.UNKNOWN
+
+
+def _neighbours(step, adjacencies):
+    return PrivateNeighbours(adjacencies, step.inputs.alias_resolver)
 
 
 class TestStep5PrivateLinks:
@@ -357,7 +361,7 @@ class TestStep5PrivateLinks:
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
         step = PrivateConnectivityStep(scenario.inputs())
-        classified = step.run([ixp.ixp_id], report, adjacencies, [], {})
+        classified = step.run([ixp.ixp_id], report, _neighbours(step, adjacencies), {})
         assert classified == 1
         assert report.classification_of(ixp.ixp_id, "185.1.0.20") is \
             PeeringClassification.LOCAL
@@ -371,7 +375,7 @@ class TestStep5PrivateLinks:
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
         step = PrivateConnectivityStep(scenario.inputs())
-        step.run([ixp.ixp_id], report, adjacencies, [], {})
+        step.run([ixp.ixp_id], report, _neighbours(step, adjacencies), {})
         assert report.classification_of(ixp.ixp_id, "185.1.0.20") is \
             PeeringClassification.REMOTE
 
@@ -380,7 +384,7 @@ class TestStep5PrivateLinks:
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
         step = PrivateConnectivityStep(scenario.inputs())
-        classified = step.run([ixp.ixp_id], report, adjacencies[:1], [], {})
+        classified = step.run([ixp.ixp_id], report, _neighbours(step, adjacencies[:1]), {})
         assert classified == 0
 
     def test_already_inferred_interfaces_untouched(self):
@@ -389,7 +393,7 @@ class TestStep5PrivateLinks:
         report.classify(ixp.ixp_id, "185.1.0.20", 65020, PeeringClassification.REMOTE,
                         InferenceStep.PORT_CAPACITY)
         step = PrivateConnectivityStep(scenario.inputs())
-        classified = step.run([ixp.ixp_id], report, adjacencies, [], {})
+        classified = step.run([ixp.ixp_id], report, _neighbours(step, adjacencies), {})
         assert classified == 0
         assert report.classification_of(ixp.ixp_id, "185.1.0.20") is \
             PeeringClassification.REMOTE
@@ -407,7 +411,7 @@ class TestStep5PrivateLinks:
         report = InferenceReport()
         report.ensure(ixp.ixp_id, "185.1.0.20", 65020)
         step = PrivateConnectivityStep(scenario.inputs(), config)
-        classified = step.run([ixp.ixp_id], report, adjacencies, [], {})
+        classified = step.run([ixp.ixp_id], report, _neighbours(step, adjacencies), {})
         assert classified == 0
 
 
