@@ -249,7 +249,14 @@ class CampaignConfig:
         _require(1.0 <= low <= high, "remote_path_stretch must be an increasing pair >= 1")
         low, high = self.local_path_stretch
         _require(1.0 <= low <= high, "local_path_stretch must be an increasing pair >= 1")
+        low, high = self.management_lan_extra_rtt_ms
+        _require(0.0 <= low <= high, "management_lan_extra_rtt_ms must be an increasing pair >= 0")
+        _require(self.max_atlas_probes_per_ixp >= 0, "max_atlas_probes_per_ixp must be >= 0")
         _require(self.traceroute_sources_per_ixp >= 0, "traceroute_sources_per_ixp must be >= 0")
+        _require(
+            self.traceroute_destinations_per_source >= 1,
+            "traceroute_destinations_per_source must be at least 1",
+        )
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,9 @@ class InferenceConfig:
             self.feasible_facility_tolerance_km >= 0, "feasible_facility_tolerance_km must be >= 0"
         )
         _require(self.min_private_neighbours >= 1, "min_private_neighbours must be >= 1")
+        _require(
+            self.max_coherent_vote_facilities >= 1, "max_coherent_vote_facilities must be >= 1"
+        )
 
 
 def config_fingerprint(

@@ -89,6 +89,23 @@ class TestCampaignConfig:
         with pytest.raises(ConfigurationError):
             CampaignConfig(lg_response_rate=-0.1)
 
+    def test_rejects_negative_atlas_probe_cap(self):
+        with pytest.raises(ConfigurationError):
+            CampaignConfig(max_atlas_probes_per_ixp=-2)
+        assert CampaignConfig(max_atlas_probes_per_ixp=0).max_atlas_probes_per_ixp == 0
+
+    def test_rejects_fewer_than_one_destination_per_source(self):
+        for count in (0, -3):
+            with pytest.raises(ConfigurationError):
+                CampaignConfig(traceroute_destinations_per_source=count)
+        CampaignConfig(traceroute_destinations_per_source=1)
+
+    def test_rejects_bad_management_lan_rtt_range(self):
+        for bounds in ((12.0, 1.5), (-1.0, 2.0), (-2.0, -1.0)):
+            with pytest.raises(ConfigurationError):
+                CampaignConfig(management_lan_extra_rtt_ms=bounds)
+        CampaignConfig(management_lan_extra_rtt_ms=(0.0, 0.0))
+
 
 class TestInferenceConfig:
     def test_defaults_are_valid(self):
@@ -102,6 +119,12 @@ class TestInferenceConfig:
     def test_rejects_zero_neighbours(self):
         with pytest.raises(ConfigurationError):
             InferenceConfig(min_private_neighbours=0)
+
+    def test_rejects_fewer_than_one_coherent_vote_facility(self):
+        for count in (0, -1):
+            with pytest.raises(ConfigurationError):
+                InferenceConfig(max_coherent_vote_facilities=count)
+        assert InferenceConfig(max_coherent_vote_facilities=1).max_coherent_vote_facilities == 1
 
     def test_steps_can_be_disabled(self):
         config = InferenceConfig(enable_step4_multi_ixp=False, enable_step5_private_links=False)
