@@ -6,9 +6,10 @@ deterministic: results must not depend on wall-clock time, process-lifetime
 randomness, hash-order of sets, object identity, or thread completion order.
 This rule flags the syntactic shapes that break that assumption inside the
 modules the engine executes (``repro.core``, ``repro.geo``,
-``repro.netindex``, ``repro.traixroute``, ``repro.datasources`` and
+``repro.netindex``, ``repro.traixroute``, ``repro.datasources``,
 ``repro.measurement``, whose corpus and ping-result accessors the
-traceroute node and Step 2 run):
+traceroute node and Step 2 run, and ``repro.alias``, whose resolver the
+traceroute node reads):
 
 * ``nondeterministic-call`` — calls into ``time``/``random``/``os.urandom``/
   ``uuid``/``secrets``, and any call reached through ``numpy.random`` (under
@@ -51,6 +52,7 @@ DETERMINISM_SCOPES: tuple[str, ...] = (
     "traixroute",
     "datasources",
     "measurement",
+    "alias",
 )
 
 #: module alias -> the attribute names that are nondeterministic to call.

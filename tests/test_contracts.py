@@ -90,7 +90,7 @@ class TestLiveTree:
 # --------------------------------------------------------------------- #
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "package", ["core", "traixroute", "datasources", "measurement"]
+        "package", ["core", "traixroute", "datasources", "measurement", "alias"]
     )
     def test_seeded_nondeterminism_shapes_are_each_caught(self, tmp_path, package):
         root = _copy_tree(tmp_path)
