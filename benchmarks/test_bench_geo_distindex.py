@@ -14,6 +14,7 @@ per-call path, and assert that the classifications are bit-identical.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.core.step1_port_capacity import PortCapacityStep
 from repro.core.step2_rtt import RTTMeasurementStep
@@ -130,8 +131,10 @@ def _run_geometry_steps(study, prepared, *, indexed: bool, runs: int = SWEEP_RUN
     full pipeline run (``study.outcome``) has warmed.
     """
     inputs, ixp_ids, config, rtt_summary, template, routers = prepared
-    if indexed and shared_index is None:
-        shared_index = GeoDistanceIndex(inputs.dataset)
+    if indexed:
+        if shared_index is None:
+            shared_index = GeoDistanceIndex(inputs.dataset)
+        inputs = replace(inputs, geo_index=shared_index)
     if shared_model is None:
         shared_model = DelayModel()
     studied = set(ixp_ids)
@@ -139,8 +142,8 @@ def _run_geometry_steps(study, prepared, *, indexed: bool, runs: int = SWEEP_RUN
     for _ in range(runs):
         report = _fresh_report(template)
         if indexed:
-            step3 = ColocationRTTStep(inputs, config, shared_model, geo_index=shared_index)
-            step4 = MultiIXPRouterStep(inputs, config, geo_index=shared_index)
+            step3 = ColocationRTTStep(inputs, config, shared_model)
+            step4 = MultiIXPRouterStep(inputs, config)
         else:
             step3 = SeedColocationRTTStep(inputs, config, DelayModel())
             step4 = _SeedMultiIXPRouterStep(inputs, config)

@@ -27,9 +27,9 @@ The declarations are **enforced at run time**.  A node computes through
 *capability views* derived from its spec: a projection of the config that
 holds only the declared fields, and an inputs view whose dataset and geo
 index expose only the accessors whose domains the node declares, beside the
-declared versioned inputs and the alias resolver.  Reading anything else
-raises :class:`~repro.exceptions.UndeclaredReadError`, naming the node and
-the member, the first time the read runs.  The traceroute observables build
+declared versioned inputs.  Reading anything else raises
+:class:`~repro.exceptions.UndeclaredReadError`, naming the node and the
+member, the first time the read runs.  The traceroute observables build
 their long-lived detection index over the real objects, so that node
 declares what the index reads
 (:data:`~repro.traixroute.detector.CORPUS_DETECTION_DOMAINS` and
@@ -222,7 +222,8 @@ class StepSpec:
         dataset) whose :meth:`~repro.versioning.Versioned.version_token`
         enters the node's cache key — ``"ping_result"``, ``"corpus"`` and/or
         ``"prefix2as"``; the node's inputs view holds no other.  The alias
-        resolver is world-backed and immutable, so no node declares it.
+        resolver is world-backed and immutable, so no node declares it: only
+        the traceroute node reads it, from the bundle itself.
     """
 
     name: str
@@ -456,18 +457,16 @@ def _inputs_view(
 ) -> InferenceInputs:
     """What node ``spec`` may read of ``inputs``.
 
-    The view holds a dataset view, a geo view over ``geo_index`` whose
-    ``dataset`` is that dataset view (so the steps' ``geo_index.dataset is
-    inputs.dataset`` checks hold), the alias resolver and the declared
-    versioned inputs.
+    The view holds a dataset view, a geo view over ``geo_index`` and the
+    declared versioned inputs.
     """
     declared = frozenset(spec.data_domains)
-    dataset = _View(
-        spec.name, "dataset", _bound(inputs.dataset, DATASET_ACCESSOR_DOMAINS, declared))
-    geo = _View(spec.name, "geo_index", {
-        "dataset": dataset, **_bound(geo_index, GEO_ACCESSOR_DOMAINS, declared)})
     members: dict[str, object] = {
-        "dataset": dataset, "geo_index": geo, "alias_resolver": inputs.alias_resolver}
+        "dataset": _View(spec.name, "dataset",
+                         _bound(inputs.dataset, DATASET_ACCESSOR_DOMAINS, declared)),
+        "geo_index": _View(spec.name, "geo_index",
+                           _bound(geo_index, GEO_ACCESSOR_DOMAINS, declared)),
+    }
     for name in spec.data_inputs:
         members[name] = getattr(inputs, name)
     return cast(InferenceInputs, _View(spec.name, "inputs", members))

@@ -30,9 +30,7 @@ from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
 from repro.core.step2_rtt import RTTCampaignSummary, RTTObservation
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
-from repro.exceptions import InferenceError
 from repro.geo.delay_model import DelayModel, FeasibleRing
-from repro.geo.distindex import GeoDistanceIndex
 
 
 class FeasibleFacilityAnalysis(NamedTuple):
@@ -63,7 +61,8 @@ class FeasibleFacilityAnalysis(NamedTuple):
 class ColocationRTTStep:
     """Combine minimum RTTs with colocation data (the heart of the method).
 
-    All geometry goes through the shared :class:`GeoDistanceIndex`: each
+    All geometry goes through the shared
+    :class:`~repro.geo.distindex.GeoDistanceIndex` of ``inputs``: each
     (vantage point, facility) distance is computed once per index lifetime —
     the observations of one VP share one sorted distance profile per
     footprint — and the feasibility test is two :mod:`bisect` calls instead
@@ -73,13 +72,6 @@ class ColocationRTTStep:
     inputs: InferenceInputs
     config: InferenceConfig = field(default_factory=InferenceConfig)
     delay_model: DelayModel = field(default_factory=DelayModel)
-    geo_index: GeoDistanceIndex | None = None
-
-    def __post_init__(self) -> None:
-        if self.geo_index is None:
-            self.geo_index = self.inputs.geo_index
-        elif self.geo_index.dataset is not self.inputs.dataset:
-            raise InferenceError("geo_index must be built over the same dataset")
 
     def run(
         self,
@@ -133,7 +125,7 @@ class ColocationRTTStep:
         observation: RTTObservation,
         vp_location,
     ) -> FeasibleFacilityAnalysis:
-        index = self.geo_index
+        index = self.inputs.geo_index
         tolerance = self.config.feasible_facility_tolerance_km
         ring = FeasibleRing(
             min_distance_km=self.delay_model.min_distance_km(observation.rtt_lower_ms),

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
-from repro.exceptions import InferenceError
-from repro.geo.distindex import GeoDistanceIndex
 from repro.traixroute.detector import IXPCrossing
 
 
@@ -74,19 +72,13 @@ class MultiIXPRouterStep:
 
     The geometric conditions compare (AS, IXP) and (IXP, IXP) facility-set
     distances that recur across every router of the same AS and IXP pair;
-    all of them are served by the shared :class:`GeoDistanceIndex` min/max
-    aggregates, computed once per index lifetime.
+    all of them are served by the min/max aggregates of the shared
+    :class:`~repro.geo.distindex.GeoDistanceIndex` of ``inputs``, computed
+    once per index lifetime.
     """
 
     inputs: InferenceInputs
     config: InferenceConfig = field(default_factory=InferenceConfig)
-    geo_index: GeoDistanceIndex | None = None
-
-    def __post_init__(self) -> None:
-        if self.geo_index is None:
-            self.geo_index = self.inputs.geo_index
-        elif self.geo_index.dataset is not self.inputs.dataset:
-            raise InferenceError("geo_index must be built over the same dataset")
 
     def run(
         self,
@@ -238,7 +230,7 @@ class MultiIXPRouterStep:
 
     def _remote_condition_b(self, asn: int, anchor_ixp: str, involved: list[str]) -> bool:
         """Condition 2(b): other IXPs are closer to the anchor IXP than the AS can be."""
-        index = self.geo_index
+        index = self.inputs.geo_index
         as_span = index.as_ixp_span_km(asn, anchor_ixp)
         if as_span is None:
             return False
@@ -253,7 +245,7 @@ class MultiIXPRouterStep:
 
     def _hybrid_remote_subset(self, asn: int, anchor_ixp: str, involved: list[str]) -> list[str]:
         """IXPs to which the router must be remote, given it is local at the anchor."""
-        index = self.geo_index
+        index = self.inputs.geo_index
         anchor_facilities = self._facilities(anchor_ixp)
         common_span = index.common_facility_span_km(asn, anchor_ixp)
         d_max = common_span[1] if common_span is not None else None

@@ -28,8 +28,6 @@ from repro.config import InferenceConfig
 from repro.core.inputs import InferenceInputs
 from repro.core.step3_colocation import FeasibleFacilityAnalysis
 from repro.core.types import InferenceReport, InferenceStep, PeeringClassification
-from repro.exceptions import InferenceError
-from repro.geo.distindex import GeoDistanceIndex
 from repro.traixroute.detector import PrivateAdjacency
 
 _NONE: frozenset[int] = frozenset()
@@ -91,8 +89,9 @@ class PrivateNeighbours:
 class PrivateConnectivityStep:
     """Vote-based localisation of members through their private neighbours.
 
-    The facility vote is served by the shared
-    :class:`GeoDistanceIndex.majority_facility_vote` memo — the same
+    The facility vote is served by the
+    :meth:`~repro.geo.distindex.GeoDistanceIndex.majority_facility_vote`
+    memo of the shared index in ``inputs`` — the same
     neighbour sets recur across the interfaces of one member AS and across
     scenario-sweep reruns, so each vote is tallied once per index lifetime.
 
@@ -105,13 +104,6 @@ class PrivateConnectivityStep:
 
     inputs: InferenceInputs
     config: InferenceConfig = field(default_factory=InferenceConfig)
-    geo_index: GeoDistanceIndex | None = None
-
-    def __post_init__(self) -> None:
-        if self.geo_index is None:
-            self.geo_index = self.inputs.geo_index
-        elif self.geo_index.dataset is not self.inputs.dataset:
-            raise InferenceError("geo_index must be built over the same dataset")
 
     def run(
         self,
@@ -143,7 +135,7 @@ class PrivateConnectivityStep:
                 # The facilities shared by a strict majority of the voters
                 # with data; none means the voters are geographically
                 # incoherent, and Step 5 makes no inference for the member.
-                common = self.geo_index.majority_facility_vote(voters)
+                common = self.inputs.geo_index.majority_facility_vote(voters)
                 if not common:
                     continue
                 ixp_feasible = self._feasible_ixp_facilities(ixp_id, interface_ip, feasible)

@@ -38,12 +38,11 @@ from tests.helpers import dual_city_scenario, scenario_configs
 IXP_ID = "ixp-ams-test"
 
 
-def _monolithic_run(inputs, config, ixp_ids, *, delay_model=None, geo_index=None):
+def _monolithic_run(inputs, config, ixp_ids, *, delay_model=None):
     """The seed single-pass pipeline, kept as the equivalence reference."""
     from repro.geo.delay_model import DelayModel
 
     delay_model = delay_model or DelayModel()
-    geo_index = geo_index if geo_index is not None else inputs.geo_index
     report = InferenceReport()
     if config.enable_step1_port_capacity:
         PortCapacityStep(inputs).run(ixp_ids, report)
@@ -54,19 +53,18 @@ def _monolithic_run(inputs, config, ixp_ids, *, delay_model=None, geo_index=None
     rtt_summary = RTTMeasurementStep(inputs, config).run(ixp_ids)
     feasible = {}
     if config.enable_step3_colocation_rtt:
-        feasible = ColocationRTTStep(inputs, config, delay_model,
-                                     geo_index=geo_index).run(ixp_ids, report, rtt_summary)
+        feasible = ColocationRTTStep(inputs, config, delay_model).run(
+            ixp_ids, report, rtt_summary)
     detector = CrossingDetector(inputs.dataset, inputs.prefix2as)
     crossings = detector.detect_corpus(inputs.corpus)
     adjacencies = detector.private_adjacencies_corpus(inputs.corpus)
     routers = []
     if config.enable_step4_multi_ixp:
-        step4 = MultiIXPRouterStep(inputs, config, geo_index=geo_index)
+        step4 = MultiIXPRouterStep(inputs, config)
         routers = step4.run(ixp_ids, report, step4.identify_routers(crossings))
     if config.enable_step5_private_links:
         neighbours = PrivateNeighbours(adjacencies, inputs.alias_resolver)
-        PrivateConnectivityStep(inputs, config, geo_index=geo_index).run(
-            ixp_ids, report, neighbours, feasible)
+        PrivateConnectivityStep(inputs, config).run(ixp_ids, report, neighbours, feasible)
     baseline = RTTBaseline(inputs, config).run(ixp_ids, rtt_summary)
     return report, baseline, rtt_summary, feasible, crossings, adjacencies, routers
 
@@ -135,7 +133,7 @@ class TestEngineEquivalence:
         """The engine-backed study outcome equals the seed path on a real world."""
         reference = _monolithic_run(
             small_study.inputs, small_study.config.inference, small_study.studied_ixp_ids,
-            delay_model=small_study.delay_model, geo_index=small_study.geo_index)
+            delay_model=small_study.delay_model)
         _assert_equivalent(small_outcome, reference)
         assert small_outcome.report.inferred()
 
@@ -236,6 +234,17 @@ class TestUndeclaredReads:
         _declare(monkeypatch, replace(spec, data_domains=domains))
         error = self._refusal(oracle_study)
         assert (error.node, error.member) == ("step3", "geo_index.feasible_as_facilities")
+
+    def test_step4_alias_resolver_read(self, oracle_study, monkeypatch):
+        run = MultiIXPRouterStep.run
+
+        def leaky(self, *args, **kwargs):
+            _ = self.inputs.alias_resolver
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiIXPRouterStep, "run", leaky)
+        error = self._refusal(oracle_study)
+        assert (error.node, error.member) == ("step4", "inputs.alias_resolver")
 
     def test_a_default_does_not_swallow_the_refusal(self, oracle_study, monkeypatch):
         run = RTTBaseline.run

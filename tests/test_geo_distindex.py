@@ -137,7 +137,6 @@ class TestDistanceProfile:
 class TestStalenessContract:
     def test_foreign_index_rejected_at_every_injection_point(self):
         from repro.core.engine import PipelineEngine
-        from repro.core.step4_multi_ixp import MultiIXPRouterStep
         from repro.exceptions import InferenceError
 
         scenario, _ = _measured_scenario()
@@ -155,10 +154,6 @@ class TestStalenessContract:
             )
         with pytest.raises(InferenceError):
             PipelineEngine(inputs, geo_index=foreign)
-        with pytest.raises(InferenceError):
-            ColocationRTTStep(inputs, geo_index=foreign)
-        with pytest.raises(InferenceError):
-            MultiIXPRouterStep(inputs, geo_index=foreign)
 
 
 class TestStep3Equivalence:
