@@ -9,7 +9,9 @@ which are simulated here against the ground-truth world:
   (dead probes, probes in management LANs with inflated RTTs).
 * **Ping campaigns** (:mod:`repro.measurement.ping`) — repeated rounds of
   pings from every vantage point of an IXP towards every member peering
-  interface, producing raw RTT/TTL samples.
+  interface, producing raw RTT/TTL samples.  The looking-glass queries the
+  paper automates through Periscope are these pings, sent from the
+  looking-glass vantage points.
 * **Traceroute campaigns** (:mod:`repro.measurement.traceroute`) — corpora of
   simulated traceroutes whose hops exhibit the IXP crossing and private
   interconnection signatures Steps 4-5 rely on.
@@ -28,7 +30,6 @@ from repro.measurement.vantage import VantagePoint, VantagePointKind, VantagePoi
 from repro.measurement.ping import PingCampaign
 from repro.measurement.traceroute import TracerouteCampaign
 from repro.measurement.y1731 import InterFacilityDelayMatrix, Y1731Monitor
-from repro.measurement.periscope import PeriscopeClient
 
 __all__ = [
     "PingCampaignResult",
@@ -42,5 +43,4 @@ __all__ = [
     "TracerouteCampaign",
     "InterFacilityDelayMatrix",
     "Y1731Monitor",
-    "PeriscopeClient",
 ]

@@ -1,15 +1,13 @@
-"""Unit tests for traceroute campaigns, Y.1731 monitoring and Periscope."""
+"""Unit tests for traceroute campaigns and Y.1731 monitoring."""
 
 import gc
 
 import pytest
 
 from repro.config import CampaignConfig, GeneratorConfig
-from repro.exceptions import MeasurementError, RoutingError, VantagePointError
-from repro.measurement.periscope import PeriscopeClient
+from repro.exceptions import MeasurementError, RoutingError
 from repro.measurement.results import TracerouteCorpus
 from repro.measurement.traceroute import TracerouteCampaign
-from repro.measurement.vantage import VantagePointKind, VantagePointPlanner
 from repro.measurement.y1731 import Y1731Monitor
 from repro.routing.bgp import ASGraph
 from repro.routing.forwarding import ForwardingHop, ForwardingPath
@@ -240,42 +238,3 @@ class TestY1731:
         with pytest.raises(MeasurementError):
             Y1731Monitor(tiny_world, rounds=0)
 
-
-class TestPeriscope:
-    def _lg(self, tiny_world):
-        planner = VantagePointPlanner(tiny_world, CampaignConfig(lg_presence_rate=1.0))
-        plan = planner.plan_internal(sorted(tiny_world.ixps))
-        return next(iter(plan.values()))
-
-    def test_only_looking_glasses_accepted(self, tiny_world):
-        client = PeriscopeClient(world=tiny_world)
-        planner = VantagePointPlanner(tiny_world, CampaignConfig(max_atlas_probes_per_ixp=3,
-                                                                 atlas_dead_probe_rate=0.0,
-                                                                 lg_presence_rate=0.0))
-        plan = planner.plan(sorted(tiny_world.ixps))
-        atlas = next(vp for vps in plan.values() for vp in vps
-                     if vp.kind is VantagePointKind.ATLAS_PROBE)
-        with pytest.raises(VantagePointError):
-            client.submit(atlas, "185.1.0.1")
-
-    def test_queries_are_batched(self, tiny_world):
-        client = PeriscopeClient(world=tiny_world, queries_per_batch=10)
-        lg = self._lg(tiny_world)
-        targets = list(tiny_world.interfaces)[:25]
-        for target in targets:
-            client.submit(lg, target)
-        assert client.pending_count == 25
-        replies = client.execute()
-        assert client.pending_count == 0
-        assert max(reply.batch_index for reply in replies) == 2
-
-    def test_unknown_target_gets_no_rtt(self, tiny_world):
-        client = PeriscopeClient(world=tiny_world)
-        lg = self._lg(tiny_world)
-        client.submit(lg, "203.0.113.99")
-        replies = client.execute()
-        assert replies[0].rtt_ms is None
-
-    def test_invalid_batch_size_rejected(self, tiny_world):
-        with pytest.raises(MeasurementError):
-            PeriscopeClient(world=tiny_world, queries_per_batch=0)
